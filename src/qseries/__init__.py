@@ -20,7 +20,6 @@ from .coeffring import CycRat, OMEGA, OMEGA_BAR, ONE, ZERO, rat
 from .laurent import LaurentSeries, ParamValue, Q
 from .vwp import (
     DegenerateC,
-    ParamVector,
     a_coeff,
     c_helper,
     corollary_k2,
@@ -60,7 +59,6 @@ __all__ = [
     "Overpartition",
     "OverpartitionPair",
     "ParamValue",
-    "ParamVector",
     "Q",
     "OMEGA",
     "OMEGA_BAR",

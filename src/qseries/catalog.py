@@ -1,10 +1,12 @@
 """Registry of exact q-series identities and their verification machinery.
 
-Each entry carries two independent builders: ``lhs`` sums the stated series
-literally (incremental term ratios, one binomial operation per factor), and
-``rhs`` assembles the stated product side from infinite q-Pochhammer symbols.
-Verification expands both to a truncation order and compares coefficients
-exactly; nothing is ever checked numerically in floating point.
+Each entry carries two independent builders.  A sum side is data: a first
+term and one term ratio per summation index, transcribed from the stated sum
+and summed by vwp's chained term-ratio driver.  A product side is data too: a
+list of terms scalar * q^a * prod (1 - c q^e)^{+-1} * prod (c q^e; q^s)_inf^k,
+in the style of Garvan's etaq.  Verification expands both to a truncation
+order and compares coefficients exactly; nothing is ever checked numerically
+in floating point.
 
 Entries that arose by specializing the two-parameter or three-parameter
 corollaries also record that specialization (base, parameter values, and the
@@ -33,17 +35,17 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable
 
-from .coeffring import CycRat, OMEGA, ONE, rat
+from .coeffring import CycRat, DivisionByZero, OMEGA, OMEGA_BAR, ONE, rat
 from .laurent import (
+    InvalidBase,
     LaurentSeries,
+    OrderExceeded,
     ParamValue,
     Q,
     ZeroFactor,
-    poch_infinite,
-    poch_infinite_inv,
 )
 from . import vwp
-from .vwp import DegenerateC
+from .vwp import DegenerateC, Level, Term, _chain_sum, _product_sum
 
 
 class UnknownIdentity(KeyError):
@@ -52,6 +54,10 @@ class UnknownIdentity(KeyError):
 
 class MissingSpecialization(LookupError):
     """derivation_check was asked for an entry with no recorded specialization."""
+
+
+#: Library exceptions that become ``status="error"`` reports.
+_EXPANSION_ERRORS = (ZeroFactor, DegenerateC, OrderExceeded, DivisionByZero, InvalidBase)
 
 
 @dataclass(frozen=True)
@@ -77,13 +83,13 @@ class Specialization:
 
     ``params`` is (y, z) for single-sum entries (two-parameter corollary) and
     (x, y, z) for double-sum entries (three-parameter corollary).  The
-    prefactor is a builder order -> series for the eta-quotient multiplier in
-    front of the corollary's right side.
+    prefactor is the eta-quotient multiplier in front of the corollary's right
+    side, as a tuple of product terms.
     """
 
     base: ParamValue
     params: tuple[ParamValue, ...]
-    prefactor: Callable[[int], LaurentSeries]
+    prefactor: tuple[Term, ...]
 
 
 @dataclass(frozen=True)
@@ -97,8 +103,6 @@ class IdentityEntry:
 
 DEFAULT_ORDER = 50
 
-_MARGIN = 6
-
 # frequently used parameter values
 _P1 = ParamValue(ONE, 0)
 _M1 = ParamValue(CycRat(-1), 0)
@@ -106,737 +110,377 @@ _W = ParamValue(OMEGA, 0)
 _MW = ParamValue(-OMEGA, 0)
 _Q2 = ParamValue(ONE, 2)
 
-_CYCLO3 = LaurentSeries.from_terms({0: ONE, 1: ONE, 2: ONE})  # 1 + q + q^2
-_CYCLO6 = LaurentSeries.from_terms({0: ONE, 1: CycRat(-1), 2: ONE})  # 1 - q + q^2
-
 
 def _r(num: int, den: int = 1) -> CycRat:
     return CycRat(rat(num, den))
 
 
-def _const(num: int, den: int = 1) -> LaurentSeries:
-    return LaurentSeries.monomial(_r(num, den), 0)
+def _lv(weight: int, num=(), den=()) -> Level:
+    """A summation level: term ratio q^weight * prod_num / prod_den, with each
+    binomial (c, a, b) standing for (1 - c q^{a*M + b}) at index M >= 0."""
+    def factors(bins):
+        return tuple((ParamValue(c, b), ParamValue(ONE, a)) for c, a, b in bins)
+
+    return Level(ParamValue(ONE, weight), factors(num), factors(den))
 
 
-def _pinf(c: int, e: int, step: int, order: int) -> LaurentSeries:
-    """(c*q^e; q^step)_inf."""
-    return poch_infinite(ParamValue(_r(c), e), ParamValue(ONE, step), order)
+def _sum_side(first: Term, *levels: Level) -> Callable[[int], LaurentSeries]:
+    return lambda order: _chain_sum(levels, order, first)
 
 
-def _pinf_i(c: int, e: int, step: int, order: int) -> LaurentSeries:
-    """1/(c*q^e; q^step)_inf."""
-    return poch_infinite_inv(ParamValue(_r(c), e), ParamValue(ONE, step), order)
+def _product_side(*terms: Term) -> Callable[[int], LaurentSeries]:
+    return lambda order: _product_sum(terms, order)
 
 
-def _qpow(e: int, order: int) -> LaurentSeries:
-    return LaurentSeries.monomial(ONE, e).truncate(order)
+def _const(num: int, den: int) -> tuple[Term, ...]:
+    return (Term(_r(num, den)),)
 
 
-def _chain(s: LaurentSeries, muls=(), divs=()) -> LaurentSeries:
-    """Apply a run of binomial factors: product of (1 - c*q^e) over muls,
-    divided by the same over divs."""
-    for c, e in muls:
-        s = s.mul_one_minus(_r(c), e)
-    for c, e in divs:
-        s = s.div_one_minus(_r(c), e)
-    return s
-
-
-def _sum_single(first, step, order: int) -> LaurentSeries:
-    """Sum t(1) + t(2) + ... with step(t, n) -> t(n+1).
-
-    Every step multiplies by a positive power of q times a unit, so term
-    valuations strictly increase and the loop stops once they clear the
-    truncation order.
-    """
-    work = order + _MARGIN
-    t = first(work)
-    total = LaurentSeries.zero(work)
-    n = 1
-    while not t.is_zero() and t.valuation() < order:
-        total = total + t
-        t = step(t, n)
-        n += 1
-    return total.require_order(order)
-
-
-def _sum_double(first, inner, row, order: int) -> LaurentSeries:
-    """Sum t(m, n) over m >= 1, n >= 0 with inner(t, m, n) -> t(m, n+1)
-    and row(r, m) -> t(m+1, 0) from r = t(m, 0)."""
-    work = order + _MARGIN
-    r = first(work)
-    total = LaurentSeries.zero(work)
-    m = 1
-    while not r.is_zero() and r.valuation() < order:
-        t = r
-        n = 0
-        while not t.is_zero() and t.valuation() < order:
-            total = total + t
-            t = inner(t, m, n)
-            n += 1
-        r = row(r, m)
-        m += 1
-    return total.require_order(order)
-
-
-# -- single-sum families ---------------------------------------------------------------
+# -- the stated sums, as data -----------------------------------------------------------
 #
-# The A1 family sums t(n) = q^n (s1 q^n;q)_inf (s2 q^{n+1};q)_inf^2 (s1^3 q^3;q^3)_{n-1}
-# with sign choices s1, s2; A2 is the reciprocal shape.  The Bprime families live
-# at base q^2 with weight q^{2n-1}.
-
-
-def _lhs_a1(s1: int, s2: int, order: int) -> LaurentSeries:
-    def first(w):
-        t = _qpow(1, w) * _pinf(s1, 1, 1, w)
-        u = _pinf(s2, 2, 1, w)
-        return t * u * u
-
-    def step(t, n):
-        return _chain(t.shift(1), muls=[(s1, 3 * n)],
-                      divs=[(s1, n), (s2, n + 1), (s2, n + 1)])
-
-    return _sum_single(first, step, order)
-
-
-def _lhs_a2ab(s: int, order: int) -> LaurentSeries:
-    def first(w):
-        t = _qpow(1, w) * _pinf_i(s, 2, 1, w)
-        u = _pinf_i(-1, 1, 1, w)
-        return _chain(t * u * u, divs=[(s, 3)])
-
-    def step(t, n):
-        return _chain(t.shift(1), muls=[(s, n + 1), (-1, n), (-1, n)],
-                      divs=[(s, 3 * n + 3)])
-
-    return _sum_single(first, step, order)
-
-
-def _lhs_a2cd(s: int, order: int) -> LaurentSeries:
-    def first(w):
-        return _chain(_qpow(1, w) * _pinf(s, 1, 1, w) * _pinf_i(-s, 2, 1, w),
-                      divs=[(-s, 3)])
-
-    def step(t, n):
-        return _chain(t.shift(1), muls=[(s, 3 * n), (-s, n + 1)],
-                      divs=[(s, n), (-s, 3 * n + 3)])
-
-    return _sum_single(first, step, order)
-
-
-def _lhs_bprime_ab(s: int, order: int) -> LaurentSeries:
-    def first(w):
-        return _qpow(1, w) * _pinf(1, 3, 2, w) * _pinf(s, 2, 2, w) * _pinf(1, 5, 2, w)
-
-    def step(t, n):
-        return _chain(t.shift(2), muls=[(s, 6 * n)],
-                      divs=[(1, 2 * n + 1), (s, 2 * n), (1, 2 * n + 3)])
-
-    return _sum_single(first, step, order)
-
-
-def _lhs_bprime_cd(s: int, order: int) -> LaurentSeries:
-    def first(w):
-        t = _qpow(1, w) * _pinf_i(1, 1, 2, w) * _pinf_i(1, 3, 2, w) * _pinf_i(s, 4, 2, w)
-        return _chain(t, divs=[(s, 6)])
-
-    def step(t, n):
-        return _chain(t.shift(2),
-                      muls=[(1, 2 * n - 1), (1, 2 * n + 1), (s, 2 * n + 2)],
-                      divs=[(s, 6 * n + 6)])
-
-    return _sum_single(first, step, order)
-
-
-# -- double-sum families ----------------------------------------------------------------
-
-
-def _lhs_ds1(variant: str, order: int) -> LaurentSeries:
-    s = 1 if variant in "ac" else -1
-    u = 1 if variant in "ab" else -1
-
-    def first(w):
-        t = _qpow(2, w)
-        if variant == "a":
-            return _chain(t, divs=[(1, 1), (1, 3)])
-        if variant == "b":
-            return _chain(t, muls=[(-1, 1)], divs=[(1, 1), (1, 1), (-1, 3)])
-        if variant == "c":
-            return _chain(t, muls=[(1, 1)], divs=[(-1, 1), (-1, 1), (1, 3)])
-        return _chain(t, divs=[(-1, 1), (-1, 3)])
-
-    def inner(t, m, n):
-        i = m + n
-        return _chain(t.shift(1), muls=[(s, i + 1), (-s, 3 * i)],
-                      divs=[(-s, i), (s, 3 * i + 3)])
-
-    def row(t, m):
-        return _chain(t.shift(2),
-                      muls=[(s, 3 * m), (s, m + 1), (-s, 3 * m)],
-                      divs=[(s, m), (u, m + 1), (u, m + 1), (-s, m), (s, 3 * m + 3)])
-
-    return _sum_double(first, inner, row, order)
-
-
-def _lhs_ds2(variant: str, order: int) -> LaurentSeries:
-    def first(w):
-        t = _qpow(2, w)
-        if variant == "a":
-            return _chain(t, divs=[(-1, 1), (-1, 3)])
-        if variant == "b":
-            return _chain(t, muls=[(1, 1)], divs=[(1, 3), (-1, 1), (-1, 1)])
-        return _chain(t, muls=[(-1, 1), (1, 1)], divs=[(-1, 3), (1, 3)])
-
-    if variant in "ab":
-        s = 1 if variant == "a" else -1
-
-        def inner(t, m, n):
-            i = m + n
-            return _chain(t.shift(1), muls=[(s, 3 * i)],
-                          divs=[(s, i), (-1, i + 1), (-1, i + 1)])
-    else:
-        s = 1 if variant == "c" else -1
-
-        def inner(t, m, n):
-            i = m + n
-            return _chain(t.shift(1), muls=[(-1, i), (-1, i), (s, i + 1)],
-                          divs=[(s, 3 * i + 3)])
-
-    def row(t, m):
-        if variant == "a":
-            return _chain(t.shift(2), muls=[(-1, m + 1), (-1, m), (-1, m), (1, 3 * m)],
-                          divs=[(-1, 3 * m + 3), (1, m), (-1, m + 1), (-1, m + 1)])
-        if variant == "b":
-            return _chain(t.shift(2), muls=[(1, m + 1), (-1, m), (-1, m), (-1, 3 * m)],
-                          divs=[(1, 3 * m + 3), (-1, m), (-1, m + 1), (-1, m + 1)])
-        if variant == "c":
-            return _chain(t.shift(2),
-                          muls=[(1, 3 * m), (-1, m + 1), (-1, m), (-1, m), (1, m + 1)],
-                          divs=[(1, m), (-1, 3 * m + 3), (1, 3 * m + 3)])
-        return _chain(t.shift(2),
-                      muls=[(-1, 3 * m), (1, m + 1), (-1, m), (-1, m), (-1, m + 1)],
-                      divs=[(-1, m), (1, 3 * m + 3), (-1, 3 * m + 3)])
-
-    return _sum_double(first, inner, row, order)
-
-
-def _lhs_ds3(variant: str, order: int) -> LaurentSeries:
-    def first(w):
-        t = _qpow(2, w)
-        if variant in "ac":
-            return _chain(t, divs=[(1, 1), (1, 1), (-1, 1), (-1, 1)])
-        if variant == "b":
-            return _chain(t, divs=[(1, 1), (1, 3)])
-        return _chain(t, muls=[(-1, 1)], divs=[(1, 1), (1, 1), (-1, 3)])
-
-    s = 1 if variant in "ab" else -1
-
-    if variant in "ac":
-
-        def inner(t, m, n):
-            i = m + n
-            return _chain(t.shift(1), muls=[(s, 3 * i)],
-                          divs=[(-1, i + 1), (-1, i + 1), (s, i)])
-
-        def row(t, m):
-            return _chain(t.shift(2), muls=[(-1, m), (-1, m), (s, 3 * m)],
-                          divs=[(1, m + 1), (1, m + 1), (-1, m + 1), (-1, m + 1),
-                                (s, m)])
-    else:
-
-        def inner(t, m, n):
-            i = m + n
-            return _chain(t.shift(1), muls=[(-1, i), (-1, i), (s, i + 1)],
-                          divs=[(s, 3 * i + 3)])
-
-        def row(t, m):
-            if variant == "b":
-                return _chain(t.shift(2), muls=[(1, 3 * m), (-1, m), (-1, m), (1, m + 1)],
-                              divs=[(1, m), (1, m + 1), (1, m + 1), (1, 3 * m + 3)])
-            return _chain(t.shift(2), muls=[(-1, 3 * m), (-1, m), (-1, m), (-1, m + 1)],
-                          divs=[(-1, m), (1, m + 1), (1, m + 1), (-1, 3 * m + 3)])
-
-    return _sum_double(first, inner, row, order)
-
-
-def _lhs_ds4(variant: str, order: int) -> LaurentSeries:
-    def first(w):
-        t = _qpow(4, w)
-        if variant in "ab":
-            return _chain(t, muls=[(1, -1)], divs=[(1, 2), (1, 2), (1, 3)])
-        if variant == "c":
-            return _chain(t, muls=[(1, 1), (1, -1), (-1, 2)],
-                          divs=[(1, 2), (1, 2), (-1, 6)])
-        return _chain(t, muls=[(1, 1), (1, -1)], divs=[(1, 2), (1, 6)])
-
-    if variant in "ab":
-        s = 1 if variant == "a" else -1
-
-        def inner(t, m, n):
-            i = 2 * m + 2 * n
-            return _chain(t.shift(2), muls=[(s, 3 * i)],
-                          divs=[(s, i), (1, i + 3), (1, i + 1)])
-
-        def row(t, m):
-            return _chain(t.shift(4),
-                          muls=[(1, 2 * m + 1), (1, 2 * m - 1), (s, 6 * m)],
-                          divs=[(1, 2 * m + 2), (1, 2 * m + 2), (s, 2 * m),
-                                (1, 2 * m + 3), (1, 2 * m + 1)])
-    else:
-        s = -1 if variant == "c" else 1
-
-        def inner(t, m, n):
-            i = 2 * m + 2 * n
-            return _chain(t.shift(2),
-                          muls=[(1, i + 1), (1, i - 1), (s, i + 2)],
-                          divs=[(s, 3 * i + 6)])
-
-        def row(t, m):
-            return _chain(t.shift(4),
-                          muls=[(s, 6 * m), (1, 2 * m + 1), (1, 2 * m - 1),
-                                (s, 2 * m + 2)],
-                          divs=[(s, 2 * m), (1, 2 * m + 2), (1, 2 * m + 2),
-                                (s, 6 * m + 6)])
-
-    return _sum_double(first, inner, row, order)
-
-
-# -- right-hand sides (eta-quotient combinations) -----------------------------------------
-
-
-def _rhs_a1(variant: str, order: int) -> LaurentSeries:
-    w = order + _MARGIN
-    if variant == "a":
-        out = _pinf(1, 2, 2, w) * _pinf_i(1, 1, 2, w) - _pinf(1, 3, 3, w)
-    elif variant == "b":
-        e = _pinf(1, 1, 1, w)
-        out = (_pinf(1, 3, 3, w) - e * e * e).scale(_r(1, 3))
-    elif variant == "c":
-        e = _pinf(-1, 1, 1, w)
-        out = (e * e * e - _pinf(-1, 3, 3, w)).scale(_r(1, 3))
-    else:
-        e = _pinf(1, 1, 1, w)
-        out = _pinf(-1, 3, 3, w) - _pinf(-1, 1, 1, w) * e * e
-    return out.require_order(order)
-
-
-def _rhs_a2(variant: str, order: int) -> LaurentSeries:
-    w = order + _MARGIN
-    if variant == "a":
-        out = _pinf_i(1, 3, 3, w) - _pinf(1, 1, 2, w) * _pinf_i(1, 2, 2, w)
-    elif variant == "b":
-        e_i = _pinf_i(-1, 1, 1, w)
-        out = (_pinf_i(-1, 3, 3, w) - e_i * e_i * e_i).scale(_r(1, 3))
-    elif variant == "c":
-        out = (_pinf(1, 3, 3, w) * _pinf_i(-1, 3, 3, w)
-               - _pinf(1, 1, 1, w) * _pinf_i(-1, 1, 1, w)).scale(_r(1, 2))
-    else:
-        out = (_pinf(-1, 3, 3, w) * _pinf_i(1, 3, 3, w)
-               - _pinf(-1, 1, 1, w) * _pinf_i(1, 1, 1, w)).scale(_r(-1, 2))
-    return out.require_order(order)
-
-
-def _rhs_ds1(variant: str, order: int) -> LaurentSeries:
-    w = order + _MARGIN
-    ep = _pinf(1, 1, 1, w)
-    em = _pinf(-1, 1, 1, w)
-    ep_i = _pinf_i(1, 1, 1, w)
-    em_i = _pinf_i(-1, 1, 1, w)
-    if variant == "a":
-        out = (_pinf(-1, 3, 3, w) * em_i * ep_i * ep_i).scale(_r(1, 3))
-        out = out + (_pinf(-1, 3, 3, w) * ep * _pinf_i(1, 3, 3, w) * em_i).scale(_r(1, 6))
-        out = out - _const(1, 2)
-    elif variant == "b":
-        out = (_pinf(1, 3, 3, w) * ep_i * ep_i * ep_i).scale(_r(1, 3))
-        out = out - (_pinf(1, 3, 3, w) * em * _pinf_i(-1, 3, 3, w) * ep_i).scale(_r(1, 2))
-        out = out + _const(1, 6)
-    elif variant == "c":
-        out = (_pinf(-1, 3, 3, w) * em_i * em_i * em_i).scale(_r(1, 3))
-        out = out - (_pinf(-1, 3, 3, w) * ep * _pinf_i(1, 3, 3, w) * em_i).scale(_r(1, 2))
-        out = out + _const(1, 6)
-    else:
-        out = (_pinf(1, 3, 3, w) * em_i * _pinf_i(1, 2, 2, w)).scale(_r(1, 3))
-        out = out + (_pinf(1, 3, 3, w) * em * _pinf_i(-1, 3, 3, w) * ep_i).scale(_r(1, 6))
-        out = out - _const(1, 2)
-    return out.require_order(order)
-
-
-def _rhs_ds2(variant: str, order: int) -> LaurentSeries:
-    w = order + _MARGIN
-    ep = _pinf(1, 1, 1, w)
-    em = _pinf(-1, 1, 1, w)
-    ep_i = _pinf_i(1, 1, 1, w)
-    em_i = _pinf_i(-1, 1, 1, w)
-    e3 = _pinf(1, 3, 3, w)
-    e3m = _pinf(-1, 3, 3, w)
-    e3_i = _pinf_i(1, 3, 3, w)
-    e3m_i = _pinf_i(-1, 3, 3, w)
-    if variant == "a":
-        out = (em * e3 * ep_i * e3m_i).scale(_r(1, 6))
-        out = out + (e3 * em_i * _pinf_i(1, 2, 2, w)).scale(_r(1, 3))
-        out = out - _const(1, 2)
-    elif variant == "b":
-        out = (ep * e3m * em_i * e3_i).scale(_r(-1, 2))
-        out = out + (e3m * em_i * em_i * em_i).scale(_r(1, 3))
-        out = out + _const(1, 6)
-    elif variant == "c":
-        out = (em * em * em * e3m_i).scale(_r(1, 6))
-        out = out - (em * _pinf(1, 2, 2, w) * e3_i).scale(_r(1, 2))
-        out = out + _const(1, 3)
-    else:
-        out = (em * _pinf(1, 2, 2, w) * e3_i).scale(_r(-1, 2))
-        out = out + (em * em * em * e3m_i).scale(_r(1, 6))
-        out = out + _const(1, 3)
-    return out.require_order(order)
-
-
-def _rhs_ds3(variant: str, order: int) -> LaurentSeries:
-    w = order + _MARGIN
-    ep_i = _pinf_i(1, 1, 1, w)
-    em = _pinf(-1, 1, 1, w)
-    em_i = _pinf_i(-1, 1, 1, w)
-    if variant == "a":
-        e3 = _pinf(1, 3, 3, w)
-        out = (e3 * ep_i * ep_i * ep_i).scale(_r(1, 12))
-        out = out + (e3 * ep_i * em_i * em_i).scale(_r(1, 4))
-        out = out - _const(1, 3)
-    elif variant == "b":
-        out = (em * em * ep_i * ep_i).scale(_r(1, 12))
-        out = out - (em * em * _pinf(1, 1, 1, w) * _pinf_i(1, 3, 3, w)).scale(_r(1, 3))
-        out = out + _const(1, 4)
-    elif variant == "c":
-        e3m = _pinf(-1, 3, 3, w)
-        out = (e3m * em_i * ep_i * ep_i).scale(_r(1, 4))
-        out = out + (e3m * em_i * em_i * em_i).scale(_r(1, 12))
-        out = out - _const(1, 3)
-    else:
-        out = (em * em * ep_i * ep_i).scale(_r(1, 4))
-        out = out - (em * em * em * _pinf_i(-1, 3, 3, w)).scale(_r(1, 3))
-        out = out + _const(1, 12)
-    return out.require_order(order)
-
-
-def _rhs_bprime(variant: str, order: int) -> LaurentSeries:
-    w = order + _MARGIN
-    if variant == "a":
-        out = _pinf(1, 6, 6, w) / _CYCLO3
-        out = out - _chain(_pinf(1, 2, 2, w) * _pinf(1, 1, 2, w) * _pinf(1, 1, 2, w),
-                           divs=[(1, 3)])
-    elif variant == "b":
-        out = _pinf(-1, 6, 6, w) - _pinf(-1, 2, 2, w) * _pinf(1, 3, 2, w) * _pinf(1, 1, 2, w)
-        out = out / _CYCLO6
-    elif variant == "c":
-        inner = _pinf_i(1, 1, 2, w)
-        out = _chain(inner * inner * _pinf_i(1, 2, 2, w), muls=[(1, 1)])
-        out = (out - _pinf_i(1, 6, 6, w)) / _CYCLO3
-    else:
-        out = _pinf_i(-1, 2, 2, w) * _pinf_i(1, 3, 2, w) * _pinf_i(1, 1, 2, w)
-        out = (out - _pinf_i(-1, 6, 6, w)) / _CYCLO6
-    return out.require_order(order)
-
-
-def _rhs_ds4(variant: str, order: int) -> LaurentSeries:
-    w = order + _MARGIN
-    if variant == "a":
-        e2_i = _pinf_i(1, 2, 2, w)
-        out = (_pinf(1, 6, 6, w) * e2_i * e2_i * e2_i).scale(_r(1, 3))
-        t2 = _qpow(1, w) * _pinf(1, 6, 6, w) * e2_i * _pinf_i(1, 3, 2, w) * _pinf_i(1, 3, 2, w)
-        out = out - _chain(t2, divs=[(1, 3)])
-        out = out - _chain(LaurentSeries.one(w).scale(_r(1, 3)),
-                           muls=[(1, 1), (1, 1)]) / _CYCLO3
-    elif variant == "b":
-        e2_i = _pinf_i(1, 2, 2, w)
-        out = _pinf(-1, 6, 6, w) * _pinf_i(-1, 2, 2, w) * e2_i * e2_i
-        t2 = (_qpow(1, w) * _pinf(-1, 6, 6, w) * _pinf_i(-1, 2, 2, w)
-              * _pinf_i(1, 3, 2, w) * _pinf_i(1, 1, 2, w))
-        out = out - t2 / _CYCLO6
-        out = out - _chain(LaurentSeries.one(w), muls=[(1, 1), (1, 1)]) / _CYCLO6
-    elif variant == "c":
-        e2_i = _pinf_i(1, 2, 2, w)
-        out = _pinf(1, 1, 2, w) * _pinf(1, 3, 2, w) * e2_i * e2_i
-        t2 = (_qpow(1, w) * _pinf(-1, 2, 2, w) * _pinf(1, 1, 2, w) * _pinf(1, -1, 2, w)
-              * _pinf_i(-1, 6, 6, w))
-        out = out + t2 / _CYCLO6
-        out = out - _qpow(1, w) / _CYCLO6
-    else:
-        e2_i = _pinf_i(1, 2, 2, w)
-        out = (_pinf(1, 1, 2, w) * _pinf(1, 3, 2, w) * e2_i * e2_i).scale(_r(1, 3))
-        t2 = (_qpow(1, w) * _pinf(1, 1, 1, w) * _pinf(1, -1, 2, w)
-              * _pinf_i(1, 6, 6, w)).scale(_r(1, 3))
-        out = out + t2 / _CYCLO3
-        out = out - _qpow(1, w) / _CYCLO3
-    return out.require_order(order)
+# Single sums over n >= 1 use M = n - 1.  Double sums over m >= 1, n >= 0 use
+# M_1 = m - 1 <= M_2 = m + n - 1: the inner ratio is level 2's, and the step
+# from row m to row m + 1 is level 1's ratio times level 2's.  A first term
+# Term(scalar, shift, muls, divs, pochs) is the summand at the smallest indices.
+
+_LHS = {
+    "A1-a": _sum_side(Term(shift=1, pochs=((1, 1, 1, 1), (-1, 2, 1, 2))),
+                      _lv(1, num=[(1, 3, 3)], den=[(1, 1, 1), (-1, 1, 2), (-1, 1, 2)])),
+    "A1-b": _sum_side(Term(shift=1, pochs=((1, 1, 1, 1), (1, 2, 1, 2))),
+                      _lv(1, num=[(1, 3, 3)], den=[(1, 1, 1), (1, 1, 2), (1, 1, 2)])),
+    "A1-c": _sum_side(Term(shift=1, pochs=((-1, 1, 1, 1), (-1, 2, 1, 2))),
+                      _lv(1, num=[(-1, 3, 3)], den=[(-1, 1, 1), (-1, 1, 2), (-1, 1, 2)])),
+    "A1-d": _sum_side(Term(shift=1, pochs=((-1, 1, 1, 1), (1, 2, 1, 2))),
+                      _lv(1, num=[(-1, 3, 3)], den=[(-1, 1, 1), (1, 1, 2), (1, 1, 2)])),
+
+    "A2-a": _sum_side(Term(shift=1, divs=((1, 3),), pochs=((1, 2, 1, -1), (-1, 1, 1, -2))),
+                      _lv(1, num=[(1, 1, 2), (-1, 1, 1), (-1, 1, 1)], den=[(1, 3, 6)])),
+    "A2-b": _sum_side(Term(shift=1, divs=((-1, 3),), pochs=((-1, 2, 1, -1), (-1, 1, 1, -2))),
+                      _lv(1, num=[(-1, 1, 2), (-1, 1, 1), (-1, 1, 1)], den=[(-1, 3, 6)])),
+    "A2-c": _sum_side(Term(shift=1, divs=((-1, 3),), pochs=((1, 1, 1, 1), (-1, 2, 1, -1))),
+                      _lv(1, num=[(1, 3, 3), (-1, 1, 2)], den=[(1, 1, 1), (-1, 3, 6)])),
+    "A2-d": _sum_side(Term(shift=1, divs=((1, 3),), pochs=((-1, 1, 1, 1), (1, 2, 1, -1))),
+                      _lv(1, num=[(-1, 3, 3), (1, 1, 2)], den=[(-1, 1, 1), (1, 3, 6)])),
+
+    "Bprime-a": _sum_side(Term(shift=1, pochs=((1, 3, 2, 1), (1, 2, 2, 1), (1, 5, 2, 1))),
+                          _lv(2, num=[(1, 6, 6)], den=[(1, 2, 3), (1, 2, 2), (1, 2, 5)])),
+    "Bprime-b": _sum_side(Term(shift=1, pochs=((1, 3, 2, 1), (-1, 2, 2, 1), (1, 5, 2, 1))),
+                          _lv(2, num=[(-1, 6, 6)], den=[(1, 2, 3), (-1, 2, 2), (1, 2, 5)])),
+    "Bprime-c": _sum_side(
+        Term(shift=1, divs=((1, 6),), pochs=((1, 1, 2, -1), (1, 3, 2, -1), (1, 4, 2, -1))),
+        _lv(2, num=[(1, 2, 1), (1, 2, 3), (1, 2, 4)], den=[(1, 6, 12)])),
+    "Bprime-d": _sum_side(
+        Term(shift=1, divs=((-1, 6),), pochs=((1, 1, 2, -1), (1, 3, 2, -1), (-1, 4, 2, -1))),
+        _lv(2, num=[(1, 2, 1), (1, 2, 3), (-1, 2, 4)], den=[(-1, 6, 12)])),
+
+    "DS1-a": _sum_side(Term(shift=2, divs=((1, 1), (1, 3))),
+                       _lv(1, num=[(1, 3, 3)], den=[(1, 1, 1), (1, 1, 2), (1, 1, 2)]),
+                       _lv(1, num=[(1, 1, 2), (-1, 3, 3)], den=[(-1, 1, 1), (1, 3, 6)])),
+    "DS1-b": _sum_side(Term(shift=2, muls=((-1, 1),), divs=((1, 1), (1, 1), (-1, 3))),
+                       _lv(1, num=[(-1, 3, 3)], den=[(-1, 1, 1), (1, 1, 2), (1, 1, 2)]),
+                       _lv(1, num=[(-1, 1, 2), (1, 3, 3)], den=[(1, 1, 1), (-1, 3, 6)])),
+    "DS1-c": _sum_side(Term(shift=2, muls=((1, 1),), divs=((-1, 1), (-1, 1), (1, 3))),
+                       _lv(1, num=[(1, 3, 3)], den=[(1, 1, 1), (-1, 1, 2), (-1, 1, 2)]),
+                       _lv(1, num=[(1, 1, 2), (-1, 3, 3)], den=[(-1, 1, 1), (1, 3, 6)])),
+    "DS1-d": _sum_side(Term(shift=2, divs=((-1, 1), (-1, 3))),
+                       _lv(1, num=[(-1, 3, 3)], den=[(-1, 1, 1), (-1, 1, 2), (-1, 1, 2)]),
+                       _lv(1, num=[(-1, 1, 2), (1, 3, 3)], den=[(1, 1, 1), (-1, 3, 6)])),
+
+    "DS2-a": _sum_side(Term(shift=2, divs=((-1, 1), (-1, 3))),
+                       _lv(1, num=[(-1, 1, 2), (-1, 1, 1), (-1, 1, 1)], den=[(-1, 3, 6)]),
+                       _lv(1, num=[(1, 3, 3)], den=[(1, 1, 1), (-1, 1, 2), (-1, 1, 2)])),
+    "DS2-b": _sum_side(Term(shift=2, muls=((1, 1),), divs=((1, 3), (-1, 1), (-1, 1))),
+                       _lv(1, num=[(1, 1, 2), (-1, 1, 1), (-1, 1, 1)], den=[(1, 3, 6)]),
+                       _lv(1, num=[(-1, 3, 3)], den=[(-1, 1, 1), (-1, 1, 2), (-1, 1, 2)])),
+    "DS2-c": _sum_side(Term(shift=2, muls=((-1, 1), (1, 1)), divs=((-1, 3), (1, 3))),
+                       _lv(1, num=[(1, 3, 3), (-1, 1, 2)], den=[(1, 1, 1), (-1, 3, 6)]),
+                       _lv(1, num=[(-1, 1, 1), (-1, 1, 1), (1, 1, 2)], den=[(1, 3, 6)])),
+    "DS2-d": _sum_side(Term(shift=2, muls=((-1, 1), (1, 1)), divs=((-1, 3), (1, 3))),
+                       _lv(1, num=[(-1, 3, 3), (1, 1, 2)], den=[(-1, 1, 1), (1, 3, 6)]),
+                       _lv(1, num=[(-1, 1, 1), (-1, 1, 1), (-1, 1, 2)], den=[(-1, 3, 6)])),
+
+    "DS3-a": _sum_side(Term(shift=2, divs=((1, 1), (1, 1), (-1, 1), (-1, 1))),
+                       _lv(1, num=[(-1, 1, 1), (-1, 1, 1)], den=[(1, 1, 2), (1, 1, 2)]),
+                       _lv(1, num=[(1, 3, 3)], den=[(-1, 1, 2), (-1, 1, 2), (1, 1, 1)])),
+    "DS3-b": _sum_side(Term(shift=2, divs=((1, 1), (1, 3))),
+                       _lv(1, num=[(1, 3, 3)], den=[(1, 1, 1), (1, 1, 2), (1, 1, 2)]),
+                       _lv(1, num=[(-1, 1, 1), (-1, 1, 1), (1, 1, 2)], den=[(1, 3, 6)])),
+    "DS3-c": _sum_side(Term(shift=2, divs=((1, 1), (1, 1), (-1, 1), (-1, 1))),
+                       _lv(1, num=[(-1, 1, 1), (-1, 1, 1)], den=[(1, 1, 2), (1, 1, 2)]),
+                       _lv(1, num=[(-1, 3, 3)], den=[(-1, 1, 2), (-1, 1, 2), (-1, 1, 1)])),
+    "DS3-d": _sum_side(Term(shift=2, muls=((-1, 1),), divs=((1, 1), (1, 1), (-1, 3))),
+                       _lv(1, num=[(-1, 3, 3)], den=[(-1, 1, 1), (1, 1, 2), (1, 1, 2)]),
+                       _lv(1, num=[(-1, 1, 1), (-1, 1, 1), (-1, 1, 2)], den=[(-1, 3, 6)])),
+
+    # base q^2: rows step by q^4 and the inner index by q^2
+    "DS4-a": _sum_side(Term(shift=4, muls=((1, -1),), divs=((1, 2), (1, 2), (1, 3))),
+                       _lv(2, num=[(1, 2, 3), (1, 2, 1)], den=[(1, 2, 4), (1, 2, 4)]),
+                       _lv(2, num=[(1, 6, 6)], den=[(1, 2, 2), (1, 2, 5), (1, 2, 3)])),
+    "DS4-b": _sum_side(Term(shift=4, muls=((1, -1),), divs=((1, 2), (1, 2), (1, 3))),
+                       _lv(2, num=[(1, 2, 3), (1, 2, 1)], den=[(1, 2, 4), (1, 2, 4)]),
+                       _lv(2, num=[(-1, 6, 6)], den=[(-1, 2, 2), (1, 2, 5), (1, 2, 3)])),
+    "DS4-c": _sum_side(
+        Term(shift=4, muls=((1, 1), (1, -1), (-1, 2)), divs=((1, 2), (1, 2), (-1, 6))),
+        _lv(2, num=[(-1, 6, 6)], den=[(-1, 2, 2), (1, 2, 4), (1, 2, 4)]),
+        _lv(2, num=[(1, 2, 3), (1, 2, 1), (-1, 2, 4)], den=[(-1, 6, 12)])),
+    "DS4-d": _sum_side(Term(shift=4, muls=((1, 1), (1, -1)), divs=((1, 2), (1, 6))),
+                       _lv(2, num=[(1, 6, 6)], den=[(1, 2, 2), (1, 2, 4), (1, 2, 4)]),
+                       _lv(2, num=[(1, 2, 3), (1, 2, 1), (1, 2, 4)], den=[(1, 6, 12)])),
+}
+
+
+# -- the stated product sides, as data ----------------------------------------------------
+#
+# (q;q)_inf is (1, 1, 1, 1), (-q;q)_inf is (-1, 1, 1, 1), (q^3;q^3)_inf is
+# (1, 3, 3, 1) and so on; 1/(1+q+q^2) = (1-q)/(1-q^3) and
+# 1/(1-q+q^2) = (1+q)/(1+q^3) are binomials.
+
+_THIRD = ((1, 1),), ((1, 3),)  # muls, divs of 1/(1+q+q^2)
+_SIXTH = ((-1, 1),), ((-1, 3),)  # muls, divs of 1/(1-q+q^2)
+
+_RHS = {
+    "A1-a": (Term(pochs=((1, 2, 2, 1), (1, 1, 2, -1))), Term(-1, pochs=((1, 3, 3, 1),))),
+    "A1-b": (Term(_r(1, 3), pochs=((1, 3, 3, 1),)), Term(_r(-1, 3), pochs=((1, 1, 1, 3),))),
+    "A1-c": (Term(_r(1, 3), pochs=((-1, 1, 1, 3),)), Term(_r(-1, 3), pochs=((-1, 3, 3, 1),))),
+    "A1-d": (Term(pochs=((-1, 3, 3, 1),)), Term(-1, pochs=((-1, 1, 1, 1), (1, 1, 1, 2)))),
+    "A2-a": (Term(pochs=((1, 3, 3, -1),)), Term(-1, pochs=((1, 1, 2, 1), (1, 2, 2, -1)))),
+    "A2-b": (Term(_r(1, 3), pochs=((-1, 3, 3, -1),)),
+             Term(_r(-1, 3), pochs=((-1, 1, 1, -3),))),
+    "A2-c": (Term(_r(1, 2), pochs=((1, 3, 3, 1), (-1, 3, 3, -1))),
+             Term(_r(-1, 2), pochs=((1, 1, 1, 1), (-1, 1, 1, -1)))),
+    "A2-d": (Term(_r(-1, 2), pochs=((-1, 3, 3, 1), (1, 3, 3, -1))),
+             Term(_r(1, 2), pochs=((-1, 1, 1, 1), (1, 1, 1, -1)))),
+    "DS1-a": (Term(_r(1, 3), pochs=((-1, 3, 3, 1), (-1, 1, 1, -1), (1, 1, 1, -2))),
+              Term(_r(1, 6), pochs=((-1, 3, 3, 1), (1, 1, 1, 1), (1, 3, 3, -1),
+                                    (-1, 1, 1, -1))),
+              Term(_r(-1, 2))),
+    "DS1-b": (Term(_r(1, 3), pochs=((1, 3, 3, 1), (1, 1, 1, -3))),
+              Term(_r(-1, 2), pochs=((1, 3, 3, 1), (-1, 1, 1, 1), (-1, 3, 3, -1),
+                                     (1, 1, 1, -1))),
+              Term(_r(1, 6))),
+    "DS1-c": (Term(_r(1, 3), pochs=((-1, 3, 3, 1), (-1, 1, 1, -3))),
+              Term(_r(-1, 2), pochs=((-1, 3, 3, 1), (1, 1, 1, 1), (1, 3, 3, -1),
+                                     (-1, 1, 1, -1))),
+              Term(_r(1, 6))),
+    "DS1-d": (Term(_r(1, 3), pochs=((1, 3, 3, 1), (-1, 1, 1, -1), (1, 2, 2, -1))),
+              Term(_r(1, 6), pochs=((1, 3, 3, 1), (-1, 1, 1, 1), (-1, 3, 3, -1),
+                                    (1, 1, 1, -1))),
+              Term(_r(-1, 2))),
+    "DS2-a": (Term(_r(1, 6), pochs=((-1, 1, 1, 1), (1, 3, 3, 1), (1, 1, 1, -1),
+                                    (-1, 3, 3, -1))),
+              Term(_r(1, 3), pochs=((1, 3, 3, 1), (-1, 1, 1, -1), (1, 2, 2, -1))),
+              Term(_r(-1, 2))),
+    "DS2-b": (Term(_r(-1, 2), pochs=((1, 1, 1, 1), (-1, 3, 3, 1), (-1, 1, 1, -1),
+                                     (1, 3, 3, -1))),
+              Term(_r(1, 3), pochs=((-1, 3, 3, 1), (-1, 1, 1, -3))),
+              Term(_r(1, 6))),
+    "DS2-c": (Term(_r(1, 6), pochs=((-1, 1, 1, 3), (-1, 3, 3, -1))),
+              Term(_r(-1, 2), pochs=((-1, 1, 1, 1), (1, 2, 2, 1), (1, 3, 3, -1))),
+              Term(_r(1, 3))),
+    "DS2-d": (Term(_r(-1, 2), pochs=((-1, 1, 1, 1), (1, 2, 2, 1), (1, 3, 3, -1))),
+              Term(_r(1, 6), pochs=((-1, 1, 1, 3), (-1, 3, 3, -1))),
+              Term(_r(1, 3))),
+    "DS3-a": (Term(_r(1, 12), pochs=((1, 3, 3, 1), (1, 1, 1, -3))),
+              Term(_r(1, 4), pochs=((1, 3, 3, 1), (1, 1, 1, -1), (-1, 1, 1, -2))),
+              Term(_r(-1, 3))),
+    "DS3-b": (Term(_r(1, 12), pochs=((-1, 1, 1, 2), (1, 1, 1, -2))),
+              Term(_r(-1, 3), pochs=((-1, 1, 1, 2), (1, 1, 1, 1), (1, 3, 3, -1))),
+              Term(_r(1, 4))),
+    "DS3-c": (Term(_r(1, 4), pochs=((-1, 3, 3, 1), (-1, 1, 1, -1), (1, 1, 1, -2))),
+              Term(_r(1, 12), pochs=((-1, 3, 3, 1), (-1, 1, 1, -3))),
+              Term(_r(-1, 3))),
+    "DS3-d": (Term(_r(1, 4), pochs=((-1, 1, 1, 2), (1, 1, 1, -2))),
+              Term(_r(-1, 3), pochs=((-1, 1, 1, 3), (-1, 3, 3, -1))),
+              Term(_r(1, 12))),
+    "Bprime-a": (Term(muls=_THIRD[0], divs=_THIRD[1], pochs=((1, 6, 6, 1),)),
+                 Term(-1, divs=((1, 3),), pochs=((1, 2, 2, 1), (1, 1, 2, 2)))),
+    "Bprime-b": (Term(muls=_SIXTH[0], divs=_SIXTH[1], pochs=((-1, 6, 6, 1),)),
+                 Term(-1, muls=_SIXTH[0], divs=_SIXTH[1],
+                      pochs=((-1, 2, 2, 1), (1, 3, 2, 1), (1, 1, 2, 1)))),
+    "Bprime-c": (Term(muls=((1, 1),) + _THIRD[0], divs=_THIRD[1],
+                      pochs=((1, 1, 2, -2), (1, 2, 2, -1))),
+                 Term(-1, muls=_THIRD[0], divs=_THIRD[1], pochs=((1, 6, 6, -1),))),
+    "Bprime-d": (Term(muls=_SIXTH[0], divs=_SIXTH[1],
+                      pochs=((-1, 2, 2, -1), (1, 3, 2, -1), (1, 1, 2, -1))),
+                 Term(-1, muls=_SIXTH[0], divs=_SIXTH[1], pochs=((-1, 6, 6, -1),))),
+    "DS4-a": (Term(_r(1, 3), pochs=((1, 6, 6, 1), (1, 2, 2, -3))),
+              Term(-1, shift=1, divs=((1, 3),),
+                   pochs=((1, 6, 6, 1), (1, 2, 2, -1), (1, 3, 2, -2))),
+              Term(_r(-1, 3), muls=((1, 1), (1, 1)) + _THIRD[0], divs=_THIRD[1])),
+    "DS4-b": (Term(pochs=((-1, 6, 6, 1), (-1, 2, 2, -1), (1, 2, 2, -2))),
+              Term(-1, shift=1, muls=_SIXTH[0], divs=_SIXTH[1],
+                   pochs=((-1, 6, 6, 1), (-1, 2, 2, -1), (1, 3, 2, -1), (1, 1, 2, -1))),
+              Term(-1, muls=((1, 1), (1, 1)) + _SIXTH[0], divs=_SIXTH[1])),
+    "DS4-c": (Term(pochs=((1, 1, 2, 1), (1, 3, 2, 1), (1, 2, 2, -2))),
+              Term(shift=1, muls=_SIXTH[0], divs=_SIXTH[1],
+                   pochs=((-1, 2, 2, 1), (1, 1, 2, 1), (1, -1, 2, 1), (-1, 6, 6, -1))),
+              Term(-1, shift=1, muls=_SIXTH[0], divs=_SIXTH[1])),
+    "DS4-d": (Term(_r(1, 3), pochs=((1, 1, 2, 1), (1, 3, 2, 1), (1, 2, 2, -2))),
+              Term(_r(1, 3), shift=1, muls=_THIRD[0], divs=_THIRD[1],
+                   pochs=((1, 1, 1, 1), (1, -1, 2, 1), (1, 6, 6, -1))),
+              Term(-1, shift=1, muls=_THIRD[0], divs=_THIRD[1])),
+}
 
 
 # -- corollary / relation entries ------------------------------------------------------
 
 
-def _cor_a_sides(order: int):
-    return vwp.corollary_k2(_M1, _W, Q, order)
+def kl_relation(x: ParamValue, y: ParamValue, z: ParamValue):
+    """Builders (lhs, rhs) of the double-sum exchange relation
 
+        K(x,y,z) = F(x,y) F(y,z) - L(x,y,z) + diagonal(x,y,z)
 
-def _cor_b_sides(order: int):
-    return vwp.corollary_k3(_P1, _W, _MW, Q, order)
+    where K is the corollary-shaped double sum, L its index-exchanged dual,
+    F(a,b) the single sum with numerator b over denominator a, and the
+    diagonal ties the two orderings together.  No C(.,.) helper is formed, so
+    z = y never degenerates here; the caller excludes it by precondition.
+    All five series are expanded independently.
+    """
+    def lhs(order: int) -> LaurentSeries:
+        return vwp.vwp_double_sum(y, z, x, y, order, Q)
 
+    def rhs(order: int) -> LaurentSeries:
+        f_xy = vwp.vwp_single_sum(y, x, order, Q)
+        f_yz = vwp.vwp_single_sum(z, y, order, Q)
+        big_l = vwp.vwp_double_sum(z, y, y, x, order, Q)
+        diag = vwp.diagonal_sum(x, y, z, order, Q)
+        return (f_xy * f_yz - big_l + diag).require_order(order)
 
-def _kl_lhs(order: int) -> LaurentSeries:
-    x, y, z = _P1, _M1, _W
-    return vwp.vwp_double_sum(y, z, x, y, order, Q)
-
-
-def _kl_rhs(order: int) -> LaurentSeries:
-    x, y, z = _P1, _M1, _W
-    f_xy = vwp.vwp_single_sum(y, x, order, Q)
-    f_yz = vwp.vwp_single_sum(z, y, order, Q)
-    big_l = vwp.vwp_double_sum(z, y, y, x, order, Q)
-    diag = vwp.diagonal_sum(x, y, z, order, Q)
-    return (f_xy * f_yz - big_l + diag).require_order(order)
-
-
-def _bailey_lhs(order: int) -> LaurentSeries:
-    return vwp.bailey_3psi3_check(_W, order)[0]
-
-
-def _bailey_rhs(order: int) -> LaurentSeries:
-    return vwp.bailey_3psi3_check(_W, order)[1]
-
-
-# -- specialization prefactors ---------------------------------------------------------
-
-
-def _pref_a1(variant: str, w: int) -> LaurentSeries:
-    ep = _pinf(1, 1, 1, w)
-    em = _pinf(-1, 1, 1, w)
-    if variant == "a":
-        return (ep * em * em).scale(_r(1, 3))
-    if variant == "b":
-        return (ep * ep * ep).scale(_r(1, 3))
-    if variant == "c":
-        return em * em * em
-    return em * ep * ep
-
-
-def _pref_a2(variant: str, w: int) -> LaurentSeries:
-    ep_i = _pinf_i(1, 1, 1, w)
-    em_i = _pinf_i(-1, 1, 1, w)
-    if variant == "a":
-        return (ep_i * em_i * em_i).scale(_r(1, 4))
-    if variant == "b":
-        return (em_i * em_i * em_i).scale(_r(1, 4))
-    if variant == "c":
-        return (_pinf(1, 1, 1, w) * em_i).scale(_r(1, 3))
-    return _pinf(-1, 1, 1, w) * ep_i
-
-
-def _pref_bprime(variant: str, w: int) -> LaurentSeries:
-    odd = _pinf(1, 1, 2, w)
-    if variant == "a":
-        out = (_pinf(1, 2, 2, w) * odd * odd).scale(_r(1, 3))
-        return _chain(out.shift(-1), divs=[(1, 1)])
-    if variant == "b":
-        out = odd * odd * _pinf(-1, 2, 2, w)
-        return _chain(out.shift(-1), divs=[(1, 1)])
-    inv = _pinf_i(1, 1, 2, w)
-    if variant == "c":
-        out = (inv * inv * _pinf_i(1, 2, 2, w)).scale(_r(-1))
-        return _chain(out, divs=[(1, 1)])
-    out = (inv * inv * _pinf_i(-1, 2, 2, w)).scale(_r(-1))
-    return _chain(out, divs=[(1, 1)])
-
-
-def _pref_const(num: int, den: int, w: int) -> LaurentSeries:
-    return _const(num, den)
+    return lhs, rhs
 
 
 # -- the registry -----------------------------------------------------------------------
 
 
-def _single_spec(y: ParamValue, z: ParamValue, base: ParamValue, pref) -> Specialization:
-    return Specialization(base, (y, z), pref)
-
-
-def _double_spec(x: ParamValue, y: ParamValue, z: ParamValue, base: ParamValue,
-                 pref) -> Specialization:
-    return Specialization(base, (x, y, z), pref)
+def _ds_statement(den: int, params, base: str = "") -> str:
+    x, y, z = params
+    if base:
+        return (f"(1/{den}) * [corollary double sum at {base},"
+                f" (x,y,z)=({x},{y},{z}), with the m=0 row removed], as an eta-quotient")
+    return (f"(1/{den}) * [corollary double sum at (x,y,z)=({x},{y},{z})"
+            f" with the m=0 row removed], as an eta-quotient")
 
 
 def _build_registry() -> dict[str, IdentityEntry]:
-    entries: list[IdentityEntry] = []
+    kl_lhs, kl_rhs = kl_relation(_P1, _M1, _W)
+    entries = [
+        IdentityEntry(
+            "Cor-a",
+            "sum_{n>=0} q^n (z,1/z;q)_n/(qy,q/y;q)_n = C(z,y)((1-y)(1-1/y)"
+            " - (z,1/z;q)_inf/(qy,q/y;q)_inf) at (z,y)=(w,-1)",
+            lambda order: vwp.vwp_single_sum(_W, _M1, order, Q),
+            lambda order: vwp.corollary_k2(_M1, _W, Q, order),
+        ),
+        IdentityEntry(
+            "Cor-b",
+            "sum_{m,n>=0} q^{2m+n} (y,1/y;q)_m (z,1/z;q)_{m+n}"
+            "/((qx,q/x;q)_m (qy,q/y;q)_{m+n}) = D(x,y)C(z,y)C(z,x)"
+            " - D(x,z)C(z,y)C(y,x)(qz,q/z;q)_inf/(qy,q/y;q)_inf"
+            " + D(y,z)C(z,y)(C(y,x)-C(z,x))(qz,q/z;q)_inf/(qx,q/x;q)_inf"
+            " at (x,y,z)=(1,w,-w)",
+            lambda order: vwp.vwp_double_sum(_W, _MW, _P1, _W, order, Q),
+            lambda order: vwp.corollary_k3(_P1, _W, _MW, Q, order),
+        ),
+    ]
 
-    entries.append(IdentityEntry(
-        "Cor-a",
-        "sum_{n>=0} q^n (z,1/z;q)_n/(qy,q/y;q)_n = C(z,y)((1-y)(1-1/y)"
-        " - (z,1/z;q)_inf/(qy,q/y;q)_inf) at (z,y)=(w,-1)",
-        lambda order: _cor_a_sides(order)[0],
-        lambda order: _cor_a_sides(order)[1],
-    ))
-    entries.append(IdentityEntry(
-        "Cor-b",
-        "sum_{m,n>=0} q^{2m+n} (y,1/y;q)_m (z,1/z;q)_{m+n}"
-        "/((qx,q/x;q)_m (qy,q/y;q)_{m+n}) = D(x,y)C(z,y)C(z,x)"
-        " - D(x,z)C(z,y)C(y,x)(qz,q/z;q)_inf/(qy,q/y;q)_inf"
-        " + D(y,z)C(z,y)(C(y,x)-C(z,x))(qz,q/z;q)_inf/(qx,q/x;q)_inf"
-        " at (x,y,z)=(1,w,-w)",
-        lambda order: _cor_b_sides(order)[0],
-        lambda order: _cor_b_sides(order)[1],
-    ))
+    # (id, statement, base, corollary parameters, prefactor)
+    sums = [
+        ("A1-a",
+         "sum_{n>=1} q^n (q^n;q)_inf (-q^{n+1};q)_inf^2 (q^3;q^3)_{n-1}"
+         " = (q^2;q^2)_inf/(q;q^2)_inf - (q^3;q^3)_inf",
+         Q, (_M1, _W), (Term(_r(1, 3), pochs=((1, 1, 1, 1), (-1, 1, 1, 2))),)),
+        ("A1-b",
+         "sum_{n>=1} q^n (q^n;q)_inf (q^{n+1};q)_inf^2 (q^3;q^3)_{n-1}"
+         " = (1/3)((q^3;q^3)_inf - (q;q)_inf^3)",
+         Q, (_P1, _W), (Term(_r(1, 3), pochs=((1, 1, 1, 3),)),)),
+        ("A1-c",
+         "sum_{n>=1} q^n (-q^n;q)_inf (-q^{n+1};q)_inf^2 (-q^3;q^3)_{n-1}"
+         " = (1/3)((-q;q)_inf^3 - (-q^3;q^3)_inf)",
+         Q, (_M1, _MW), (Term(pochs=((-1, 1, 1, 3),)),)),
+        ("A1-d",
+         "sum_{n>=1} q^n (-q^n;q)_inf (q^{n+1};q)_inf^2 (-q^3;q^3)_{n-1}"
+         " = (-q^3;q^3)_inf - (-q;q)_inf (q;q)_inf^2",
+         Q, (_P1, _MW), (Term(pochs=((-1, 1, 1, 1), (1, 1, 1, 2))),)),
+        ("A2-a",
+         "sum_{n>=1} q^n / ((q^{n+1};q)_inf (-q^n;q)_inf^2 (q^3;q^3)_n)"
+         " = 1/(q^3;q^3)_inf - (q;q^2)_inf/(q^2;q^2)_inf",
+         Q, (_W, _M1), (Term(_r(1, 4), pochs=((1, 1, 1, -1), (-1, 1, 1, -2))),)),
+        ("A2-b",
+         "sum_{n>=1} q^n / ((-q^{n+1};q)_inf (-q^n;q)_inf^2 (-q^3;q^3)_n)"
+         " = (1/3)(1/(-q^3;q^3)_inf - 1/(-q;q)_inf^3)",
+         Q, (_MW, _M1), (Term(_r(1, 4), pochs=((-1, 1, 1, -3),)),)),
+        ("A2-c",
+         "sum_{n>=1} q^n (q^n;q)_inf (q^3;q^3)_{n-1} / ((-q^{n+1};q)_inf (-q^3;q^3)_n)"
+         " = (1/2)((q^3;q^3)_inf/(-q^3;q^3)_inf - (q;q)_inf/(-q;q)_inf)",
+         Q, (_MW, _W), (Term(_r(1, 3), pochs=((1, 1, 1, 1), (-1, 1, 1, -1))),)),
+        ("A2-d",
+         "sum_{n>=1} q^n (-q^n;q)_inf (-q^3;q^3)_{n-1} / ((q^{n+1};q)_inf (q^3;q^3)_n)"
+         " = (-1/2)((-q^3;q^3)_inf/(q^3;q^3)_inf - (-q;q)_inf/(q;q)_inf)",
+         Q, (_W, _MW), (Term(pochs=((-1, 1, 1, 1), (1, 1, 1, -1))),)),
+    ]
+    ds = [
+        ("DS1-a", 3, (_P1, _W, _MW)), ("DS1-b", 3, (_P1, _MW, _W)),
+        ("DS1-c", 3, (_M1, _W, _MW)), ("DS1-d", 3, (_M1, _MW, _W)),
+        ("DS2-a", 12, (_MW, _M1, _W)), ("DS2-b", 4, (_W, _M1, _MW)),
+        ("DS2-c", 12, (_MW, _W, _M1)), ("DS2-d", 4, (_W, _MW, _M1)),
+        ("DS3-a", 12, (_P1, _M1, _W)), ("DS3-b", 12, (_P1, _W, _M1)),
+        ("DS3-c", 4, (_P1, _M1, _MW)), ("DS3-d", 4, (_P1, _MW, _M1)),
+    ]
+    sums += [(i, _ds_statement(den, p), Q, p, _const(1, den)) for i, den, p in ds]
+    sums += [
+        ("Bprime-a",
+         "sum_{n>=1} q^{2n-1} (q^{2n+1};q^2)_inf (q^{2n};q^2)_inf"
+         " (q^{2n+3};q^2)_inf (q^6;q^6)_{n-1}"
+         " = (q^6;q^6)_inf/(1+q+q^2) - (q^2;q^2)_inf (q;q^2)_inf^2/(1-q^3)",
+         _Q2, (Q, _W),
+         (Term(_r(1, 3), shift=-1, divs=((1, 1),), pochs=((1, 2, 2, 1), (1, 1, 2, 2))),)),
+        ("Bprime-b",
+         "sum_{n>=1} q^{2n-1} (q^{2n+1};q^2)_inf (-q^{2n};q^2)_inf"
+         " (q^{2n+3};q^2)_inf (-q^6;q^6)_{n-1}"
+         " = ((-q^6;q^6)_inf - (-q^2,q^3,q;q^2)_inf)/(1-q+q^2)",
+         _Q2, (Q, _MW), (Term(shift=-1, divs=((1, 1),), pochs=((1, 1, 2, 2), (-1, 2, 2, 1))),)),
+        ("Bprime-c",
+         "sum_{n>=1} q^{2n-1} / ((q^{2n-1};q^2)_inf (q^{2n+1};q^2)_inf"
+         " (q^{2n+2};q^2)_inf (q^6;q^6)_n)"
+         " = ((1-q)/((q;q^2)_inf^2 (q^2;q^2)_inf) - 1/(q^6;q^6)_inf)/(1+q+q^2)",
+         _Q2, (_W, Q), (Term(-1, divs=((1, 1),), pochs=((1, 1, 2, -2), (1, 2, 2, -1))),)),
+        ("Bprime-d",
+         "sum_{n>=1} q^{2n-1} / ((q^{2n-1};q^2)_inf (q^{2n+1};q^2)_inf"
+         " (-q^{2n+2};q^2)_inf (-q^6;q^6)_n)"
+         " = (1/(-q^2,q^3,q;q^2)_inf - 1/(-q^6;q^6)_inf)/(1-q+q^2)",
+         _Q2, (_MW, Q), (Term(-1, divs=((1, 1),), pochs=((1, 1, 2, -2), (-1, 2, 2, -1))),)),
+    ]
+    ds4 = [
+        ("DS4-a", 3, (_P1, Q, _W), ""), ("DS4-b", 1, (_P1, Q, _MW), ""),
+        ("DS4-c", 1, (_P1, _MW, Q), ""),
+        ("DS4-d", 3, (_P1, _W, Q),
+         " = (1/3)(q,q^3;q^2)_inf/(q^2;q^2)_inf^2"
+         " + q(q;q)_inf(q^-1;q^2)_inf/(3(1+q+q^2)(q^6;q^6)_inf)"
+         " - q/(1+q+q^2), middle term read as a quotient"),
+    ]
+    sums += [(i, _ds_statement(den, p, "base q^2") + extra, _Q2, p, _const(1, den))
+             for i, den, p, extra in ds4]
 
-    a1_rhs_text = {
-        "a": "(q^2;q^2)_inf/(q;q^2)_inf - (q^3;q^3)_inf",
-        "b": "(1/3)((q^3;q^3)_inf - (q;q)_inf^3)",
-        "c": "(1/3)((-q;q)_inf^3 - (-q^3;q^3)_inf)",
-        "d": "(-q^3;q^3)_inf - (-q;q)_inf (q;q)_inf^2",
-    }
-    a1_signs = {"a": (1, -1), "b": (1, 1), "c": (-1, -1), "d": (-1, 1)}
-    a1_spec = {
-        "a": (_M1, _W), "b": (_P1, _W), "c": (_M1, _MW), "d": (_P1, _MW),
-    }
-    for v in "abcd":
-        s1, s2 = a1_signs[v]
-        sgn1 = "" if s1 == 1 else "-"
-        sgn2 = "" if s2 == 1 else "-"
-        sgn3 = "" if s1 == 1 else "-"
-        stmt = (f"sum_{{n>=1}} q^n ({sgn1}q^n;q)_inf ({sgn2}q^{{n+1}};q)_inf^2"
-                f" ({sgn3}q^3;q^3)_{{n-1}} = " + a1_rhs_text[v])
-        y, z = a1_spec[v]
-        entries.append(IdentityEntry(
-            f"A1-{v}", stmt,
-            (lambda vv: lambda order: _lhs_a1(*a1_signs[vv], order))(v),
-            (lambda vv: lambda order: _rhs_a1(vv, order))(v),
-            _single_spec(y, z, Q, (lambda vv: lambda w: _pref_a1(vv, w))(v)),
-        ))
-
-    a2_rhs_text = {
-        "a": "1/(q^3;q^3)_inf - (q;q^2)_inf/(q^2;q^2)_inf",
-        "b": "(1/3)(1/(-q^3;q^3)_inf - 1/(-q;q)_inf^3)",
-        "c": "(1/2)((q^3;q^3)_inf/(-q^3;q^3)_inf - (q;q)_inf/(-q;q)_inf)",
-        "d": "(-1/2)((-q^3;q^3)_inf/(q^3;q^3)_inf - (-q;q)_inf/(q;q)_inf)",
-    }
-    a2_lhs_text = {
-        "a": "sum_{n>=1} q^n / ((q^{n+1};q)_inf (-q^n;q)_inf^2 (q^3;q^3)_n)",
-        "b": "sum_{n>=1} q^n / ((-q^{n+1};q)_inf (-q^n;q)_inf^2 (-q^3;q^3)_n)",
-        "c": "sum_{n>=1} q^n (q^n;q)_inf (q^3;q^3)_{n-1}"
-             " / ((-q^{n+1};q)_inf (-q^3;q^3)_n)",
-        "d": "sum_{n>=1} q^n (-q^n;q)_inf (-q^3;q^3)_{n-1}"
-             " / ((q^{n+1};q)_inf (q^3;q^3)_n)",
-    }
-    a2_spec = {
-        "a": (_W, _M1), "b": (_MW, _M1), "c": (_MW, _W), "d": (_W, _MW),
-    }
-    for v in "abcd":
-        if v in "ab":
-            builder = (lambda vv: lambda order: _lhs_a2ab(1 if vv == "a" else -1, order))(v)
-        else:
-            builder = (lambda vv: lambda order: _lhs_a2cd(1 if vv == "c" else -1, order))(v)
-        y, z = a2_spec[v]
-        entries.append(IdentityEntry(
-            f"A2-{v}", a2_lhs_text[v] + " = " + a2_rhs_text[v],
-            builder,
-            (lambda vv: lambda order: _rhs_a2(vv, order))(v),
-            _single_spec(y, z, Q, (lambda vv: lambda w: _pref_a2(vv, w))(v)),
-        ))
-
-    ds_specs = {
-        "DS1": {"a": (_P1, _W, _MW), "b": (_P1, _MW, _W),
-                "c": (_M1, _W, _MW), "d": (_M1, _MW, _W)},
-        "DS2": {"a": (_MW, _M1, _W), "b": (_W, _M1, _MW),
-                "c": (_MW, _W, _M1), "d": (_W, _MW, _M1)},
-        "DS3": {"a": (_P1, _M1, _W), "b": (_P1, _W, _M1),
-                "c": (_P1, _M1, _MW), "d": (_P1, _MW, _M1)},
-    }
-    ds_prefs = {
-        ("DS1", "a"): (1, 3), ("DS1", "b"): (1, 3), ("DS1", "c"): (1, 3),
-        ("DS1", "d"): (1, 3),
-        ("DS2", "a"): (1, 12), ("DS2", "b"): (1, 4), ("DS2", "c"): (1, 12),
-        ("DS2", "d"): (1, 4),
-        ("DS3", "a"): (1, 12), ("DS3", "b"): (1, 12), ("DS3", "c"): (1, 4),
-        ("DS3", "d"): (1, 4),
-    }
-    ds_builders = {"DS1": _lhs_ds1, "DS2": _lhs_ds2, "DS3": _lhs_ds3}
-    ds_rhs = {"DS1": _rhs_ds1, "DS2": _rhs_ds2, "DS3": _rhs_ds3}
-    for fam in ("DS1", "DS2", "DS3"):
-        for v in "abcd":
-            x, y, z = ds_specs[fam][v]
-            num, den = ds_prefs[(fam, v)]
-            stmt = (f"(1/{den}) * [corollary double sum at (x,y,z)=({x},{y},{z})"
-                    f" with the m=0 row removed], as an eta-quotient")
-            entries.append(IdentityEntry(
-                f"{fam}-{v}", stmt,
-                (lambda f, vv: lambda order: ds_builders[f](vv, order))(fam, v),
-                (lambda f, vv: lambda order: ds_rhs[f](vv, order))(fam, v),
-                _double_spec(x, y, z, Q,
-                             (lambda n, d: lambda w: _pref_const(n, d, w))(num, den)),
-            ))
-
-    bprime_text = {
-        "a": "sum_{n>=1} q^{2n-1} (q^{2n+1};q^2)_inf (q^{2n};q^2)_inf"
-             " (q^{2n+3};q^2)_inf (q^6;q^6)_{n-1}"
-             " = (q^6;q^6)_inf/(1+q+q^2) - (q^2;q^2)_inf (q;q^2)_inf^2/(1-q^3)",
-        "b": "sum_{n>=1} q^{2n-1} (q^{2n+1};q^2)_inf (-q^{2n};q^2)_inf"
-             " (q^{2n+3};q^2)_inf (-q^6;q^6)_{n-1}"
-             " = ((-q^6;q^6)_inf - (-q^2,q^3,q;q^2)_inf)/(1-q+q^2)",
-        "c": "sum_{n>=1} q^{2n-1} / ((q^{2n-1};q^2)_inf (q^{2n+1};q^2)_inf"
-             " (q^{2n+2};q^2)_inf (q^6;q^6)_n)"
-             " = ((1-q)/((q;q^2)_inf^2 (q^2;q^2)_inf) - 1/(q^6;q^6)_inf)/(1+q+q^2)",
-        "d": "sum_{n>=1} q^{2n-1} / ((q^{2n-1};q^2)_inf (q^{2n+1};q^2)_inf"
-             " (-q^{2n+2};q^2)_inf (-q^6;q^6)_n)"
-             " = (1/(-q^2,q^3,q;q^2)_inf - 1/(-q^6;q^6)_inf)/(1-q+q^2)",
-    }
-    bprime_spec = {
-        "a": (Q, _W), "b": (Q, _MW), "c": (_W, Q), "d": (_MW, Q),
-    }
-    for v in "abcd":
-        if v in "ab":
-            builder = (lambda vv: lambda order: _lhs_bprime_ab(
-                1 if vv == "a" else -1, order))(v)
-        else:
-            builder = (lambda vv: lambda order: _lhs_bprime_cd(
-                1 if vv == "c" else -1, order))(v)
-        y, z = bprime_spec[v]
-        entries.append(IdentityEntry(
-            f"Bprime-{v}", bprime_text[v],
-            builder,
-            (lambda vv: lambda order: _rhs_bprime(vv, order))(v),
-            _single_spec(y, z, _Q2, (lambda vv: lambda w: _pref_bprime(vv, w))(v)),
-        ))
-
-    ds4_specs = {"a": (_P1, Q, _W), "b": (_P1, Q, _MW),
-                 "c": (_P1, _MW, Q), "d": (_P1, _W, Q)}
-    ds4_prefs = {"a": (1, 3), "b": (1, 1), "c": (1, 1), "d": (1, 3)}
-    for v in "abcd":
-        x, y, z = ds4_specs[v]
-        num, den = ds4_prefs[v]
-        stmt = (f"(1/{den}) * [corollary double sum at base q^2,"
-                f" (x,y,z)=({x},{y},{z}), with the m=0 row removed],"
-                " as an eta-quotient")
-        if v == "d":
-            stmt += (" = (1/3)(q,q^3;q^2)_inf/(q^2;q^2)_inf^2"
-                     " + q(q;q)_inf(q^-1;q^2)_inf/(3(1+q+q^2)(q^6;q^6)_inf)"
-                     " - q/(1+q+q^2), middle term read as a quotient")
-        entries.append(IdentityEntry(
-            f"DS4-{v}", stmt,
-            (lambda vv: lambda order: _lhs_ds4(vv, order))(v),
-            (lambda vv: lambda order: _rhs_ds4(vv, order))(v),
-            _double_spec(x, y, z, _Q2,
-                         (lambda n, d: lambda w: _pref_const(n, d, w))(num, den)),
-        ))
+    for identity, statement, base, params, prefactor in sums:
+        entries.append(IdentityEntry(identity, statement, _LHS[identity],
+                                     _product_side(*_RHS[identity]),
+                                     Specialization(base, params, prefactor)))
 
     entries.append(IdentityEntry(
         "KL-relation",
         "K(x,y,z) = F(x,y)F(y,z) - L(x,y,z) + sum_{m>=0} q^{2m}"
         " (y,1/y;q)_m (z,1/z;q)_m/((qx,q/x;q)_m (qy,q/y;q)_m)"
         " at (x,y,z)=(1,-1,w), where L exchanges the index roles of K",
-        _kl_lhs,
-        _kl_rhs,
+        kl_lhs,
+        kl_rhs,
     ))
     entries.append(IdentityEntry(
         "Bailey-3psi3",
         "sum_{n in Z} (b,1/b;q)_n/(qb,q/b;q)_n (-1)^n q^{n(n+1)/2}"
         " = (q;q)_inf^2/(qb,q/b;q)_inf at b=w",
-        _bailey_lhs,
-        _bailey_rhs,
+        lambda order: vwp.bailey_3psi3_sum(_W, order),
+        _product_side(Term(pochs=((1, 1, 1, 2), (OMEGA, 1, 1, -1), (OMEGA_BAR, 1, 1, -1)))),
     ))
-
     return {e.id: e for e in entries}
 
 
@@ -855,67 +499,61 @@ def _get(identity_id: str) -> IdentityEntry:
         raise UnknownIdentity(identity_id) from None
 
 
+def _compare(identity_id: str, order: int, sides) -> VerifyReport:
+    """Build (lhs, rhs) = sides() and compare them below ``order``.
+
+    Every library exception raised on the way becomes an error report that
+    names the exception type.
+    """
+    start = time.perf_counter()
+    try:
+        lhs, rhs = sides()
+        exponent = lhs.agrees_below(rhs, order)
+    except _EXPANSION_ERRORS as exc:
+        return VerifyReport(identity_id, order, "error", None,
+                            time.perf_counter() - start, f"{type(exc).__name__}: {exc}")
+    elapsed = time.perf_counter() - start
+    if exponent is None:
+        return VerifyReport(identity_id, order, "equal", None, elapsed)
+    fm = FirstMismatch(exponent, lhs.coeff(exponent), rhs.coeff(exponent))
+    return VerifyReport(identity_id, order, "mismatch", fm, elapsed)
+
+
 def verify(identity_id: str, order: int = DEFAULT_ORDER) -> VerifyReport:
     """Expand both sides of one identity to ``order`` and compare exactly."""
     entry = _get(identity_id)
-    start = time.perf_counter()
-    try:
-        lhs = entry.lhs(order)
-        rhs = entry.rhs(order)
-    except (ZeroFactor, DegenerateC) as exc:
-        return VerifyReport(entry.id, order, "error", None,
-                            time.perf_counter() - start, str(exc))
-    exponent = lhs.agrees_below(rhs, order)
-    elapsed = time.perf_counter() - start
-    if exponent is None:
-        return VerifyReport(entry.id, order, "equal", None, elapsed)
-    fm = FirstMismatch(exponent, lhs.coeff(exponent), rhs.coeff(exponent))
-    return VerifyReport(entry.id, order, "mismatch", fm, elapsed)
+    return _compare(entry.id, order, lambda: (entry.lhs(order), entry.rhs(order)))
 
 
-def verify_all(order: int = DEFAULT_ORDER, parallel: bool = False) -> list[VerifyReport]:
+def verify_all(order: int = DEFAULT_ORDER) -> list[VerifyReport]:
     """Verify every registry entry; reports come back in registry order."""
-    ids = list(_REGISTRY)
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
+    return [verify(i, order) for i in _REGISTRY]
 
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(lambda i: verify(i, order), ids))
-    return [verify(i, order) for i in ids]
+
+def _derived(sp: Specialization, order: int) -> LaurentSeries:
+    """prefactor * (corollary RHS - first row) at the recorded parameters.
+
+    The first row is the constant 1 for single sums and the two-parameter
+    corollary RHS for double sums.  A prefactor with a negative valuation
+    needs the closed form that much beyond ``order``.
+    """
+    pref = _product_sum(sp.prefactor, order)
+    work = order - min(0, pref.valuation())
+    if len(sp.params) == 2:
+        y, z = sp.params
+        rest = vwp.corollary_k2(y, z, sp.base, work) - LaurentSeries.one()
+    else:
+        x, y, z = sp.params
+        rest = (vwp.corollary_k3(x, y, z, sp.base, work)
+                - vwp.corollary_k2(y, z, sp.base, work))
+    return (pref * rest).require_order(order)
 
 
 def derivation_check(identity_id: str, order: int = DEFAULT_ORDER) -> VerifyReport:
-    """Re-derive an entry's sum side from its recorded corollary specialization.
-
-    Builds prefactor * (corollary RHS - first row) at the recorded parameter
-    values — the first row is the constant 1 for single sums and the full
-    two-parameter corollary RHS for double sums — and compares it against the
-    entry's directly-summed LHS.
-    """
+    """Re-derive an entry's sum side from its recorded corollary specialization
+    and compare it against the entry's directly-summed LHS."""
     entry = _get(identity_id)
     sp = entry.specialization
     if sp is None:
         raise MissingSpecialization(identity_id)
-    start = time.perf_counter()
-    work = order + _MARGIN
-    try:
-        if len(sp.params) == 2:
-            y, z = sp.params
-            closed = vwp.corollary_k2(y, z, sp.base, work)[1]
-            derived = sp.prefactor(work) * (closed - LaurentSeries.one())
-        else:
-            x, y, z = sp.params
-            closed = vwp.corollary_k3(x, y, z, sp.base, work)[1]
-            row0 = vwp.corollary_k2(y, z, sp.base, work)[1]
-            derived = sp.prefactor(work) * (closed - row0)
-        derived = derived.require_order(order)
-        lhs = entry.lhs(order)
-    except (ZeroFactor, DegenerateC) as exc:
-        return VerifyReport(entry.id, order, "error", None,
-                            time.perf_counter() - start, str(exc))
-    exponent = lhs.agrees_below(derived, order)
-    elapsed = time.perf_counter() - start
-    if exponent is None:
-        return VerifyReport(entry.id, order, "equal", None, elapsed)
-    fm = FirstMismatch(exponent, lhs.coeff(exponent), derived.coeff(exponent))
-    return VerifyReport(entry.id, order, "mismatch", fm, elapsed)
+    return _compare(entry.id, order, lambda: (entry.lhs(order), _derived(sp, order)))

@@ -98,7 +98,7 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_verify_all(args, out) -> int:
-    reports = catalog.verify_all(order=args.order, parallel=args.parallel)
+    reports = catalog.verify_all(order=args.order)
     for r in sorted(reports, key=lambda r: r.id):
         _print_report(r, args.format, out)
     return _exit_code(reports)
@@ -157,8 +157,6 @@ def _build_parser(default_order: int) -> argparse.ArgumentParser:
 
     p_all = sub.add_parser("verify-all", help="verify every identity")
     add_common(p_all)
-    p_all.add_argument("--parallel", action="store_true",
-                       help="fan out across worker threads")
     p_all.set_defaults(func=_cmd_verify_all)
 
     p_der = sub.add_parser("derivation", help="re-derive a sum side from its specialization")

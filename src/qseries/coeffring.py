@@ -199,22 +199,3 @@ ONE = CycRat(1, 0)
 OMEGA = CycRat(0, 1)
 OMEGA_BAR = CycRat(-1, -1)
 
-
-def cyc_add(x: CycRat, y: CycRat) -> CycRat:
-    """Sum in Q(w)."""
-    return x + y
-
-
-def cyc_mul(x: CycRat, y: CycRat) -> CycRat:
-    """Product in Q(w), reduced onto the {1, w} basis."""
-    return x * y
-
-
-def cyc_inv(x: CycRat) -> CycRat:
-    """Inverse in Q(w); raises DivisionByZero on 0."""
-    return x.inverse()
-
-
-def conj(x: CycRat) -> CycRat:
-    """Complex conjugate (w -> w^2)."""
-    return x.conjugate()

@@ -11,8 +11,9 @@ overlined, every overlined part of lambda2 exceeds s, and every plain part
 of lambda2 is a multiple of 3 below 3s.  ``a_stats`` splits the count by the
 parity of the number of plain parts (A0/A1) and of all parts (A2/A3); the
 signed counts A' = A0 - A1 and A'' = A3 - A2 have single-sum generating
-functions which ``gf_check_Aprime``/``gf_check_Adblprime`` verify against the
-enumeration, coefficient by coefficient.
+functions, the sum sides of catalog entries A1-a and A1-b, which
+``gf_check_Aprime``/``gf_check_Adblprime`` verify against the enumeration,
+coefficient by coefficient.
 
 Everything here is brute force on purpose: the series engine gets checked
 against objects that can be listed by hand, not against itself.  Enumeration
@@ -32,17 +33,15 @@ from .laurent import (
     LaurentSeries,
     ParamValue,
     Q,
-    poch_finite,
     poch_infinite,
     poch_infinite_inv,
 )
-from .catalog import FirstMismatch, VerifyReport
+from .catalog import FirstMismatch, VerifyReport, registry
 
 ENUMERATION_CAP = 30
 
 FAMILIES = ("overpartitions", "overpartitions_distinct", "pairs", "pairs_distinct")
 
-_Q3 = ParamValue(ONE, 3)
 _MQ = ParamValue(CycRat(-1), 1)
 
 
@@ -223,33 +222,16 @@ def a_stats(n: int) -> AStats:
                   Aprime=2 * a0 - a, Adblprime=a - 2 * a2)
 
 
-def _a_single_sum(order: int, overline_sign: int) -> LaurentSeries:
-    """sum_{n>=1} q^n (q^n;q)_inf (s q^{n+1};q)_inf^2 (q^3;q^3)_{n-1}.
-
-    With s = -1 the overlined-part generators carry no sign and the sum
-    tracks the plain-part parity (the A' series); with s = +1 every part
-    alternates and it tracks total-part parity (the A'' series).
-    """
-    total = LaurentSeries.zero(order)
-    sign = CycRat(overline_sign)
-    for n in range(1, order):
-        t = LaurentSeries.monomial(ONE, n).truncate(order)
-        t = t * poch_infinite(ParamValue(ONE, n), Q, order)
-        u = poch_infinite(ParamValue(sign, n + 1), Q, order)
-        t = t * u * u
-        t = t * poch_finite(_Q3, _Q3, n - 1, order)
-        total = total + t
-    return total
-
-
-def _gf_report(check_id: str, order: int, counted, series: LaurentSeries) -> VerifyReport:
-    start = time.perf_counter()
+def _gf_report(check_id: str, order: int, counted, identity: str) -> VerifyReport:
+    """Enumerated counts against registry entry ``identity``'s sum side below order."""
     if order < 2:
         raise ValueError(f"{check_id} needs order >= 2, got {order}")
     if order - 1 > ENUMERATION_CAP:
         raise ValueError(
             f"{check_id}: enumeration is capped at n <= {ENUMERATION_CAP},"
             f" so order must be <= {ENUMERATION_CAP + 1} (got {order})")
+    start = time.perf_counter()
+    series = registry()[identity].lhs(order)
     enum = LaurentSeries.from_terms(
         {n: CycRat(counted(n)) for n in range(1, order)}, order)
     exp = enum.agrees_below(series, order)
@@ -261,15 +243,23 @@ def _gf_report(check_id: str, order: int, counted, series: LaurentSeries) -> Ver
 
 
 def gf_check_Aprime(order: int) -> VerifyReport:
-    """Enumerated A'(n) against its single-sum series for all n < order."""
-    series = _a_single_sum(order, -1) if order >= 2 else LaurentSeries.zero(max(order, 0))
-    return _gf_report("gen-Aprime", order, lambda n: a_stats(n).Aprime, series)
+    """Enumerated A'(n) against its single-sum series for all n < order.
+
+    The series is sum_{n>=1} q^n (q^n;q)_inf (-q^{n+1};q)_inf^2 (q^3;q^3)_{n-1},
+    the sum side of catalog entry A1-a: overlined-part generators carry no
+    sign, so it tracks the parity of the plain parts.
+    """
+    return _gf_report("gen-Aprime", order, lambda n: a_stats(n).Aprime, "A1-a")
 
 
 def gf_check_Adblprime(order: int) -> VerifyReport:
-    """Enumerated A''(n) against its single-sum series for all n < order."""
-    series = _a_single_sum(order, 1) if order >= 2 else LaurentSeries.zero(max(order, 0))
-    return _gf_report("gen-Adblprime", order, lambda n: a_stats(n).Adblprime, series)
+    """Enumerated A''(n) against its single-sum series for all n < order.
+
+    The series is sum_{n>=1} q^n (q^n;q)_inf (q^{n+1};q)_inf^2 (q^3;q^3)_{n-1},
+    the sum side of catalog entry A1-b: every part alternates, so it tracks
+    the parity of all parts.
+    """
+    return _gf_report("gen-Adblprime", order, lambda n: a_stats(n).Adblprime, "A1-b")
 
 
 # -- plain counting families -------------------------------------------------------------

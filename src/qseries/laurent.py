@@ -271,7 +271,12 @@ class LaurentSeries:
         """Multiply by the exact binomial (1 - c*q^e) in one pass."""
         if not isinstance(c, CycRat):
             c = CycRat(c)
-        if not c or not self.coeffs:
+        if not c:
+            return self
+        if not self.coeffs:
+            # the unknown tail from q^order on, times c*q^e, reaches q^(order+e)
+            if e < 0 and self.order is not None:
+                return LaurentSeries(0, [], self.order + e)
             return self
         if e == 0:
             return self.scale(ONE - c)
@@ -445,29 +450,6 @@ def _product_order(f: LaurentSeries, g: LaurentSeries):
     if og != _INF:
         terms.append(og + vf)
     return min(terms)
-
-
-# -- functional aliases of the core operations -------------------------------------
-
-
-def ls_add(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
-    """Sum, truncated to the tighter trusted order."""
-    return f + g
-
-
-def ls_mul(f: LaurentSeries, g: LaurentSeries) -> LaurentSeries:
-    """Product, with valuation-aware order bookkeeping."""
-    return f * g
-
-
-def ls_inv(f: LaurentSeries, order: int | None = None) -> LaurentSeries:
-    """Inverse series; DivisionByZero on the zero series."""
-    return f.inverse(order)
-
-
-def ls_coeff(f: LaurentSeries, exp: int) -> CycRat:
-    """Coefficient of q^exp; OrderExceeded beyond the trusted range."""
-    return f.coeff(exp)
 
 
 # -- q-Pochhammer products -----------------------------------------------------------

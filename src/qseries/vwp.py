@@ -16,16 +16,19 @@ recursion in the scalar helpers
 
 This module evaluates both sides exactly at specialized monomial parameters
 (roots of unity times powers of q), along with the k=2 and k=3 corollaries,
-the bilateral companion series F_k, its finite-N truncation L_{k,N}, the
-well-poised 3-psi-3 evaluation, and the K/L double-sum exchange relation.
+the bilateral companion series F_k, its finite-N truncation L_{k,N}, and the
+sum side of the well-poised 3-psi-3 evaluation.
 
-Every sum is truncated by an exact lower bound on term valuations: the n-th
-(or (m,n)-th) term's lowest possible exponent is computed from the weight
-q^(...) minus the finite total of negative exponents that the numerator
-Pochhammer factors can contribute, and enumeration stops once that bound
-reaches the working order.  Internally the engines run at order + slack so
-the transient negative-exponent factors never eat into the trusted range;
-the result is re-truncated to the requested order at the end.
+Every chained sum -- the multisum, the corollary single and double sums, the
+diagonal sum, and the catalog's sum sides -- runs through one driver,
+``_chain_sum``: a first term times one term ratio per summation level, each
+ratio a weight and lists of numerator and denominator binomials.  Sums are
+truncated by an exact lower bound on term valuations: the weights minus the
+finite total of negative exponents that numerator factors can contribute, and
+enumeration stops once that bound reaches the working order.  Internally the
+engines run at order + slack so the transient negative-exponent factors never
+eat into the trusted range; the result is re-truncated to the requested order
+at the end.
 
 All engines take the base q by default; the q -> q^2 substitutions used for
 the odd-base identities pass base explicitly.
@@ -33,6 +36,7 @@ the odd-base identities pass base explicitly.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -42,6 +46,8 @@ from .laurent import (
     ParamValue,
     Q,
     ZeroFactor,
+    _check_base,
+    _zero_factor_index,
     poch_infinite,
     poch_infinite_inv,
 )
@@ -49,18 +55,6 @@ from .laurent import (
 
 class DegenerateC(ArithmeticError):
     """C(z,y) was requested with z equal to y or 1/y (denominator vanishes)."""
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of an internal consistency check at a truncation order."""
-
-    order: int
-    first_mismatch: int | None
-
-    @property
-    def equal(self) -> bool:
-        return self.first_mismatch is None
 
 
 def as_params(params) -> tuple[ParamValue, ...]:
@@ -72,18 +66,6 @@ def as_params(params) -> tuple[ParamValue, ...]:
         if not isinstance(p, ParamValue):
             raise TypeError(f"expected ParamValue, got {type(p).__name__}")
     return items
-
-
-class ParamVector(tuple):
-    """An ordered parameter tuple (b_1, ..., b_k), k >= 1.
-
-    Denominator nondegeneracy (no b_i * base^n = 1 inside the working range)
-    is enforced where the base is known, i.e. by the Pochhammer guards inside
-    the evaluation engines, which raise ZeroFactor loudly.
-    """
-
-    def __new__(cls, items):
-        return super().__new__(cls, as_params(items))
 
 
 def _mono(p: ParamValue) -> LaurentSeries:
@@ -146,6 +128,165 @@ def _pair_div(s: LaurentSeries, p: ParamValue, base: ParamValue, m: int,
     return s
 
 
+def _one_minus_pairs(params) -> LaurentSeries:
+    """prod over params of (1-p)(1-1/p), an exact Laurent polynomial."""
+    out = LaurentSeries.one()
+    for p in params:
+        for q in (p, p.inv()):
+            out = out.mul_one_minus(q.coeff, q.exp)
+    return out
+
+
+# -- product terms and the chained term-ratio driver ------------------------------------
+
+
+@dataclass(frozen=True)
+class Term:
+    """scalar * q^shift * prod (1 - c q^e) / prod (1 - c q^e) * prod (c q^e; q^s)_inf^k.
+
+    ``muls`` and ``divs`` hold binomials as pairs (c, e); ``pochs`` holds
+    infinite Pochhammer powers as (c, e, s, k) with k != 0, in the style of
+    Garvan's etaq.  Coefficients c are ints or CycRat.
+    """
+
+    scalar: int | CycRat = 1
+    shift: int = 0
+    muls: tuple = ()
+    divs: tuple = ()
+    pochs: tuple = ()
+
+
+@dataclass(frozen=True)
+class Level:
+    """One summation index M of a chained sum, given by its term ratio
+
+        R(M+1)/R(M) = weight * prod_num (1 - p*step^M) / prod_den (1 - p*step^M),
+
+    with every binomial written as a pair (p, step) of monomials.
+    """
+
+    weight: ParamValue
+    num: tuple
+    den: tuple
+
+
+def _term_slack(t: Term) -> int:
+    """Order a Term loses below its working order: its negative q-powers."""
+    dips = [-e for _, e in t.muls if e < 0]
+    dips += [k * _negative_weight(ParamValue(c, e), ParamValue(ONE, s))
+             for c, e, s, k in t.pochs if k > 0]
+    return max(0, -t.shift) + sum(dips)
+
+
+def _term(t: Term, order: int, built: dict) -> LaurentSeries:
+    """One Term below ``order``; ``built`` shares Pochhammer products between terms."""
+    out = LaurentSeries.monomial(t.scalar, t.shift, order)
+    for c, e, s, k in t.pochs:
+        key = (c, e, s, k > 0)
+        if key not in built:
+            poch = poch_infinite if k > 0 else poch_infinite_inv
+            built[key] = poch(ParamValue(c, e), ParamValue(ONE, s), order)
+        for _ in range(abs(k)):
+            out = out * built[key]
+    for c, e in t.muls:
+        out = out.mul_one_minus(c, e)
+    for c, e in t.divs:
+        out = out.div_one_minus(c, e)
+    return out
+
+
+def _product_sum(terms, order: int) -> LaurentSeries:
+    """The sum of ``terms``, trusted below ``order``."""
+    work = order + max(_term_slack(t) for t in terms)
+    built: dict = {}
+    total = LaurentSeries.zero(work)
+    for t in terms:
+        total = total + _term(t, work, built)
+    return total.require_order(order)
+
+
+def _first_zero(factors) -> float:
+    """Least index M at which some factor (1 - p*step^M) vanishes, or inf."""
+    hits = [_zero_factor_index(p, step) for p, step in factors]
+    return min((h for h in hits if h is not None), default=math.inf)
+
+
+def _ratio(level: Level, m: int, t: LaurentSeries) -> LaurentSeries:
+    """Multiply t by R(m+1)/R(m) of ``level``."""
+    t = _apply_base_power(t, level.weight, 1)
+    for p, step in level.num:
+        t = t.mul_one_minus(*p.scaled(step, m))
+    for p, step in level.den:
+        t = t.div_one_minus(*p.scaled(step, m))
+    return t
+
+
+def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
+    """sum over 0 <= M_1 <= ... <= M_L of first * prod_j R_j(M_j), R_j(0) = 1.
+
+    A term's valuation is at least first.shift + sum_j weight_j * M_j minus
+    the slack, the negative exponents that numerator factors (those of the
+    first term included) can contribute; a subtree is summed while that bound
+    is below ``order``.  Level j at index m holds its term with every deeper
+    level at m too, which is the first term of the next level's run, and that
+    run hands back its term one index on, so each index step costs one
+    level's binomials.  A numerator factor that vanishes at index m ends its
+    level after the term at m; a denominator factor that vanishes raises
+    ZeroFactor.  Both are checked at every index a level steps through, also
+    once a deeper level has vanished.
+    """
+    for lv in levels:
+        _check_base(lv.weight)  # a weight without a positive q-power never stops
+    slack = _term_slack(first) + sum(
+        _negative_weight(p, step) for lv in levels for p, step in lv.num)
+    work = order + slack
+    start = _term(first, work, {})
+    if not levels:
+        return start.require_order(order)
+    floor = first.shift - slack
+    rest = [sum(lv.weight.exp for lv in levels[j:]) for j in range(len(levels))]
+    ends = [_first_zero(lv.num) for lv in levels]
+    breaks = [_first_zero(lv.den) for lv in levels]
+    total = LaurentSeries.zero(work)
+
+    def descend(j: int, m: int, acc: int, t):
+        # t: the term with levels j.. at index m, or None once it vanished;
+        # returns the term with levels j.. one index on (None if vanished)
+        nonlocal total
+        lv = levels[j]
+        first_index, carry = m, None
+        while floor + acc + rest[j] * m < order:
+            nxt = t
+            if t is not None:
+                if j + 1 < len(levels):
+                    nxt = descend(j + 1, m, acc + lv.weight.exp * m, t)
+                else:
+                    total = total + t
+            if m >= ends[j]:
+                break
+            if m >= breaks[j]:
+                raise ZeroFactor(
+                    f"chained sum: a denominator factor of level {j + 1} vanishes at index {m}")
+            t = None if nxt is None else _ratio(lv, m, nxt)
+            if m == first_index:
+                carry = t
+            m += 1
+        return carry
+
+    descend(0, 0, 0, start)
+    return total.require_order(order)
+
+
+def _vwp_level(nums, dens, base: ParamValue, weight: ParamValue | None = None) -> Level:
+    """The ratio weight * prod_{p in nums} (1 - p base^M)(1 - base^M/p)
+    / prod_{p in dens} (1 - p base^{M+1})(1 - base^{M+1}/p); weight defaults to base."""
+    return Level(
+        base if weight is None else weight,
+        tuple((b, base) for p in nums for b in (p, p.inv())),
+        tuple((_param_mul(base, b), base) for p in dens for b in (p, p.inv())),
+    )
+
+
 # -- scalar helpers -----------------------------------------------------------------
 
 
@@ -166,10 +307,7 @@ def c_helper(z: ParamValue, y: ParamValue, order: int | None = None) -> LaurentS
 
 def d_helper(z: ParamValue, y: ParamValue) -> LaurentSeries:
     """D(z,y) = (1-y)(1-1/y)(1-z)(1-1/z), an exact Laurent polynomial."""
-    out = LaurentSeries.one()
-    for p in (y, y.inv(), z, z.inv()):
-        out = out.mul_one_minus(p.coeff, p.exp)
-    return out
+    return _one_minus_pairs((y, z))
 
 
 # -- A_{k,i} recursion ---------------------------------------------------------------
@@ -241,52 +379,14 @@ def a_coeff(k: int, i: int, params, order: int | None = None,
 def lhs_multisum(params, order: int, base: ParamValue = Q) -> LaurentSeries:
     """The (k-1)-fold sum side of the k-parameter identity.
 
-    Written as a product over levels j = 1..k-1 of
+    A chained sum over M_1 <= M_2 <= ... <= M_{k-1} with one level per j:
         G_j(M_j) = base^{M_j} (b_{j+1}, 1/b_{j+1}; base)_{M_j}
-                   / (base*b_j, base/b_j; base)_{M_j}
-    over weakly increasing M_1 <= M_2 <= ... <= M_{k-1}, enumerated by a DFS
-    that updates the running product with O(1) binomial operations per index
-    step.  Levels whose numerator hits an exactly zero factor terminate early
-    (the whole subtree vanishes); ZeroFactor in a denominator propagates.
+                   / (base*b_j, base/b_j; base)_{M_j}.
     """
     params = as_params(params)
-    k = len(params)
-    if k == 1:
-        return LaurentSeries.one(order)
-    eb = base.exp
-    slack = _numerator_slack(params[1:], base)
-    work = order + slack
-    total = LaurentSeries.zero(work)
-
-    def step(j: int, m: int, cur: LaurentSeries):
-        # multiply by G_j(m+1)/G_j(m): one base weight, numerator pair at
-        # index m, denominator pair at index m+1
-        cur = _apply_base_power(cur, base, 1)
-        cur = _pair_mul(cur, params[j], base, m)
-        if cur is None:
-            return None
-        return _pair_div(cur, params[j - 1], base, m + 1, "lhs_multisum denominator")
-
-    def descend(j: int, m_start: int, wsum: int, pref: LaurentSeries):
-        nonlocal total
-        cur = pref
-        for m in range(m_start):  # raise level j from index 0 to the parent's index
-            cur = step(j, m, cur)
-            if cur is None:
-                return
-        m = m_start
-        while eb * (wsum + (k - j) * m) - slack < order:
-            if j == k - 1:
-                total = total + cur
-            else:
-                descend(j + 1, m, wsum + m, cur)
-            cur = step(j, m, cur)
-            if cur is None:
-                return
-            m += 1
-
-    descend(1, 0, 0, LaurentSeries.one(work))
-    return total.require_order(order)
+    levels = [_vwp_level((params[j],), (params[j - 1],), base)
+              for j in range(1, len(params))]
+    return _chain_sum(levels, order)
 
 
 def rhs_products(params, order: int, base: ParamValue = Q) -> LaurentSeries:
@@ -333,21 +433,7 @@ def rhs_products(params, order: int, base: ParamValue = Q) -> LaurentSeries:
 def vwp_single_sum(num: ParamValue, den: ParamValue, order: int,
                    base: ParamValue = Q) -> LaurentSeries:
     """sum_{n>=0} base^n (num, 1/num; base)_n / (base*den, base/den; base)_n."""
-    eb = base.exp
-    slack = _negative_weight(num, base) + _negative_weight(num.inv(), base)
-    work = order + slack
-    t = LaurentSeries.one(work)
-    total = t
-    n = 0
-    while eb * (n + 1) - slack < order:
-        t = _apply_base_power(t, base, 1)
-        t = _pair_mul(t, num, base, n)
-        if t is None:
-            break
-        t = _pair_div(t, den, base, n + 1, "single-sum denominator")
-        total = total + t
-        n += 1
-    return total.require_order(order)
+    return _chain_sum([_vwp_level((num,), (den,), base)], order)
 
 
 def vwp_double_sum(num_outer: ParamValue, num_inner: ParamValue,
@@ -358,72 +444,20 @@ def vwp_double_sum(num_outer: ParamValue, num_inner: ParamValue,
         sum_{m,n>=0} base^{2m+n}
             (num_outer, 1/num_outer; base)_m (num_inner, 1/num_inner; base)_{m+n}
           / ((base*den_outer, base/den_outer; base)_m
-             (base*den_inner, base/den_inner; base)_{m+n}).
+             (base*den_inner, base/den_inner; base)_{m+n}),
 
-    Both the main k=3 sum and its index-exchanged dual are instances.
+    a chained sum over M_1 = m <= M_2 = m+n.  Both the main k=3 sum and its
+    index-exchanged dual are instances.
     """
-    eb = base.exp
-    slack = (
-        _negative_weight(num_outer, base) + _negative_weight(num_outer.inv(), base)
-        + _negative_weight(num_inner, base) + _negative_weight(num_inner.inv(), base)
-    )
-    work = order + slack
-    total = LaurentSeries.zero(work)
-    row = LaurentSeries.one(work)
-    m = 0
-    while eb * 2 * m - slack < order:
-        # inner sweep over n at this m; the row term (m, 0) always lands first
-        t = row
-        total = total + t
-        n = 1
-        while eb * (2 * m + n) - slack < order:
-            t = _apply_base_power(t, base, 1)
-            t = _pair_mul(t, num_inner, base, m + n - 1)
-            if t is None:
-                break
-            t = _pair_div(t, den_inner, base, m + n, "double-sum inner denominator")
-            total = total + t
-            n += 1
-        # advance the row term (m, 0) -> (m+1, 0)
-        nxt = _apply_base_power(row, base, 2)
-        nxt = _pair_mul(nxt, num_outer, base, m)
-        if nxt is None:
-            break
-        nxt = _pair_mul(nxt, num_inner, base, m)
-        if nxt is None:
-            break
-        nxt = _pair_div(nxt, den_outer, base, m + 1, "double-sum outer denominator")
-        nxt = _pair_div(nxt, den_inner, base, m + 1, "double-sum inner denominator")
-        row = nxt
-        m += 1
-    return total.require_order(order)
+    return _chain_sum([_vwp_level((num_outer,), (den_outer,), base),
+                       _vwp_level((num_inner,), (den_inner,), base)], order)
 
 
 def diagonal_sum(x: ParamValue, y: ParamValue, z: ParamValue, order: int,
                  base: ParamValue = Q) -> LaurentSeries:
     """sum_{m>=0} base^{2m} (y,1/y;base)_m (z,1/z;base)_m
     / ((base*x, base/x; base)_m (base*y, base/y; base)_m)."""
-    eb = base.exp
-    slack = sum(
-        _negative_weight(p, base) + _negative_weight(p.inv(), base) for p in (y, z)
-    )
-    work = order + slack
-    t = LaurentSeries.one(work)
-    total = t
-    m = 0
-    while eb * 2 * (m + 1) - slack < order:
-        t = _apply_base_power(t, base, 2)
-        t = _pair_mul(t, y, base, m)
-        if t is None:
-            break
-        t = _pair_mul(t, z, base, m)
-        if t is None:
-            break
-        t = _pair_div(t, x, base, m + 1, "diagonal denominator")
-        t = _pair_div(t, y, base, m + 1, "diagonal denominator")
-        total = total + t
-        m += 1
-    return total.require_order(order)
+    return _chain_sum([_vwp_level((y, z), (x, y), base, _param_mul(base, base))], order)
 
 
 # -- the k=2 and k=3 corollaries --------------------------------------------------------
@@ -455,40 +489,34 @@ def _poch_shift_pair_inf_inv(p: ParamValue, base: ParamValue, order: int) -> Lau
 
 
 def corollary_k2(y: ParamValue, z: ParamValue, base: ParamValue,
-                 order: int) -> tuple[LaurentSeries, LaurentSeries]:
-    """Both sides of the k=2 specialization:
+                 order: int) -> LaurentSeries:
+    """The closed form of the k=2 specialization
 
         sum_{n>=0} base^n (z,1/z;base)_n / (base*y, base/y; base)_n
-        = C(z,y) ((1-y)(1-1/y) - (z,1/z;base)_inf / (base*y, base/y;base)_inf).
+        = C(z,y) ((1-y)(1-1/y) - (z,1/z;base)_inf / (base*y, base/y;base)_inf),
 
-    Returns the pair (LHS, RHS), each trusted through ``order``.
+    trusted through ``order``; the sum side is ``vwp_single_sum(z, y)``.
     """
     work = order + 2 + 2 * (abs(y.exp) + abs(z.exp))
-    lhs = vwp_single_sum(z, y, order, base)
     c = c_helper(z, y, work)
-    dy = LaurentSeries.one()
-    for p in (y, y.inv()):
-        dy = dy.mul_one_minus(p.coeff, p.exp)
     quotient = _poch_pair_inf(z, base, work) * _poch_shift_pair_inf_inv(y, base, work)
-    rhs = c * (dy - quotient)
-    return lhs, rhs.require_order(order)
+    return (c * (_one_minus_pairs((y,)) - quotient)).require_order(order)
 
 
 def corollary_k3(x: ParamValue, y: ParamValue, z: ParamValue, base: ParamValue,
-                 order: int) -> tuple[LaurentSeries, LaurentSeries]:
-    """Both sides of the k=3 specialization:
+                 order: int) -> LaurentSeries:
+    """The closed form of the k=3 specialization
 
         sum_{m,n>=0} base^{2m+n} (y,1/y;base)_m (z,1/z;base)_{m+n}
                      / ((base*x,base/x;base)_m (base*y,base/y;base)_{m+n})
         =   D(x,y) C(z,y) C(z,x)
           - D(x,z) C(z,y) C(y,x) (base*z,base/z;base)_inf/(base*y,base/y;base)_inf
           + D(y,z) C(z,y) (C(y,x) - C(z,x))
-                           (base*z,base/z;base)_inf/(base*x,base/x;base)_inf.
+                           (base*z,base/z;base)_inf/(base*x,base/x;base)_inf,
 
-    Returns the pair (LHS, RHS), each trusted through ``order``.
+    trusted through ``order``; the sum side is ``vwp_double_sum(y, z, x, y)``.
     """
     work = order + 2 + 2 * (abs(x.exp) + abs(y.exp) + abs(z.exp))
-    lhs = vwp_double_sum(y, z, x, y, order, base)
     czy = c_helper(z, y, work)
     czx = c_helper(z, x, work)
     cyx = c_helper(y, x, work)
@@ -498,7 +526,7 @@ def corollary_k3(x: ParamValue, y: ParamValue, z: ParamValue, base: ParamValue,
     rhs = d_helper(x, y) * czy * czx
     rhs = rhs - d_helper(x, z) * czy * cyx * pz * py_inv
     rhs = rhs + d_helper(y, z) * czy * (cyx - czx) * pz * px_inv
-    return lhs, rhs.require_order(order)
+    return rhs.require_order(order)
 
 
 # -- bilateral series and finite-N form ----------------------------------------------
@@ -613,12 +641,7 @@ def l_finite_n(params, bigN: int, order: int, base: ParamValue = Q) -> LaurentSe
                 raise ZeroFactor("finite-N numerator factor vanished")
             t = _pair_div(got, p, base, n, "finite-N denominator")
         total = total + t
-    prefactor = LaurentSeries.one()
-    for p in params:
-        prefactor = prefactor.mul_one_minus(p.coeff, p.exp)
-        pi = p.inv()
-        prefactor = prefactor.mul_one_minus(pi.coeff, pi.exp)
-    out = LaurentSeries.one(work) + prefactor * total
+    out = LaurentSeries.one(work) + _one_minus_pairs(params) * total
     return out.require_order(order)
 
 
@@ -626,28 +649,21 @@ def l_infinite(params, order: int, base: ParamValue = Q) -> LaurentSeries:
     """The bigN -> infinity limit: prod_i (1-b_i)(1-1/b_i) * F_k."""
     params = as_params(params)
     f = f_bilateral(params, order, base)
-    prefactor = LaurentSeries.one()
-    for p in params:
-        prefactor = prefactor.mul_one_minus(p.coeff, p.exp)
-        pi = p.inv()
-        prefactor = prefactor.mul_one_minus(pi.coeff, pi.exp)
-    return (prefactor * f).require_order(order)
+    return (_one_minus_pairs(params) * f).require_order(order)
 
 
 # -- classical evaluations ----------------------------------------------------------
 
 
-def bailey_3psi3_check(b: ParamValue, order: int) -> tuple[LaurentSeries, LaurentSeries]:
-    """The well-poised bilateral evaluation at c = 1/b, d -> infinity:
+def bailey_3psi3_sum(b: ParamValue, order: int) -> LaurentSeries:
+    """The sum side of the well-poised bilateral evaluation at c = 1/b, d -> infinity:
 
         sum over all integers n of
             (b, 1/b; q)_n / (qb, q/b; q)_n * (-1)^n q^(n(n+1)/2)
         = (q;q)_inf^2 / (qb, q/b; q)_inf.
 
-    The two sides are computed independently: the nonnegative tail by
-    incremental finite Pochhammers, the negative tail by the extension
-    (a;q)_{-m} = 1/prod_{j=1}^{m} (1 - a q^{-j}), and the right side as an
-    infinite product.  Returns the pair (LHS, RHS).
+    The nonnegative tail is summed by incremental finite Pochhammers, the
+    negative tail by the extension (a;q)_{-m} = 1/prod_{j=1}^{m} (1 - a q^{-j}).
     """
     base = Q
     work = order + 2 + 2 * abs(b.exp)
@@ -676,28 +692,4 @@ def bailey_3psi3_check(b: ParamValue, order: int) -> tuple[LaurentSeries, Lauren
         t = _pair_div(got, b, base, -m, "3psi3 denominator")
         total = total + t
         m += 1
-    rhs = poch_infinite(base, base, work)
-    rhs = rhs * rhs * _poch_shift_pair_inf_inv(b, base, work)
-    return total.require_order(order), rhs.require_order(order)
-
-
-def kl_relation_check(x: ParamValue, y: ParamValue, z: ParamValue,
-                      order: int) -> CheckReport:
-    """Check the double-sum exchange relation
-
-        K(x,y,z) = F(x,y) F(y,z) - L(x,y,z) + diagonal(x,y,z)
-
-    where K is the corollary-shaped double sum, L its index-exchanged dual,
-    F(a,b) the single sum with numerator b over denominator a, and the
-    diagonal ties the two orderings together.  No C(.,.) helper is formed, so
-    z = y never degenerates here; the caller excludes it by precondition.
-    All five series are expanded independently.
-    """
-    base = Q
-    big_k = vwp_double_sum(y, z, x, y, order, base)
-    big_l = vwp_double_sum(z, y, y, x, order, base)
-    f_xy = vwp_single_sum(y, x, order, base)
-    f_yz = vwp_single_sum(z, y, order, base)
-    diag = diagonal_sum(x, y, z, order, base)
-    rhs = f_xy * f_yz - big_l + diag
-    return CheckReport(order, big_k.agrees_below(rhs, order))
+    return total.require_order(order)

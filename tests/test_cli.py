@@ -6,8 +6,8 @@ import pytest
 
 from qseries import catalog, cli
 from qseries.catalog import IdentityEntry
-from qseries.coeffring import ONE
-from qseries.laurent import LaurentSeries
+from qseries.coeffring import DivisionByZero, ONE
+from qseries.laurent import InvalidBase, LaurentSeries, OrderExceeded
 
 
 def run(capsys, *argv):
@@ -70,15 +70,6 @@ def test_verify_all(capsys):
     assert all("equal" in line for line in lines)
 
 
-def test_verify_all_parallel_json(capsys):
-    code, out, _ = run(capsys, "verify-all", "--order", "10",
-                       "--parallel", "--format", "json")
-    rows = [json.loads(line) for line in out.splitlines()]
-    assert code == 0
-    assert len(rows) == 32
-    assert all(row["status"] == "equal" for row in rows)
-
-
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
     bad = IdentityEntry(
         id="FAKE-cli",
@@ -93,6 +84,19 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     row = json.loads(out)
     assert row["status"] == "mismatch"
     assert row["first_mismatch"]["exponent"] == 0
+
+
+@pytest.mark.parametrize("error", [OrderExceeded, DivisionByZero, InvalidBase])
+def test_verify_expansion_error_exit_code(capsys, monkeypatch, error):
+    def boom(order):
+        raise error("injected")
+
+    bad = IdentityEntry(id="FAKE-raise", statement="raises", lhs=boom,
+                        rhs=lambda order: LaurentSeries.one(order))
+    monkeypatch.setitem(catalog._REGISTRY, bad.id, bad)
+    code, out, _ = run(capsys, "verify", "--identity", "FAKE-raise", "--order", "8")
+    assert code == 1
+    assert f"[{error.__name__}: injected]" in out
 
 
 def test_derivation(capsys):

@@ -235,6 +235,14 @@ def test_finite_inv_round_trip(n):
     assert same(f * g, LaurentSeries.one(25), 20)
 
 
+def test_mul_one_minus_zero_series_order():
+    # q^4 * (1 - q^-1) has a -q^3 term, so a zero known below q^4 is only
+    # known below q^3 after the product
+    assert LaurentSeries.zero(4).mul_one_minus(ONE, -1).order == 3
+    assert LaurentSeries.zero(4).mul_one_minus(ONE, 2).order == 4
+    assert LaurentSeries.zero().mul_one_minus(ONE, -1) == LaurentSeries.zero()
+
+
 def test_mixed_order_truncates_down():
     f = LaurentSeries.from_terms({0: ONE}, 10)
     g = LaurentSeries.from_terms({0: ONE}, 20)

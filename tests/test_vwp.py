@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qseries.coeffring import CycRat, OMEGA, OMEGA_BAR, ONE, rat
-from qseries.laurent import LaurentSeries, ParamValue, Q, ZeroFactor
-from qseries import vwp
+from qseries.laurent import (
+    InvalidBase,
+    LaurentSeries,
+    ParamValue,
+    Q,
+    ZeroFactor,
+    poch_infinite,
+    poch_infinite_inv,
+)
+from qseries import catalog, vwp
 
 W = ParamValue(OMEGA, 0)
 WB = ParamValue(OMEGA_BAR, 0)
@@ -129,6 +137,44 @@ def test_identity_random_triples(params):
     assert same(lhs, rhs, 25)
 
 
+def test_multisum_degenerate_cases():
+    # b_1 = q^2 makes a level-1 denominator vanish at M = 1; the b_3 = 1
+    # numerator ends level 2 first, but level 1 still steps through M = 1
+    with pytest.raises(ZeroFactor):
+        vwp.lhs_multisum((Q2, M1, P1), 12)
+    # the b_2 = 1 numerator ends the only level before its denominator vanishes
+    assert vwp.lhs_multisum((Q2, P1), 12) == LaurentSeries.one(12)
+    # level 2's numerator (q, 1/q; q)_M ends it at M = 1, where its denominator
+    # (q^3, 1/q; q)_M would vanish too; the three terms left cancel exactly
+    assert vwp.lhs_multisum((P1, Q2, Q), 12) == LaurentSeries.zero(12)
+
+
+def test_multisum_rejects_flat_base():
+    with pytest.raises(InvalidBase):
+        vwp.lhs_multisum((M1, W), 10, ParamValue(ONE, 0))
+
+
+_DEGENERATE_POOL = [P1, M1, W, Q, ParamValue(ONE, -1)]
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ZeroFactor:
+        return ZeroFactor
+
+
+@pytest.mark.parametrize("x", _DEGENERATE_POOL, ids=str)
+def test_corollary_sums_match_multisum(x):
+    # the corollary-shaped sums are chained sums too: same values, same trusted
+    # orders and the same ZeroFactor, degenerate parameters included
+    for y, z in itertools.product(_DEGENERATE_POOL, repeat=2):
+        k = _outcome(lambda: vwp.lhs_multisum((x, y, z), 8))
+        assert _outcome(lambda: vwp.vwp_double_sum(y, z, x, y, 8)) == k
+        assert _outcome(lambda: vwp.lhs_multisum((x, y), 8)) == \
+            _outcome(lambda: vwp.vwp_single_sum(y, x, 8))
+
+
 def test_multisum_matches_plain_sums():
     assert same(vwp.lhs_multisum((M1, W), 25),
                 vwp.vwp_single_sum(W, M1, 25), 25)
@@ -144,14 +190,12 @@ def test_multisum_matches_plain_sums():
     (M1, W), (M1, MW), (W, MW), (MW, W),
 ])
 def test_corollary_k2_base_q(z, y):
-    lhs, rhs = vwp.corollary_k2(y, z, Q, 30)
-    assert same(lhs, rhs, 30)
+    assert same(vwp.vwp_single_sum(z, y, 30, Q), vwp.corollary_k2(y, z, Q, 30), 30)
 
 
 @pytest.mark.parametrize("z,y", [(W, Q), (MW, Q), (Q, W), (Q, MW)])
 def test_corollary_k2_base_q2(z, y):
-    lhs, rhs = vwp.corollary_k2(y, z, Q2, 30)
-    assert same(lhs, rhs, 30)
+    assert same(vwp.vwp_single_sum(z, y, 30, Q2), vwp.corollary_k2(y, z, Q2, 30), 30)
 
 
 @pytest.mark.parametrize("x,y,z", [
@@ -160,16 +204,15 @@ def test_corollary_k2_base_q2(z, y):
     (P1, M1, W), (P1, W, M1), (P1, M1, MW), (P1, MW, M1),
 ])
 def test_corollary_k3_base_q(x, y, z):
-    lhs, rhs = vwp.corollary_k3(x, y, z, Q, 25)
-    assert same(lhs, rhs, 25)
+    assert same(vwp.vwp_double_sum(y, z, x, y, 25, Q), vwp.corollary_k3(x, y, z, Q, 25), 25)
 
 
 @pytest.mark.parametrize("x,y,z", [
     (P1, Q, W), (P1, Q, MW), (P1, MW, Q), (P1, W, Q),
 ])
 def test_corollary_k3_base_q2(x, y, z):
-    lhs, rhs = vwp.corollary_k3(x, y, z, Q2, 25)
-    assert same(lhs, rhs, 25)
+    assert same(vwp.vwp_double_sum(y, z, x, y, 25, Q2),
+                vwp.corollary_k3(x, y, z, Q2, 25), 25)
 
 
 # -- bilateral series ------------------------------------------------------------------
@@ -229,15 +272,16 @@ def test_l_finite_stabilizes_k3():
 
 @pytest.mark.parametrize("b", [M1, W, MW])
 def test_bailey_evaluation(b):
-    lhs, rhs = vwp.bailey_3psi3_check(b, 40)
-    assert same(lhs, rhs, 40)
+    # (q;q)_inf^2 / (qb, q/b; q)_inf
+    euler = poch_infinite(Q, Q, 40)
+    rhs = (euler * euler * poch_infinite_inv(ParamValue(b.coeff, 1), Q, 40)
+           * poch_infinite_inv(ParamValue(b.inv().coeff, 1), Q, 40))
+    assert same(vwp.bailey_3psi3_sum(b, 40), rhs, 40)
 
 
 @pytest.mark.parametrize("x,y,z", [
     (P1, M1, W), (M1, W, MW), (P1, W, MW),
 ])
 def test_kl_relation(x, y, z):
-    report = vwp.kl_relation_check(x, y, z, 25)
-    assert report.equal
-    assert report.order == 25
-    assert report.first_mismatch is None
+    lhs, rhs = catalog.kl_relation(x, y, z)
+    assert same(lhs(25), rhs(25), 25)
