@@ -16,9 +16,12 @@ The complex conjugate swaps w and w^2, i.e. conj(a + b*w) = (a - b) - b*w,
 and the norm x * conj(x) = a^2 - a*b + b^2 is rational, which gives exact
 inversion.  No floating point is used anywhere.
 
-Rationals are gmpy2.mpq when available (much faster for the deep series
-recurrences elsewhere in the package) and fractions.Fraction otherwise; both
+Rationals are gmpy2.mpq when available and fractions.Fraction otherwise; both
 share the numerator/denominator protocol so everything downstream is agnostic.
+CycRat is the scalar type at the API edge only: the series kernels in
+``laurent`` run on integer Z[w] numerators and never touch these rationals,
+so the backend matters only for scalar work (parameters, term-ratio tests,
+reading coefficients out of a series).
 """
 
 from __future__ import annotations
@@ -46,8 +49,13 @@ class DivisionByZero(ZeroDivisionError):
     """Raised on exact division by zero (scalar or series)."""
 
 
+_RAT = type(RAT_ONE)
+
+
 def _as_rat(value):
     """Coerce an int / Fraction / backend rational to the active backend."""
+    if type(value) is _RAT:
+        return value
     if isinstance(value, int):
         return rat(value)
     if isinstance(value, Fraction):
@@ -187,7 +195,7 @@ class CycRat:
 def _coerce(value):
     if isinstance(value, CycRat):
         return value
-    if isinstance(value, (int, Fraction)) or type(value) is type(RAT_ONE):
+    if isinstance(value, (int, Fraction)) or type(value) is _RAT:
         return CycRat(value)
     return NotImplemented
 

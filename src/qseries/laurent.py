@@ -1,10 +1,26 @@
 """Truncated Laurent series in q over Q(w), plus q-Pochhammer products.
 
-A series is stored densely: an integer ``offset`` (the exponent of the first
-stored coefficient, possibly negative), a list of CycRat coefficients, and an
-``order``.  ``order = N`` means the coefficients are trusted exactly for all
-exponents < N and unknown from N on; ``order = None`` means the series is an
-exact Laurent polynomial with no unknown tail.
+A series is stored densely over one common denominator: an integer
+``offset`` (the exponent of the first stored coefficient, possibly negative),
+two lists of Python ints ``a`` and ``b`` (the 1-parts and the w-parts of the
+numerators), a positive int ``den``, and an ``order``.  The coefficient of
+q^(offset + i) is
+
+    (a[i] + b[i]*w) / den.
+
+``order = N`` means the coefficients are trusted exactly for all exponents
+< N and unknown from N on; ``order = None`` means the series is an exact
+Laurent polynomial with no unknown tail.
+
+The series kernels run in Z[w] on those integer lists, with the product rule
+
+    (x + y*w)(u + v*w) = (xu - yv) + (xv + yu - yv)*w,
+
+and touch no rational arithmetic.  A scalar c in Q(w) enters a kernel once,
+split into integers (ca + cb*w) / cd.  ``CycRat`` (coeffring) stays the scalar
+type at the API edge: the constructor, ``from_terms`` and ``monomial`` take
+CycRat values, and ``coeff``, ``terms`` and the read-only ``coeffs`` view hand
+them out, built from the backend's rationals on read.
 
 Order bookkeeping under multiplication accounts for operand valuations:
 a product coefficient at exponent e needs f up to e - val(g) and g up to
@@ -19,7 +35,7 @@ trust coefficients that depend on truncated ones.
 
 The two binomial primitives do the heavy lifting for Pochhammer symbols:
 
-    mul_one_minus(c, e): multiply by (1 - c*q^e), two passes over the data;
+    mul_one_minus(c, e): multiply by (1 - c*q^e), one pass over the data;
     div_one_minus(c, e): divide by it via the forward recurrence
                          g[j] = f[j] + c*g[j-e], also linear time.
 
@@ -29,9 +45,12 @@ the O(order^2) of repeated general multiplication.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from math import gcd, lcm
+from operator import mul
 
-from .coeffring import ZERO, ONE, CycRat, DivisionByZero
+from .coeffring import ZERO, ONE, CycRat, DivisionByZero, rat
 
 _INF = float("inf")  # internal stand-in so min() works on mixed orders
 
@@ -106,30 +125,107 @@ def _denorm_order(order):
     return None if order == _INF else int(order)
 
 
-class LaurentSeries:
-    """Dense truncated Laurent series over Q(w).
+# -- integer Z[w] helpers --------------------------------------------------------------
 
-    Internal invariant: ``coeffs`` has no leading or trailing zeros (the zero
-    series is the empty list with offset 0), and every stored exponent is
-    below ``order`` when the order is finite.
+
+def _split(c) -> tuple[int, int, int]:
+    """Integers (ca, cb, cd) with c = (ca + cb*w) / cd and cd > 0."""
+    if not isinstance(c, CycRat):
+        c = CycRat(c)
+    da, db = int(c.a.denominator), int(c.b.denominator)
+    cd = lcm(da, db)
+    return int(c.a.numerator) * (cd // da), int(c.b.numerator) * (cd // db), cd
+
+
+def _cyc(x: int, y: int, den: int) -> CycRat:
+    """The scalar (x + y*w) / den."""
+    return CycRat(rat(x, den), rat(y, den))
+
+
+def _scaled(m: int, xs: list) -> list:
+    """The list m*xs (xs itself when m is 1; lists are never mutated once stored)."""
+    return xs if m == 1 else [m * x for x in xs]
+
+
+def _times(ca: int, cb: int, xs: list, ys: list) -> tuple[list, list]:
+    """Numerators of (ca + cb*w) * (x + y*w), entry by entry."""
+    if not cb:
+        return _scaled(ca, xs), _scaled(ca, ys)
+    cab = ca - cb
+    return ([ca * x - cb * y for x, y in zip(xs, ys)],
+            [cb * x + cab * y for x, y in zip(xs, ys)])
+
+
+class _Coeffs(Sequence):
+    """Read-only view of a series' coefficients as CycRat values.
+
+    ``len`` is O(1); an item is built only when it is read.
     """
 
-    __slots__ = ("offset", "coeffs", "order")
+    __slots__ = ("_series",)
+
+    def __init__(self, series: "LaurentSeries"):
+        self._series = series
+
+    def __len__(self):
+        return len(self._series._a)
+
+    def __getitem__(self, i: int) -> CycRat:
+        s = self._series
+        return _cyc(s._a[i], s._b[i], s._den)
+
+    def __iter__(self):
+        s = self._series
+        for x, y in zip(s._a, s._b):
+            yield _cyc(x, y, s._den)
+
+
+class LaurentSeries:
+    """Dense truncated Laurent series over Q(w), on integer numerators.
+
+    Internal invariant, which makes equal series store equal data: the
+    numerator lists ``_a``, ``_b`` have no leading or trailing zero pair
+    (the zero series has empty lists, offset 0 and denominator 1), the
+    denominator ``_den`` is positive and gcd(_den, *_a, *_b) = 1, and every
+    stored exponent is below ``order`` when the order is finite.  Stored
+    lists are never mutated, so series share them freely.
+    """
+
+    __slots__ = ("offset", "order", "_a", "_b", "_den")
 
     def __init__(self, offset: int, coeffs, order: int | None = None):
-        coeffs = list(coeffs)
-        if order is not None:
-            keep = order - offset
-            if keep < len(coeffs):
-                del coeffs[max(keep, 0):]
-        lo = 0
-        hi = len(coeffs)
-        while lo < hi and not coeffs[lo]:
+        parts = [_split(c) for c in coeffs]
+        den = lcm(*(cd for _, _, cd in parts))
+        self._store(offset,
+                    [ca * (den // cd) for ca, _, cd in parts],
+                    [cb * (den // cd) for _, cb, cd in parts],
+                    den, order)
+
+    def _store(self, offset: int, a: list, b: list, den: int, order: int | None):
+        """Normalize numerators ``a``, ``b`` over ``den`` into the invariant."""
+        if order is not None and order - offset < len(a):
+            keep = max(order - offset, 0)
+            a, b = a[:keep], b[:keep]
+        lo, hi = 0, len(a)
+        while lo < hi and not a[lo] and not b[lo]:
             lo += 1
-        while hi > lo and not coeffs[hi - 1]:
+        while hi > lo and not a[hi - 1] and not b[hi - 1]:
             hi -= 1
-        self.offset = offset + lo if hi > lo else 0
-        self.coeffs = coeffs[lo:hi]
+        if hi == lo:
+            offset, a, b, den = 0, [], [], 1
+        else:
+            if lo or hi < len(a):
+                offset, a, b = offset + lo, a[lo:hi], b[lo:hi]
+            if den != 1:
+                g = gcd(den, *a, *b)
+                if g != 1:
+                    den //= g
+                    a = [x // g for x in a]
+                    b = [y // g for y in b]
+        self.offset = offset
+        self._a = a
+        self._b = b
+        self._den = den
         self.order = order
 
     # -- constructors ---------------------------------------------------------
@@ -143,33 +239,34 @@ class LaurentSeries:
         hi = max(terms)
         coeffs = [ZERO] * (hi - lo + 1)
         for e, c in terms.items():
-            if not isinstance(c, CycRat):
-                c = CycRat(c)
             coeffs[e - lo] = c
         return cls(lo, coeffs, order)
 
     @classmethod
     def zero(cls, order: int | None = None):
-        return cls(0, [], order)
+        return _new(0, [], [], 1, order)
 
     @classmethod
     def one(cls, order: int | None = None):
-        return cls(0, [ONE], order)
+        return _new(0, [1], [0], 1, order)
 
     @classmethod
     def monomial(cls, coeff, exp: int = 0, order: int | None = None):
-        if not isinstance(coeff, CycRat):
-            coeff = CycRat(coeff)
         return cls(exp, [coeff], order)
 
     # -- queries ---------------------------------------------------------------
 
+    @property
+    def coeffs(self) -> _Coeffs:
+        """The stored coefficients, lowest exponent first, as CycRat values."""
+        return _Coeffs(self)
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._a
 
     def valuation(self) -> int:
         """Exponent of the lowest nonzero term (offset of the data)."""
-        if not self.coeffs:
+        if not self._a:
             raise ValueError("the zero series has no valuation")
         return self.offset
 
@@ -180,22 +277,22 @@ class LaurentSeries:
                 f"coefficient of q^{exp} requested, trusted only below q^{self.order}"
             )
         i = exp - self.offset
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self._a):
+            return _cyc(self._a[i], self._b[i], self._den)
         return ZERO
 
     def terms(self):
         """Iterate (exponent, coefficient) over nonzero stored terms."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield self.offset + i, c
+        for i, (x, y) in enumerate(zip(self._a, self._b)):
+            if x or y:
+                yield self.offset + i, _cyc(x, y, self._den)
 
     # -- order management -------------------------------------------------------
 
     def truncate(self, order: int) -> "LaurentSeries":
         """Restrict to coefficients below ``order`` (order can only shrink)."""
         new_order = order if self.order is None else min(self.order, order)
-        return LaurentSeries(self.offset, self.coeffs, new_order)
+        return _new(self.offset, self._a, self._b, self._den, new_order)
 
     def require_order(self, order: int) -> "LaurentSeries":
         """Assert the series is trusted through ``order`` and truncate to it."""
@@ -203,30 +300,35 @@ class LaurentSeries:
             raise OrderExceeded(
                 f"series trusted only below q^{self.order}, need q^{order}"
             )
-        return LaurentSeries(self.offset, self.coeffs, order)
+        return _new(self.offset, self._a, self._b, self._den, order)
 
     # -- linear structure --------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        order = min(_norm_order(self.order), _norm_order(other.order))
-        if not self.coeffs:
-            return LaurentSeries(other.offset, other.coeffs, _denorm_order(order))
-        if not other.coeffs:
-            return LaurentSeries(self.offset, self.coeffs, _denorm_order(order))
+        order = _denorm_order(min(_norm_order(self.order), _norm_order(other.order)))
+        if not self._a:
+            return _new(other.offset, other._a, other._b, other._den, order)
+        if not other._a:
+            return _new(self.offset, self._a, self._b, self._den, order)
+        g = gcd(self._den, other._den)
+        m1, m2 = other._den // g, self._den // g
         lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
-        out = [ZERO] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.offset - lo + i] = c
-        for i, c in enumerate(other.coeffs):
-            j = other.offset - lo + i
-            out[j] = out[j] + c
-        return LaurentSeries(lo, out, _denorm_order(order))
+        hi = max(self.offset + len(self._a), other.offset + len(other._a))
+        a = [0] * (hi - lo)
+        b = [0] * (hi - lo)
+        i, j = self.offset - lo, self.offset - lo + len(self._a)
+        a[i:j] = _scaled(m1, self._a)
+        b[i:j] = _scaled(m1, self._b)
+        i, j = other.offset - lo, other.offset - lo + len(other._a)
+        a[i:j] = [s + m2 * x for s, x in zip(a[i:j], other._a)]
+        b[i:j] = [s + m2 * y for s, y in zip(b[i:j], other._b)]
+        return _new(lo, a, b, m1 * self._den, order)
 
     def __neg__(self):
-        return LaurentSeries(self.offset, [-c for c in self.coeffs], self.order)
+        return _new(self.offset, [-x for x in self._a], [-y for y in self._b],
+                    self._den, self.order)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -235,37 +337,42 @@ class LaurentSeries:
 
     def scale(self, c) -> "LaurentSeries":
         """Multiply by a scalar from Q(w)."""
-        if not isinstance(c, CycRat):
-            c = CycRat(c)
-        if not c:
-            return LaurentSeries(0, [], self.order)
-        return LaurentSeries(self.offset, [c * v for v in self.coeffs], self.order)
+        ca, cb, cd = _split(c)
+        if not ca and not cb:
+            return _new(0, [], [], 1, self.order)
+        a, b = _times(ca, cb, self._a, self._b)
+        return _new(self.offset, a, b, self._den * cd, self.order)
 
     def shift(self, e: int) -> "LaurentSeries":
         """Multiply by the exact monomial q^e."""
         order = None if self.order is None else self.order + e
-        return LaurentSeries(self.offset + e, self.coeffs, order)
+        return _new(self.offset + e, self._a, self._b, self._den, order)
 
     # -- multiplicative structure --------------------------------------------------
 
     def __mul__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            order = _product_order(self, other)
-            return LaurentSeries(0, [], _denorm_order(order))
-        order = _product_order(self, other)
-        f, g = self.coeffs, other.coeffs
-        if len(f) > len(g):
-            f, g = g, f
-        out = [ZERO] * (len(f) + len(g) - 1)
-        for i, ci in enumerate(f):
-            if not ci:
-                continue
-            for j, cj in enumerate(g):
-                if cj:
-                    out[i + j] = out[i + j] + ci * cj
-        return LaurentSeries(self.offset + other.offset, out, _denorm_order(order))
+        order = _denorm_order(_product_order(self, other))
+        offset = self.offset + other.offset
+        fa, fb, ga, gb = self._a, self._b, other._a, other._b
+        if len(fa) > len(ga):
+            fa, fb, ga, gb = ga, gb, fa, fb
+        size = len(fa) + len(ga) - 1
+        if order is not None:
+            size = min(size, order - offset)  # the rest is truncated anyway
+        if not fa or size <= 0:
+            return _new(0, [], [], 1, order)
+        a = [0] * size
+        b = [0] * size
+        for i, (x, y) in enumerate(zip(fa, fb)):
+            j = min(i + len(ga), size)
+            if i >= j:
+                break
+            if x or y:
+                a[i:j] = [s + x * u - y * v for s, u, v in zip(a[i:j], ga, gb)]
+                b[i:j] = [s + x * v + y * (u - v) for s, u, v in zip(b[i:j], ga, gb)]
+        return _new(offset, a, b, self._den * other._den, order)
 
     def mul_one_minus(self, c: CycRat, e: int) -> "LaurentSeries":
         """Multiply by the exact binomial (1 - c*q^e) in one pass."""
@@ -273,26 +380,36 @@ class LaurentSeries:
             c = CycRat(c)
         if not c:
             return self
-        if not self.coeffs:
+        if not self._a:
             # the unknown tail from q^order on, times c*q^e, reaches q^(order+e)
             if e < 0 and self.order is not None:
-                return LaurentSeries(0, [], self.order + e)
+                return _new(0, [], [], 1, self.order + e)
             return self
         if e == 0:
             return self.scale(ONE - c)
-        n = len(self.coeffs)
+        ca, cb, cd = _split(c)
+        n = len(self._a)
+        # f - c*q^e*f over the denominator den*cd
+        fa, fb = _scaled(cd, self._a), _scaled(cd, self._b)
         if e > 0:
-            out = self.coeffs + [ZERO] * e
-            for i, v in enumerate(self.coeffs):
-                if v:
-                    out[i + e] = out[i + e] - c * v
-            return LaurentSeries(self.offset, out, self.order)
-        out = [ZERO] * (-e) + self.coeffs
-        for i, v in enumerate(self.coeffs):
-            if v:
-                out[i] = out[i] - c * v
+            size = n + e
+            if self.order is not None:
+                size = min(size, self.order - self.offset)
+            k = size - e  # entries of c*q^e*f below the order
+            a = fa + [0] * (size - n)
+            b = fb + [0] * (size - n)
+            if k > 0:
+                ta, tb = _times(ca, cb, self._a[:k], self._b[:k])
+                a[e:] = [s - t for s, t in zip(a[e:], ta)]
+                b[e:] = [s - t for s, t in zip(b[e:], tb)]
+            return _new(self.offset, a, b, self._den * cd, self.order)
+        ta, tb = _times(ca, cb, self._a, self._b)
+        a = [0] * (-e) + fa
+        b = [0] * (-e) + fb
+        a[:n] = [s - t for s, t in zip(a, ta)]
+        b[:n] = [s - t for s, t in zip(b, tb)]
         order = None if self.order is None else self.order + e
-        return LaurentSeries(self.offset + e, out, order)
+        return _new(self.offset + e, a, b, self._den * cd, order)
 
     def div_one_minus(self, c: CycRat, e: int, order: int | None = None) -> "LaurentSeries":
         """Divide by (1 - c*q^e) via the forward recurrence g[j] = f[j] + c*g[j-e].
@@ -301,6 +418,10 @@ class LaurentSeries:
         e <= -1 we first factor (1 - c*q^e) = (-c*q^e) * (1 - c^{-1} q^{-e}).
         The result needs a finite order: pass one, or the receiver must
         already carry one.
+
+        The recurrence runs a block of e entries at a time, each block from
+        the one before.  With c = (ca + cb*w)/cd, the numerator of block k is
+        kept scaled by cd^k, so every step stays in Z[w].
         """
         if not isinstance(c, CycRat):
             c = CycRat(c)
@@ -321,19 +442,27 @@ class LaurentSeries:
                 "dividing by (1 - c*q^e) yields an infinite series; a finite order is required"
             )
         target = int(target)
-        if not self.coeffs:
-            return LaurentSeries(0, [], target)
         length = target - self.offset
-        if length <= 0:
-            return LaurentSeries(0, [], target)
-        out = [ZERO] * length
-        for i, v in enumerate(self.coeffs[:length]):
-            out[i] = v
-        for j in range(e, length):
-            prev = out[j - e]
-            if prev:
-                out[j] = out[j] + c * prev
-        return LaurentSeries(self.offset, out, target)
+        if not self._a or length <= 0:
+            return _new(0, [], [], 1, target)
+        ca, cb, cd = _split(c)
+        pad = [0] * (length - len(self._a))
+        a = self._a[:length] + pad
+        b = self._b[:length] + pad
+        top = (length - 1) // e  # index of the last block
+        for k in range(1, top + 1):
+            i, j = k * e, k * e + e
+            ta, tb = _times(ca, cb, a[i - e:i], b[i - e:i])
+            p = cd ** k
+            a[i:j] = [p * s + t for s, t in zip(a[i:j], ta)]
+            b[i:j] = [p * s + t for s, t in zip(b[i:j], tb)]
+        if cd != 1:
+            for k in range(top):
+                i, j = k * e, k * e + e
+                p = cd ** (top - k)
+                a[i:j] = [p * s for s in a[i:j]]
+                b[i:j] = [p * s for s in b[i:j]]
+        return _new(self.offset, a, b, self._den * cd ** top, target)
 
     def inverse(self, order: int | None = None) -> "LaurentSeries":
         """Multiplicative inverse by forward substitution.
@@ -341,45 +470,60 @@ class LaurentSeries:
         If f = c*q^v*(1 + h) with h of positive valuation, the inverse is
         c^{-1} q^{-v} (1 + h)^{-1}.  Trusted range: order(f) - 2v (each side
         of the convolution shifts by the valuation).
+
+        With F = den*f = sum F_i q^(v+i) and N = F_0*conj(F_0), the norm of
+        the leading numerator, H_j = N^(j+1) * [q^(j-v)] F^{-1} satisfies
+
+            H_0 = conj(F_0),  H_j = -conj(F_0) * sum_{i>=1} F_i N^(i-1) H_{j-i},
+
+        all in Z[w]; the inverse is den * H_j / N^(j+1).
         """
-        if not self.coeffs:
+        if not self._a:
             raise DivisionByZero("inverse of the zero series")
         v = self.offset
-        lead = self.coeffs[0]
         my_order = _norm_order(self.order) - 2 * v
         target = min(my_order, _norm_order(order))
         if target == _INF:
-            if len(self.coeffs) == 1:
-                return LaurentSeries(-v, [lead.inverse()], None)
-            raise OrderExceeded(
-                "inverse of a non-monomial polynomial is an infinite series; "
-                "a finite order is required"
-            )
-        target = int(target)
-        length = target + v  # result exponents run from -v up to target-1
-        if length <= 0:
-            return LaurentSeries(0, [], target)
-        inv_lead = lead.inverse()
-        f = self.coeffs
-        out = [ZERO] * length
-        out[0] = inv_lead
+            if len(self._a) != 1:
+                raise OrderExceeded(
+                    "inverse of a non-monomial polynomial is an infinite series; "
+                    "a finite order is required"
+                )
+            target, length = None, 1
+        else:
+            target = int(target)
+            length = target + v  # result exponents run from -v up to target-1
+            if length <= 0:
+                return _new(0, [], [], 1, target)
+        x0, y0 = self._a[0], self._b[0]
+        norm = x0 * x0 - x0 * y0 + y0 * y0
+        pa, pb = y0 - x0, y0  # -conj(F_0)
+        fa, fb = self._a[1:length], self._b[1:length]
+        if norm != 1:
+            powers = [norm ** i for i in range(len(fa))]
+            fa = [p * x for p, x in zip(powers, fa)]
+            fb = [p * y for p, y in zip(powers, fb)]
+        ha, hb = [x0 - y0], [-y0]
         for j in range(1, length):
-            # coefficient of q^{j-v} in the inverse
-            acc = ZERO
-            for i in range(1, min(j, len(f) - 1) + 1):
-                fi = f[i]
-                if fi:
-                    acc = acc + fi * out[j - i]
-            if acc:
-                out[j] = -inv_lead * acc
-        return LaurentSeries(-v, out, target)
+            ra, rb = ha[j - 1::-1], hb[j - 1::-1]
+            yv = sum(map(mul, fb, rb))
+            sa = sum(map(mul, fa, ra)) - yv
+            sb = sum(map(mul, fa, rb)) + sum(map(mul, fb, ra)) - yv
+            ha.append(pa * sa - pb * sb)
+            hb.append(pb * sa + (pa - pb) * sb)
+        den = self._den
+        if norm != 1:
+            powers = [norm ** (length - 1 - j) for j in range(length)]
+            ha = [p * x for p, x in zip(powers, ha)]
+            hb = [p * y for p, y in zip(powers, hb)]
+        return _new(-v, _scaled(den, ha), _scaled(den, hb), norm ** length, target)
 
     def __truediv__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         hint = None
-        if self.order is not None and other.coeffs:
-            vf = self.offset if self.coeffs else 0
+        if self.order is not None and not other.is_zero():
+            vf = 0 if self.is_zero() else self.offset
             hint = self.order - other.valuation() - vf
         return self * other.inverse(hint)
 
@@ -391,7 +535,9 @@ class LaurentSeries:
         return (
             self.offset == other.offset
             and self.order == other.order
-            and self.coeffs == other.coeffs
+            and self._den == other._den
+            and self._a == other._a
+            and self._b == other._b
         )
 
     def agrees_below(self, other: "LaurentSeries", order: int) -> int | None:
@@ -404,19 +550,16 @@ class LaurentSeries:
                 raise OrderExceeded(
                     f"series trusted only below q^{s.order}, cannot compare below q^{order}"
                 )
-        lo = []
-        if self.coeffs:
-            lo.append(self.offset)
-        if other.coeffs:
-            lo.append(other.offset)
+        lo = [s.offset for s in (self, other) if s._a]
         if not lo:
             return None
+        d1, d2 = self._den, other._den
         for e in range(min(lo), order):
             i = e - self.offset
-            a = self.coeffs[i] if 0 <= i < len(self.coeffs) else ZERO
+            x, y = (self._a[i], self._b[i]) if 0 <= i < len(self._a) else (0, 0)
             j = e - other.offset
-            b = other.coeffs[j] if 0 <= j < len(other.coeffs) else ZERO
-            if a != b:
+            u, v = (other._a[j], other._b[j]) if 0 <= j < len(other._a) else (0, 0)
+            if x * d2 != u * d1 or y * d2 != v * d1:
                 return e
         return None
 
@@ -433,7 +576,14 @@ class LaurentSeries:
         return body
 
     def __repr__(self):
-        return f"<LaurentSeries offset={self.offset} terms={len(self.coeffs)} order={self.order}>"
+        return f"<LaurentSeries offset={self.offset} terms={len(self._a)} order={self.order}>"
+
+
+def _new(offset: int, a: list, b: list, den: int, order: int | None) -> LaurentSeries:
+    """Series with numerators ``a``, ``b`` over ``den``, normalized."""
+    s = object.__new__(LaurentSeries)
+    s._store(offset, a, b, den, order)
+    return s
 
 
 def _product_order(f: LaurentSeries, g: LaurentSeries):
@@ -442,8 +592,8 @@ def _product_order(f: LaurentSeries, g: LaurentSeries):
     og = _norm_order(g.order)
     if of == _INF and og == _INF:
         return _INF
-    vf = f.offset if f.coeffs else 0
-    vg = g.offset if g.coeffs else 0
+    vf = 0 if f.is_zero() else f.offset
+    vg = 0 if g.is_zero() else g.offset
     terms = []
     if of != _INF:
         terms.append(of + vg)
@@ -508,7 +658,7 @@ def poch_finite(a: ParamValue, base: ParamValue, n: int,
     c, e = a.coeff, a.exp
     bc, be = base.coeff, base.exp
     for _ in range(n):
-        if order is not None and e > 0 and out.coeffs and e + out.valuation() >= order:
+        if order is not None and e > 0 and not out.is_zero() and e + out.valuation() >= order:
             break  # later factors only touch exponents >= order
         out = out.mul_one_minus(c, e)
         c = c * bc if bc != ONE else c
@@ -532,7 +682,7 @@ def poch_finite_inv(a: ParamValue, base: ParamValue, n: int, order: int) -> Laur
     c, e = a.coeff, a.exp
     bc, be = base.coeff, base.exp
     for _ in range(n):
-        if e > 0 and out.coeffs and e + out.valuation() >= order:
+        if e > 0 and not out.is_zero() and e + out.valuation() >= order:
             break
         out = out.div_one_minus(c, e)
         c = c * bc if bc != ONE else c
@@ -556,7 +706,7 @@ def poch_infinite(a: ParamValue, base: ParamValue, order: int) -> LaurentSeries:
     c, e = a.coeff, a.exp
     bc, be = base.coeff, base.exp
     while True:
-        if e > 0 and (not out.coeffs or e + out.valuation() >= order):
+        if e > 0 and (out.is_zero() or e + out.valuation() >= order):
             break
         out = out.mul_one_minus(c, e)
         c = c * bc if bc != ONE else c
@@ -575,7 +725,7 @@ def poch_infinite_inv(a: ParamValue, base: ParamValue, order: int) -> LaurentSer
     # Dividing by (1 - c*q^e) with e > 0 only changes coefficients at
     # exponents >= e + valuation; stop once e is out of range.
     while True:
-        if e > 0 and (not out.coeffs or e + out.valuation() >= order):
+        if e > 0 and (out.is_zero() or e + out.valuation() >= order):
             break
         out = out.div_one_minus(c, e)
         c = c * bc if bc != ONE else c

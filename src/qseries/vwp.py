@@ -37,7 +37,6 @@ the odd-base identities pass base explicitly.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 from .coeffring import ONE, CycRat
@@ -317,28 +316,24 @@ class ACoeffTable:
     """Memo table for A_{k,i} values, keyed by (k, i, parameter subsequence, order).
 
     The recursion re-evaluates lower rows at two different parameter lists,
-    so memoization is keyed by the actual subsequence.  Safe for concurrent
-    readers/writers (a lock guards insertion; values are immutable).
+    so memoization is keyed by the actual subsequence.  Each top-level
+    evaluation (``rhs_products``, ``f_consistency_rhs``, or a bare
+    ``a_coeff`` call) owns one table for its whole recursion and drops it on
+    return, so nothing accumulates across calls.
     """
 
     def __init__(self):
         self.entries: dict = {}
-        self._lock = threading.Lock()
 
     def get_or_compute(self, key, compute):
         hit = self.entries.get(key)
-        if hit is not None:
-            return hit
-        value = compute()
-        with self._lock:
-            return self.entries.setdefault(key, value)
-
-
-_A_TABLE = ACoeffTable()
+        if hit is None:
+            hit = self.entries[key] = compute()
+        return hit
 
 
 def a_coeff(k: int, i: int, params, order: int | None = None,
-            table: ACoeffTable = _A_TABLE) -> LaurentSeries:
+            table: ACoeffTable | None = None) -> LaurentSeries:
     """A_{k,i}(b_1,...,b_k) by the three-branch recursion.
 
         A_{1,1} = 1
@@ -355,6 +350,8 @@ def a_coeff(k: int, i: int, params, order: int | None = None,
         raise ValueError(f"a_coeff expects exactly k={k} parameters, got {len(params)}")
     if not 1 <= i <= k:
         raise ValueError(f"a_coeff index i={i} outside 1..{k}")
+    if table is None:
+        table = ACoeffTable()
 
     def compute():
         if k == 1:
@@ -407,13 +404,14 @@ def rhs_products(params, order: int, base: ParamValue = Q) -> LaurentSeries:
     params = as_params(params)
     k = len(params)
     work = order + 2 + 2 * sum(abs(p.exp) for p in params)
+    table = ACoeffTable()
     bk = params[-1]
     prefix = poch_infinite(_param_mul(base, bk), base, work) * poch_infinite(
         _param_mul(base, bk.inv()), base, work
     )
     total = LaurentSeries.zero(work)
     for i in range(1, k + 1):
-        term = a_coeff(k, i, params, work)
+        term = a_coeff(k, i, params, work, table)
         for j, p in enumerate(params, start=1):
             if j == i:
                 continue
@@ -577,10 +575,11 @@ def f_consistency_rhs(params, order: int, base: ParamValue = Q) -> LaurentSeries
     params = as_params(params)
     k = len(params)
     work = order + 2 + 2 * sum(abs(p.exp) for p in params)
+    table = ACoeffTable()
     euler = poch_infinite(base, base, work)
     total = LaurentSeries.zero(work)
     for i in range(1, k + 1):
-        total = total + a_coeff(k, i, params, work) * _poch_pair_inf_inv(
+        total = total + a_coeff(k, i, params, work, table) * _poch_pair_inf_inv(
             params[i - 1], base, work
         )
     return (euler * euler * total).require_order(order)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qseries.coeffring import CycRat, DivisionByZero, OMEGA, OMEGA_BAR, ONE, rat
+from qseries.coeffring import CycRat, DivisionByZero, OMEGA, OMEGA_BAR, ONE, RAT_ONE, rat
 from qseries.laurent import (
     InvalidBase,
     LaurentSeries,
@@ -19,10 +19,15 @@ from qseries.laurent import (
 
 ORDER = 30
 
-coeffs_st = st.builds(CycRat, st.integers(-9, 9), st.integers(-9, 9))
+rats_st = st.builds(rat, st.integers(-9, 9), st.integers(1, 6))
+coeffs_st = st.one_of(
+    st.builds(CycRat, st.integers(-9, 9), st.integers(-9, 9)),
+    st.builds(CycRat, rats_st, rats_st),  # non-integral: a common denominator
+)
 series_st = st.dictionaries(st.integers(-4, 8), coeffs_st, max_size=8).map(
     lambda d: LaurentSeries.from_terms(d, ORDER))
 nonzero_series_st = series_st.filter(lambda f: not f.is_zero())
+negative_valuation_st = nonzero_series_st.filter(lambda f: f.valuation() < 0)
 
 
 def same(f, g, order):
@@ -46,6 +51,7 @@ def test_from_terms_normalizes():
 def test_coeff_examples():
     f = LaurentSeries.from_terms({0: ONE, 1: CycRat(2)}, 10)
     assert f.coeff(1) == CycRat(2)
+    assert type(f.coeff(1).a) is type(RAT_ONE)  # the active backend's rationals
     assert mono(ONE, -1).coeff(-1) == ONE
     euler = poch_infinite(Q, Q, 20)
     assert euler.coeff(5) == ONE
@@ -146,6 +152,54 @@ def test_binomial_round_trip(f, e):
     assert same(f, g, 18)
 
 
+# -- reference loops written in CycRat arithmetic on coeff(), sharing no kernel code ------
+
+
+def _low(f):
+    return f.valuation() if not f.is_zero() else 0
+
+
+@given(series_st, series_st)
+def test_product_matches_convolution(f, g):
+    h = f * g
+    lo_f, lo_g = _low(f), _low(g)
+    for n in range(lo_f + lo_g, h.order):
+        want = CycRat(0)
+        for i in range(lo_f, n - lo_g + 1):
+            want = want + f.coeff(i) * g.coeff(n - i)
+        assert h.coeff(n) == want
+
+
+_BINOMIAL_CS = [CycRat(rat(1, 2)), ONE - OMEGA, CycRat(2) + OMEGA, OMEGA]
+
+
+@pytest.mark.parametrize("e", range(-2, 4))
+@pytest.mark.parametrize("c", _BINOMIAL_CS, ids=str)
+@settings(max_examples=25)
+@given(f=negative_valuation_st)
+def test_binomials_match_reference(f, c, e):
+    # f * (1 - c q^e): h(n) = f(n) - c f(n - e)
+    h = f.mul_one_minus(c, e)
+    assert h.order == f.order + min(e, 0)
+    lo = f.valuation() + min(e, 0)
+    for n in range(lo, h.order):
+        assert h.coeff(n) == f.coeff(n) - c * f.coeff(n - e)
+
+    # f / (1 - c q^e): g(n) - c g(n - e) = f(n), solved upward from the valuation
+    g = f.div_one_minus(c, e)
+    lead = max(0, -e)  # (1 - c q^e) has valuation min(e, 0)
+    assert g.order == f.order + lead
+    ref = {}
+    for n in range(f.valuation() + lead, g.order):
+        if e > 0:
+            ref[n] = f.coeff(n) + c * ref.get(n - e, CycRat(0))
+        elif e == 0:
+            ref[n] = f.coeff(n) / (ONE - c)
+        else:  # g(n) = (g(n + e) - f(n + e)) / c
+            ref[n] = (ref.get(n + e, CycRat(0)) - f.coeff(n + e)) / c
+        assert g.coeff(n) == ref[n]
+
+
 # -- Pochhammer constructors ---------------------------------------------------------------
 
 
@@ -175,11 +229,56 @@ def test_invalid_base():
         poch_infinite(Q, ParamValue(ONE, -2), 10)
 
 
+# -- closed-form oracles, generated from their formulas ---------------------------------
+
+
+def _closed_form(terms, order):
+    """{exponent: coefficient} of a sum of (coefficient, exponent) pairs below order."""
+    out = {}
+    for c, n in terms:
+        if n < order:
+            out[n] = out.get(n, CycRat(0)) + c
+    return out
+
+
+def _agrees(series, expected, order):
+    for n in range(order):
+        assert series.coeff(n) == expected.get(n, CycRat(0)), n
+
+
 def test_euler_pentagonal_prefix():
-    euler = poch_infinite(Q, Q, 20)
-    signs = {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1}
-    for n in range(20):
-        assert euler.coeff(n) == CycRat(signs.get(n, 0))
+    # (q;q)_inf = sum_k (-1)^k q^{k(3k-1)/2} over all integers k
+    order = 60
+    expected = _closed_form(
+        ((CycRat((-1) ** k), k * (3 * k + s) // 2) for k in range(order) for s in (-1, 1)
+         if k or s == -1), order)
+    _agrees(poch_infinite(Q, Q, order), expected, order)
+
+
+def test_jacobi_cube():
+    # (q;q)_inf^3 = sum_{n>=0} (-1)^n (2n+1) q^{n(n+1)/2}
+    order = 60
+    expected = _closed_form(
+        ((CycRat((-1) ** n * (2 * n + 1)), n * (n + 1) // 2) for n in range(order)), order)
+    euler = poch_infinite(Q, Q, order)
+    _agrees(euler * euler * euler, expected, order)
+
+
+@pytest.mark.parametrize("z", [CycRat(-1), OMEGA, -OMEGA], ids=str)
+def test_triple_product(z):
+    # (z, q/z, q; q)_inf = sum_{n in Z} (-1)^n z^n q^{n(n-1)/2}
+    order = 45
+    zinv = z.inverse()
+    terms = []
+    for n in range(-order, order + 1):
+        power = ONE
+        for _ in range(abs(n)):
+            power = power * (z if n > 0 else zinv)
+        terms.append((CycRat((-1) ** n) * power, n * (n - 1) // 2))
+    got = (poch_infinite(ParamValue(z, 0), Q, order)
+           * poch_infinite(ParamValue(zinv, 1), Q, order)
+           * poch_infinite(Q, Q, order))
+    _agrees(got, _closed_form(terms, order), order)
 
 
 def test_zero_factor_detection():

@@ -103,6 +103,16 @@ def test_a_coeff_rows_sum():
         assert entry.order is None  # exact constants for roots of unity
 
 
+def test_a_coeff_memo_is_per_call():
+    # each evaluation owns its A-coefficient table; none outlives the call
+    params = (P1, W, MW, M1)
+    for order in (10, 15, 20):
+        vwp.rhs_products(params, order)
+    vwp.f_consistency_rhs((M1, W), 10)
+    assert not [name for name, value in vars(vwp).items()
+                if isinstance(value, vwp.ACoeffTable)]
+
+
 # -- the k-parameter identity --------------------------------------------------------
 
 
