@@ -15,10 +15,17 @@ functions, the sum sides of catalog entries A1-a and A1-b, which
 ``gf_check_Aprime``/``gf_check_Adblprime`` verify against the enumeration,
 coefficient by coefficient.
 
-Everything here is brute force on purpose: the series engine gets checked
-against objects that can be listed by hand, not against itself.  Enumeration
-is capped at weight 30; the plain counting families (``count_series``) go to
-any order but self-validate against enumeration below weight 15.
+The counts come from listing, on purpose: the series engine gets checked
+against objects that can be listed by hand, not against itself, and the
+counting does no series arithmetic.  Components are still built one by one
+as validated ``Overpartition`` objects.  ``a_stats`` and the gf checks list
+each component class (the lambda1s, or the lambda2s, of one smallest part s
+and one weight) once per call, tally it by parity, and count the pairs of
+each weight by the product rule instead of building them;
+``enumerate_pairs_A`` still builds every pair and is the reference those
+counts are tested against.  Enumeration is capped at weight 30; the plain
+counting families (``count_series``) go to any order but self-validate
+against enumeration below weight 15.
 """
 
 from __future__ import annotations
@@ -180,6 +187,34 @@ def _mult3_below(total: int, s: int) -> Iterator[tuple[int, ...]]:
 # -- the A family ------------------------------------------------------------------------
 
 
+def _check_weight(caller: str, n: int) -> None:
+    if n < 1:
+        raise ValueError(f"{caller} needs n >= 1, got {n}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(
+            f"{caller}: enumeration is capped at n <= {ENUMERATION_CAP} (got {n});"
+            " use the series coefficients beyond that")
+
+
+def _firsts(s: int, w: int) -> list[Overpartition]:
+    """lambda1s in distinct parts of weight s + w whose smallest part s is overlined."""
+    return [Overpartition.of((s,) + o1, n1)
+            for j in range(w + 1)
+            for o1 in _distinct_parts(j, s + 1)
+            for n1 in _distinct_parts(w - j, s)]
+
+
+def _seconds(s: int, w: int) -> list[Overpartition]:
+    """lambda2s in distinct parts of weight w that may go with smallest part s.
+
+    Overlined parts exceed s; plain parts are multiples of 3 below 3s.
+    """
+    return [Overpartition.of(o2, n2)
+            for j in range(w + 1)
+            for o2 in _distinct_parts(j, s + 1)
+            for n2 in _mult3_below(w - j, s)]
+
+
 def enumerate_pairs_A(n: int) -> list[OverpartitionPair]:
     """All pairs of weight n counted by the A statistic, canonically sorted.
 
@@ -187,43 +222,62 @@ def enumerate_pairs_A(n: int) -> list[OverpartitionPair]:
     lambda1 is overlined; lambda2's overlined parts are > s and its plain
     parts are multiples of 3 below 3s.
     """
-    if n < 1:
-        raise ValueError(f"enumerate_pairs_A needs n >= 1, got {n}")
-    if n > ENUMERATION_CAP:
-        raise ValueError(
-            f"enumeration is capped at n <= {ENUMERATION_CAP} (got {n});"
-            " use the series coefficients beyond that")
+    _check_weight("enumerate_pairs_A", n)
     pairs: list[OverpartitionPair] = []
     for s in range(1, n + 1):
         for w1 in range(n - s + 1):
-            w2 = n - s - w1
-            firsts = []
-            for j in range(w1 + 1):
-                for o1 in _distinct_parts(j, s + 1):
-                    for n1 in _distinct_parts(w1 - j, s):
-                        firsts.append(Overpartition.of((s,) + o1, n1))
-            seconds = []
-            for j in range(w2 + 1):
-                for o2 in _distinct_parts(j, s + 1):
-                    for n2 in _mult3_below(w2 - j, s):
-                        seconds.append(Overpartition.of(o2, n2))
-            pairs.extend(OverpartitionPair(f, g) for f in firsts for g in seconds)
+            seconds = _seconds(s, n - s - w1)
+            pairs.extend(OverpartitionPair(f, g) for f in _firsts(s, w1) for g in seconds)
     pairs.sort(key=lambda p: (p.first.parts, p.second.parts))
     return pairs
 
 
+def _tally(components: list[Overpartition]) -> tuple[int, int, int]:
+    """(count, how many have an even number of plain parts, of all parts)."""
+    return (len(components),
+            sum(1 for c in components if c.n_plain % 2 == 0),
+            sum(1 for c in components if c.n_parts % 2 == 0))
+
+
+def _a_stats_upto(n: int) -> list[AStats]:
+    """``a_stats(m)`` for m = 1..n, listing each component class once.
+
+    A pair of weight m splits as s + w1 + w2 with lambda1 from ``_firsts(s, w1)``
+    and lambda2 from ``_seconds(s, w2)``, chosen independently, so each split
+    contributes the product of the two classes' counts, and a parity of the
+    pair is even when both components' parities agree.
+    """
+    firsts = {(s, w): _tally(_firsts(s, w))
+              for s in range(1, n + 1) for w in range(n - s + 1)}
+    seconds = {(s, w): _tally(_seconds(s, w))
+               for s in range(1, n + 1) for w in range(n - s + 1)}
+    out = []
+    for m in range(1, n + 1):
+        a = a0 = a2 = 0
+        for s in range(1, m + 1):
+            for w1 in range(m - s + 1):
+                c1, plain1, parts1 = firsts[s, w1]
+                c2, plain2, parts2 = seconds[s, m - s - w1]
+                a += c1 * c2
+                a0 += plain1 * plain2 + (c1 - plain1) * (c2 - plain2)
+                a2 += parts1 * parts2 + (c1 - parts1) * (c2 - parts2)
+        out.append(AStats(n=m, A=a, A0=a0, A1=a - a0, A2=a2, A3=a - a2,
+                          Aprime=2 * a0 - a, Adblprime=a - 2 * a2))
+    return out
+
+
 def a_stats(n: int) -> AStats:
-    """Parity-split counts over ``enumerate_pairs_A(n)``."""
-    pairs = enumerate_pairs_A(n)
-    a = len(pairs)
-    a0 = sum(1 for p in pairs if p.n_plain % 2 == 0)
-    a2 = sum(1 for p in pairs if p.n_parts % 2 == 0)
-    return AStats(n=n, A=a, A0=a0, A1=a - a0, A2=a2, A3=a - a2,
-                  Aprime=2 * a0 - a, Adblprime=a - 2 * a2)
+    """Parity-split counts of the pairs ``enumerate_pairs_A(n)`` lists.
+
+    Each component class is listed once and tallied by parity; pairs are
+    counted by the product rule rather than built.
+    """
+    _check_weight("a_stats", n)
+    return _a_stats_upto(n)[-1]
 
 
 def _gf_report(check_id: str, order: int, counted, identity: str) -> VerifyReport:
-    """Enumerated counts against registry entry ``identity``'s sum side below order."""
+    """Counts ``counted(AStats)`` against registry entry ``identity``'s sum side below order."""
     if order < 2:
         raise ValueError(f"{check_id} needs order >= 2, got {order}")
     if order - 1 > ENUMERATION_CAP:
@@ -233,7 +287,7 @@ def _gf_report(check_id: str, order: int, counted, identity: str) -> VerifyRepor
     start = time.perf_counter()
     series = registry()[identity].lhs(order)
     enum = LaurentSeries.from_terms(
-        {n: CycRat(counted(n)) for n in range(1, order)}, order)
+        {s.n: CycRat(counted(s)) for s in _a_stats_upto(order - 1)}, order)
     exp = enum.agrees_below(series, order)
     elapsed = time.perf_counter() - start
     if exp is None:
@@ -249,7 +303,7 @@ def gf_check_Aprime(order: int) -> VerifyReport:
     the sum side of catalog entry A1-a: overlined-part generators carry no
     sign, so it tracks the parity of the plain parts.
     """
-    return _gf_report("gen-Aprime", order, lambda n: a_stats(n).Aprime, "A1-a")
+    return _gf_report("gen-Aprime", order, lambda s: s.Aprime, "A1-a")
 
 
 def gf_check_Adblprime(order: int) -> VerifyReport:
@@ -259,7 +313,7 @@ def gf_check_Adblprime(order: int) -> VerifyReport:
     the sum side of catalog entry A1-b: every part alternates, so it tracks
     the parity of all parts.
     """
-    return _gf_report("gen-Adblprime", order, lambda n: a_stats(n).Adblprime, "A1-b")
+    return _gf_report("gen-Adblprime", order, lambda s: s.Adblprime, "A1-b")
 
 
 # -- plain counting families -------------------------------------------------------------

@@ -76,6 +76,13 @@ def test_enumerate_bounds():
         enumerate_pairs_A(ENUMERATION_CAP + 1)
 
 
+@pytest.mark.parametrize("func", [enumerate_pairs_A, a_stats])
+@pytest.mark.parametrize("n", [0, ENUMERATION_CAP + 1])
+def test_bounds_error_names_the_caller(func, n):
+    with pytest.raises(ValueError, match=rf"^{func.__name__}\b"):
+        func(n)
+
+
 def test_enumerate_n5_golden():
     golden = (DATA / "a5_pairs.txt").read_text().split()
     pairs = enumerate_pairs_A(5)
@@ -97,6 +104,16 @@ def test_stats_invariants(n):
     assert s.A2 + s.A3 == s.A
     assert s.Aprime == s.A0 - s.A1
     assert s.Adblprime == s.A3 - s.A2
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_a_stats_matches_enumeration(n):
+    # the listing stays the reference for the product-rule counts
+    pairs = enumerate_pairs_A(n)
+    s = a_stats(n)
+    assert s.A == len(pairs)
+    assert s.A0 == sum(1 for p in pairs if p.n_plain % 2 == 0)
+    assert s.A2 == sum(1 for p in pairs if p.n_parts % 2 == 0)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -121,13 +138,15 @@ def test_enumeration_satisfies_definition(n):
 # -- generating functions --------------------------------------------------------------
 
 
-def test_gf_check_Aprime():
-    report = gf_check_Aprime(15)
+@pytest.mark.parametrize("order", [15, ENUMERATION_CAP + 1])
+def test_gf_check_Aprime(order):
+    report = gf_check_Aprime(order)
     assert report.status == "equal"
 
 
-def test_gf_check_Adblprime():
-    report = gf_check_Adblprime(15)
+@pytest.mark.parametrize("order", [15, ENUMERATION_CAP + 1])
+def test_gf_check_Adblprime(order):
+    report = gf_check_Adblprime(order)
     assert report.status == "equal"
 
 
