@@ -33,14 +33,22 @@ min(order, order), but for genuine Laurent operands (negative offsets, which
 the identity right-hand sides here do produce) the naive min would silently
 trust coefficients that depend on truncated ones.
 
-The two binomial primitives do the heavy lifting for Pochhammer symbols:
+The binomials (1 - c*q^e) do the heavy lifting for Pochhammer symbols and
+chained sums, and one private kernel, ``_binomials``, is their only
+implementation.  It takes a raw state, the tuple (offset, a, b, den, order)
+of a series' fields, and applies a shift, a scalar and any number of
+multiplications and divisions by binomials whose c arrives already split
+into integers, normalizing once at the end:
 
-    mul_one_minus(c, e): multiply by (1 - c*q^e), one pass over the data;
-    div_one_minus(c, e): divide by it via the forward recurrence
-                         g[j] = f[j] + c*g[j-e], also linear time.
+    multiplying by (1 - c*q^e) is one pass over the data;
+    dividing by it is the forward recurrence g[j] = f[j] + c*g[j-e],
+    run entry by entry, also linear time.
 
-Building (a; q)_n or (a; q)_infinity this way costs O(n * order) instead of
-the O(order^2) of repeated general multiplication.
+``mul_one_minus`` and ``div_one_minus`` are one kernel call each.  The
+chained-sum driver in ``vwp`` splits every factor once per level and index
+and steps raw states through the kernel without building a series per
+factor.  Building (a; q)_n or (a; q)_infinity this way costs O(n * order)
+instead of the O(order^2) of repeated general multiplication.
 """
 
 from __future__ import annotations
@@ -203,30 +211,8 @@ class LaurentSeries:
 
     def _store(self, offset: int, a: list, b: list, den: int, order: int | None):
         """Normalize numerators ``a``, ``b`` over ``den`` into the invariant."""
-        if order is not None and order - offset < len(a):
-            keep = max(order - offset, 0)
-            a, b = a[:keep], b[:keep]
-        lo, hi = 0, len(a)
-        while lo < hi and not a[lo] and not b[lo]:
-            lo += 1
-        while hi > lo and not a[hi - 1] and not b[hi - 1]:
-            hi -= 1
-        if hi == lo:
-            offset, a, b, den = 0, [], [], 1
-        else:
-            if lo or hi < len(a):
-                offset, a, b = offset + lo, a[lo:hi], b[lo:hi]
-            if den != 1:
-                g = gcd(den, *a, *b)
-                if g != 1:
-                    den //= g
-                    a = [x // g for x in a]
-                    b = [y // g for y in b]
-        self.offset = offset
-        self._a = a
-        self._b = b
-        self._den = den
-        self.order = order
+        self.offset, self._a, self._b, self._den, self.order = _normal(
+            offset, a, b, den, order)
 
     # -- constructors ---------------------------------------------------------
 
@@ -376,40 +362,7 @@ class LaurentSeries:
 
     def mul_one_minus(self, c: CycRat, e: int) -> "LaurentSeries":
         """Multiply by the exact binomial (1 - c*q^e) in one pass."""
-        if not isinstance(c, CycRat):
-            c = CycRat(c)
-        if not c:
-            return self
-        if not self._a:
-            # the unknown tail from q^order on, times c*q^e, reaches q^(order+e)
-            if e < 0 and self.order is not None:
-                return _new(0, [], [], 1, self.order + e)
-            return self
-        if e == 0:
-            return self.scale(ONE - c)
-        ca, cb, cd = _split(c)
-        n = len(self._a)
-        # f - c*q^e*f over the denominator den*cd
-        fa, fb = _scaled(cd, self._a), _scaled(cd, self._b)
-        if e > 0:
-            size = n + e
-            if self.order is not None:
-                size = min(size, self.order - self.offset)
-            k = size - e  # entries of c*q^e*f below the order
-            a = fa + [0] * (size - n)
-            b = fb + [0] * (size - n)
-            if k > 0:
-                ta, tb = _times(ca, cb, self._a[:k], self._b[:k])
-                a[e:] = [s - t for s, t in zip(a[e:], ta)]
-                b[e:] = [s - t for s, t in zip(b[e:], tb)]
-            return _new(self.offset, a, b, self._den * cd, self.order)
-        ta, tb = _times(ca, cb, self._a, self._b)
-        a = [0] * (-e) + fa
-        b = [0] * (-e) + fb
-        a[:n] = [s - t for s, t in zip(a, ta)]
-        b[:n] = [s - t for s, t in zip(b, tb)]
-        order = None if self.order is None else self.order + e
-        return _new(self.offset + e, a, b, self._den * cd, order)
+        return _new(*_binomials(_raw(self), muls=((*_split(c), e),)))
 
     def div_one_minus(self, c: CycRat, e: int, order: int | None = None) -> "LaurentSeries":
         """Divide by (1 - c*q^e) via the forward recurrence g[j] = f[j] + c*g[j-e].
@@ -418,51 +371,8 @@ class LaurentSeries:
         e <= -1 we first factor (1 - c*q^e) = (-c*q^e) * (1 - c^{-1} q^{-e}).
         The result needs a finite order: pass one, or the receiver must
         already carry one.
-
-        The recurrence runs a block of e entries at a time, each block from
-        the one before.  With c = (ca + cb*w)/cd, the numerator of block k is
-        kept scaled by cd^k, so every step stays in Z[w].
         """
-        if not isinstance(c, CycRat):
-            c = CycRat(c)
-        if e == 0:
-            unit = ONE - c
-            if not unit:
-                raise DivisionByZero("division by the zero binomial (1 - 1)")
-            return self.scale(unit.inverse())
-        if not c:
-            return self
-        if e < 0:
-            cinv = c.inverse()
-            return (self.scale(-cinv).shift(-e)).div_one_minus(cinv, -e, order)
-        my_order = _norm_order(self.order)
-        target = min(my_order, _norm_order(order))
-        if target == _INF:
-            raise OrderExceeded(
-                "dividing by (1 - c*q^e) yields an infinite series; a finite order is required"
-            )
-        target = int(target)
-        length = target - self.offset
-        if not self._a or length <= 0:
-            return _new(0, [], [], 1, target)
-        ca, cb, cd = _split(c)
-        pad = [0] * (length - len(self._a))
-        a = self._a[:length] + pad
-        b = self._b[:length] + pad
-        top = (length - 1) // e  # index of the last block
-        for k in range(1, top + 1):
-            i, j = k * e, k * e + e
-            ta, tb = _times(ca, cb, a[i - e:i], b[i - e:i])
-            p = cd ** k
-            a[i:j] = [p * s + t for s, t in zip(a[i:j], ta)]
-            b[i:j] = [p * s + t for s, t in zip(b[i:j], tb)]
-        if cd != 1:
-            for k in range(top):
-                i, j = k * e, k * e + e
-                p = cd ** (top - k)
-                a[i:j] = [p * s for s in a[i:j]]
-                b[i:j] = [p * s for s in b[i:j]]
-        return _new(self.offset, a, b, self._den * cd ** top, target)
+        return _new(*_binomials(_raw(self), divs=((*_split(c), e),), cap=order))
 
     def inverse(self, order: int | None = None) -> "LaurentSeries":
         """Multiplicative inverse by forward substitution.
@@ -584,6 +494,160 @@ def _new(offset: int, a: list, b: list, den: int, order: int | None) -> LaurentS
     s = object.__new__(LaurentSeries)
     s._store(offset, a, b, den, order)
     return s
+
+
+# -- the binomial kernel ------------------------------------------------------------------
+#
+# A raw state (offset, a, b, den, order) is a series' fields as a plain tuple.
+# Chained sums step and add raw states without building a LaurentSeries for
+# every factor; the public binomial methods are one kernel call each.
+
+
+def _raw(s: LaurentSeries) -> tuple:
+    """The raw state of a series (its lists are shared, and never mutated)."""
+    return s.offset, s._a, s._b, s._den, s.order
+
+
+def _normal(offset: int, a: list, b: list, den: int, order: int | None) -> tuple:
+    """A raw state in the series invariant: truncated, trimmed, reduced."""
+    if order is not None and order - offset < len(a):
+        keep = max(order - offset, 0)
+        a, b = a[:keep], b[:keep]
+    lo, hi = 0, len(a)
+    while lo < hi and not a[lo] and not b[lo]:
+        lo += 1
+    while hi > lo and not a[hi - 1] and not b[hi - 1]:
+        hi -= 1
+    if hi == lo:
+        return 0, [], [], 1, order
+    if lo or hi < len(a):
+        offset, a, b = offset + lo, a[lo:hi], b[lo:hi]
+    if den != 1:
+        g = gcd(den, *a, *b)
+        if g != 1:
+            den //= g
+            a = [x // g for x in a]
+            b = [y // g for y in b]
+    return offset, a, b, den, order
+
+
+def _binomials(state: tuple, muls=(), divs=(), cap: int | None = None,
+               shift: int = 0, unit: tuple | None = None) -> tuple:
+    """The raw state q^shift * unit * state * prod_muls (1 - c q^e) / prod_divs (1 - c q^e).
+
+    Every factor comes split as (ca, cb, cd, e) with c = (ca + cb*w)/cd, and
+    ``unit``, when given, as (ua, ub, ud).  The factors apply in turn, the
+    multiplications first; a factor with c = 0 is 1.  The numerators stay
+    over one growing denominator, and the result is normalized once.
+
+    Multiplying by (1 - c q^e) with e > 0 truncates at the order; with e < 0
+    it lowers the valuation and the order by -e; with e = 0 it scales by
+    1 - c.  Dividing by it with e = 0 scales by 1/(1 - c), DivisionByZero
+    when c = 1.  Otherwise the quotient is trusted below the lower of the
+    order and ``cap``, and OrderExceeded is raised when both are None.  With
+    e > 0 the recurrence g[j] = f[j] + c*g[j-e] runs entry by entry; with
+    G_j = den * cd^(j // e) * g_j every step stays in Z[w]:
+
+        G_j = cd^(j // e) * F_j + (ca + cb*w) * G_{j-e}.
+
+    With e < 0 it first factors (1 - c q^e) = (-c q^e) * (1 - c^{-1} q^{-e}),
+    which raises the valuation and the order by -e before the cap applies.
+    """
+    offset, a, b, den, order = state
+    if shift:
+        offset += shift
+        if order is not None:
+            order += shift
+    if unit is not None:
+        ua, ub, ud = unit
+        a, b = _times(ua, ub, a, b) if ua or ub else ([], [])
+        den *= ud
+    for ca, cb, cd, e in muls:
+        if not ca and not cb:
+            continue
+        if e == 0:  # the scalar (1 - c) = (cd - ca - cb*w) / cd
+            ua, ub = cd - ca, -cb
+            a, b = _times(ua, ub, a, b) if ua or ub else ([], [])
+            den *= cd
+            continue
+        if e < 0 and order is not None:
+            order += e  # the unknown tail times c*q^e reaches q^(order+e)
+        if not a:
+            continue
+        n = len(a)
+        fa, fb = _scaled(cd, a), _scaled(cd, b)  # f - c*q^e*f over den*cd
+        if e > 0:
+            size = n + e
+            if order is not None:
+                size = min(size, order - offset)
+            k = size - e  # entries of c*q^e*f below the order
+            na, nb = fa + [0] * (size - n), fb + [0] * (size - n)
+            if k > 0:
+                ta, tb = _times(ca, cb, a[:k], b[:k])
+                na[e:] = [s - t for s, t in zip(na[e:], ta)]
+                nb[e:] = [s - t for s, t in zip(nb[e:], tb)]
+        else:
+            ta, tb = _times(ca, cb, a, b)
+            na, nb = [0] * (-e) + fa, [0] * (-e) + fb
+            na[:n] = [s - t for s, t in zip(na, ta)]
+            nb[:n] = [s - t for s, t in zip(nb, tb)]
+            offset += e
+            if order is not None and order - offset < len(na):
+                na, nb = na[:order - offset], nb[:order - offset]
+        a, b = na, nb
+        den *= cd
+    for ca, cb, cd, e in divs:
+        if e == 0:  # the scalar cd / (x + y*w) = cd * (x - y - y*w) / norm
+            x, y = cd - ca, -cb
+            if not x and not y:
+                raise DivisionByZero("division by the zero binomial (1 - 1)")
+            a, b = _times(cd * (x - y), -cd * y, a, b)
+            den *= x * x - x * y + y * y
+            continue
+        if not ca and not cb:
+            continue
+        if e < 0:
+            # multiply by -1/c = -cd * (ca - cb - cb*w) / norm(c), then step by 1/c
+            norm = ca * ca - ca * cb + cb * cb
+            ca, cb, cd, e = cd * (ca - cb), -cd * cb, norm, -e
+            a, b = _times(-ca, -cb, a, b)
+            den *= cd
+            offset += e
+            if order is not None:
+                order += e
+        if order is None or (cap is not None and cap < order):
+            order = cap
+        if order is None:
+            raise OrderExceeded(
+                "dividing by (1 - c*q^e) yields an infinite series; a finite order is required"
+            )
+        length = order - offset
+        if not a or length <= 0:
+            a, b = [], []
+            continue
+        pad = [0] * (length - len(a))
+        a, b = a[:length] + pad, b[:length] + pad
+        cab = ca - cb
+        if cd == 1 and not cb:
+            for j in range(e, length):
+                a[j] += ca * a[j - e]
+                b[j] += ca * b[j - e]
+        elif cd == 1:
+            for j in range(e, length):
+                x, y = a[j - e], b[j - e]
+                a[j] += ca * x - cb * y
+                b[j] += cb * x + cab * y
+        else:
+            top = (length - 1) // e
+            powers = [cd ** k for k in range(top + 1)]
+            for j in range(e, length):
+                x, y, p = a[j - e], b[j - e], powers[j // e]
+                a[j] = p * a[j] + ca * x - cb * y
+                b[j] = p * b[j] + cb * x + cab * y
+            a = [powers[top - j // e] * x for j, x in enumerate(a)]
+            b = [powers[top - j // e] * y for j, y in enumerate(b)]
+            den *= powers[top]
+    return _normal(offset, a, b, den, order)
 
 
 def _product_order(f: LaurentSeries, g: LaurentSeries):

@@ -22,13 +22,17 @@ sum side of the well-poised 3-psi-3 evaluation.
 Every chained sum -- the multisum, the corollary single and double sums, the
 diagonal sum, and the catalog's sum sides -- runs through one driver,
 ``_chain_sum``: a first term times one term ratio per summation level, each
-ratio a weight and lists of numerator and denominator binomials.  Sums are
-truncated by an exact lower bound on term valuations: the weights minus the
-finite total of negative exponents that numerator factors can contribute, and
-enumeration stops once that bound reaches the working order.  Internally the
-engines run at order + slack so the transient negative-exponent factors never
-eat into the trusted range; the result is re-truncated to the requested order
-at the end.
+ratio a weight and lists of numerator and denominator binomials.  The driver
+splits each level's weight and binomials once per index, steps every term
+through the laurent binomial kernel as a raw integer state, and adds the
+terms into one pair of integer lists.
+
+Sums are truncated by an exact lower bound on term valuations: the weights
+minus the finite total of negative exponents that numerator factors can
+contribute, and enumeration stops once that bound reaches the working order.
+Internally the engines run at order + slack so the transient
+negative-exponent factors never eat into the trusted range; the result is
+re-truncated to the requested order at the end.
 
 All engines take the base q by default; the q -> q^2 substitutions used for
 the odd-base identities pass base explicitly.
@@ -45,7 +49,11 @@ from .laurent import (
     ParamValue,
     Q,
     ZeroFactor,
+    _binomials,
     _check_base,
+    _new,
+    _raw,
+    _split,
     _zero_factor_index,
     poch_infinite,
     poch_infinite_inv,
@@ -76,7 +84,12 @@ def _param_mul(a: ParamValue, b: ParamValue) -> ParamValue:
 
 
 def _negative_weight(p: ParamValue, base: ParamValue) -> int:
-    """Total of negative exponents over the factor family (1 - p*base^m), m >= 0."""
+    """Total of negative exponents over the factor family (1 - p*base^m), m >= 0.
+
+    InvalidBase when base has no positive q-power: the family never leaves
+    the negative exponents then.
+    """
+    _check_base(base)
     slack = 0
     e = p.exp
     while e < 0:
@@ -210,14 +223,19 @@ def _first_zero(factors) -> float:
     return min((h for h in hits if h is not None), default=math.inf)
 
 
-def _ratio(level: Level, m: int, t: LaurentSeries) -> LaurentSeries:
-    """Multiply t by R(m+1)/R(m) of ``level``."""
-    t = _apply_base_power(t, level.weight, 1)
-    for p, step in level.num:
-        t = t.mul_one_minus(*p.scaled(step, m))
-    for p, step in level.den:
-        t = t.div_one_minus(*p.scaled(step, m))
-    return t
+def _split_steps(level: Level):
+    """Yield level's numerator and denominator factors at M = 0, 1, ..., split
+    for the binomial kernel as tuples of (ca, cb, cd, e)."""
+    factors = level.num + level.den
+    cs = [p.coeff for p, _ in factors]
+    es = [p.exp for p, _ in factors]
+    steps = [(None if step.coeff == ONE else step.coeff, step.exp) for _, step in factors]
+    k = len(level.num)
+    while True:
+        split = tuple((*_split(c), e) for c, e in zip(cs, es))
+        yield split[:k], split[k:]
+        cs = [c if sc is None else c * sc for c, (sc, _) in zip(cs, steps)]
+        es = [e + se for e, (_, se) in zip(es, steps)]
 
 
 def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
@@ -233,9 +251,16 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
     level after the term at m; a denominator factor that vanishes raises
     ZeroFactor.  Both are checked at every index a level steps through, also
     once a deeper level has vanished.
+
+    Terms are raw states of the laurent binomial kernel: each index step is
+    one kernel call on the level's weight and factors, split once per level
+    and index in this call, and every term is added into one pair of integer
+    lists that runs from the a-priori floor up to the working order.
     """
     for lv in levels:
         _check_base(lv.weight)  # a weight without a positive q-power never stops
+        for _, step in lv.num + lv.den:
+            _check_base(step)
     slack = _term_slack(first) + sum(
         _negative_weight(p, step) for lv in levels for p, step in lv.num)
     work = order + slack
@@ -246,12 +271,34 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
     rest = [sum(lv.weight.exp for lv in levels[j:]) for j in range(len(levels))]
     ends = [_first_zero(lv.num) for lv in levels]
     breaks = [_first_zero(lv.den) for lv in levels]
-    total = LaurentSeries.zero(work)
+    units = [None if lv.weight.coeff == ONE else _split(lv.weight.coeff) for lv in levels]
+    steps = [_split_steps(lv) for lv in levels]
+    splits = [[] for _ in levels]  # splits[j][m]: level j's factors at index m
+    size = work - floor
+    total_a, total_b = [0] * size, [0] * size
+    total_den, total_order = 1, work
+
+    def add(t):
+        nonlocal total_a, total_b, total_den, total_order
+        offset, a, b, den, t_order = t
+        if t_order is not None and t_order < total_order:
+            total_order = t_order
+        i = offset - floor
+        if not a or i >= size:
+            return
+        g = math.gcd(total_den, den)
+        if g != den:  # bring the total over a multiple of den
+            s = den // g
+            total_a = [s * x for x in total_a]
+            total_b = [s * y for y in total_b]
+            total_den *= s
+        s, j = total_den // den, min(i + len(a), size)
+        total_a[i:j] = [x + s * u for x, u in zip(total_a[i:j], a)]
+        total_b[i:j] = [y + s * v for y, v in zip(total_b[i:j], b)]
 
     def descend(j: int, m: int, acc: int, t):
         # t: the term with levels j.. at index m, or None once it vanished;
         # returns the term with levels j.. one index on (None if vanished)
-        nonlocal total
         lv = levels[j]
         first_index, carry = m, None
         while floor + acc + rest[j] * m < order:
@@ -260,20 +307,25 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
                 if j + 1 < len(levels):
                     nxt = descend(j + 1, m, acc + lv.weight.exp * m, t)
                 else:
-                    total = total + t
+                    add(t)
             if m >= ends[j]:
                 break
             if m >= breaks[j]:
                 raise ZeroFactor(
                     f"chained sum: a denominator factor of level {j + 1} vanishes at index {m}")
-            t = None if nxt is None else _ratio(lv, m, nxt)
+            t = None
+            if nxt is not None:
+                while len(splits[j]) <= m:
+                    splits[j].append(next(steps[j]))
+                muls, divs = splits[j][m]
+                t = _binomials(nxt, muls, divs, shift=lv.weight.exp, unit=units[j])
             if m == first_index:
                 carry = t
             m += 1
         return carry
 
-    descend(0, 0, 0, start)
-    return total.require_order(order)
+    descend(0, 0, 0, _raw(start))
+    return _new(floor, total_a, total_b, total_den, total_order).require_order(order)
 
 
 def _vwp_level(nums, dens, base: ParamValue, weight: ParamValue | None = None) -> Level:

@@ -11,6 +11,10 @@ from qseries.laurent import (
     ParamValue,
     Q,
     ZeroFactor,
+    _binomials,
+    _new,
+    _raw,
+    _split,
     poch_finite,
     poch_finite_inv,
     poch_infinite,
@@ -198,6 +202,53 @@ def test_binomials_match_reference(f, c, e):
         else:  # g(n) = (g(n + e) - f(n + e)) / c
             ref[n] = (ref.get(n + e, CycRat(0)) - f.coeff(n + e)) / c
         assert g.coeff(n) == ref[n]
+
+    # order= caps the trusted range of a genuine division; a scalar one ignores it
+    cap = g.order - 3
+    assert f.div_one_minus(c, e, cap) == (g.truncate(cap) if e else g)
+
+
+# -- one kernel call against the public binomials applied one factor at a time -----------
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ArithmeticError, OrderExceeded) as exc:  # DivisionByZero, OrderExceeded
+        return type(exc)
+
+
+binomial_st = st.tuples(st.sampled_from(_BINOMIAL_CS + [ONE]), st.integers(-2, 3))
+operand_st = st.one_of(
+    negative_valuation_st,
+    st.dictionaries(st.integers(-4, 8), coeffs_st, max_size=6).map(
+        LaurentSeries.from_terms),  # exact: a division needs the cap
+    st.sampled_from([LaurentSeries.zero(ORDER), LaurentSeries.zero()]),
+)
+
+
+@settings(max_examples=300)
+@given(f=operand_st, shift=st.integers(-3, 3), unit=st.none() | coeffs_st,
+       muls=st.lists(binomial_st, max_size=3), divs=st.lists(binomial_st, max_size=3),
+       cap=st.none() | st.integers(-6, ORDER + 6))
+def test_kernel_matches_one_factor_at_a_time(f, shift, unit, muls, divs, cap):
+    # one kernel call with mixed factors == the public methods applied in turn
+    def one_by_one():
+        g = f.shift(shift)
+        if unit is not None:
+            g = g.scale(unit)
+        for c, e in muls:
+            g = g.mul_one_minus(c, e)
+        for c, e in divs:
+            g = g.div_one_minus(c, e, cap)
+        return g
+
+    def kernel():
+        return _new(*_binomials(
+            _raw(f), [(*_split(c), e) for c, e in muls], [(*_split(c), e) for c, e in divs],
+            cap, shift, None if unit is None else _split(unit)))
+
+    assert _outcome(kernel) == _outcome(one_by_one)
 
 
 # -- Pochhammer constructors ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Very-well-poised multisum machinery: helpers, identity, bilateral forms."""
 
 import itertools
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from qseries.laurent import (
     ParamValue,
     Q,
     ZeroFactor,
+    poch_finite,
     poch_infinite,
     poch_infinite_inv,
 )
@@ -164,6 +166,32 @@ def test_multisum_rejects_flat_base():
         vwp.lhs_multisum((M1, W), 10, ParamValue(ONE, 0))
 
 
+def _within(seconds, build):
+    """build() under a wall-clock limit: TimeoutError instead of a hang."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return build()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_non_positive_factor_steps_are_rejected():
+    # a factor family (1 - p*step^M) with a flat step never leaves the
+    # negative exponents, so its slack would never be summed up
+    qinv, flat = ParamValue(ONE, -1), ParamValue(ONE, 0)
+    with pytest.raises(InvalidBase):
+        _within(5, lambda: vwp._chain_sum([vwp.Level(Q, ((qinv, flat),), ())], 10))
+    with pytest.raises(InvalidBase):
+        _within(5, lambda: vwp._product_sum((vwp.Term(pochs=((1, -1, 0, 1),)),), 10))
+    with pytest.raises(InvalidBase):  # a denominator step is checked too
+        _within(5, lambda: vwp._chain_sum([vwp.Level(Q, (), ((qinv, flat),))], 10))
+
+
 _DEGENERATE_POOL = [P1, M1, W, Q, ParamValue(ONE, -1)]
 
 
@@ -190,6 +218,65 @@ def test_multisum_matches_plain_sums():
                 vwp.vwp_single_sum(W, M1, 25), 25)
     assert same(vwp.lhs_multisum((M1, W, MW), 25),
                 vwp.vwp_double_sum(W, MW, M1, W, 25), 25)
+
+
+# -- chained sums against a term-by-term reference that shares no driver code -------------
+
+_HALF = ParamValue(CycRat(rat(1, 2)))
+# (numerator parameters, denominator parameters) of one level's Pochhammer quotient
+_LEVEL_CASES = {
+    "rational": ((_HALF,), (ParamValue(CycRat(rat(-1, 3)), 1),)),
+    "root-of-unity": ((W, M1), (ParamValue(OMEGA_BAR, 1), MQ)),
+    "q-power": ((ParamValue(CycRat(2), -1), Q), (Q2,)),
+}
+_BASES = {"q": Q, "q^2": Q2, "wq": ParamValue(OMEGA, 1)}
+
+
+def _level(case, base, weight):
+    nums, dens = _LEVEL_CASES[case]
+    return vwp.Level(weight, tuple((p, base) for p in nums), tuple((p, base) for p in dens))
+
+
+def _power(c, m):
+    out = ONE
+    for _ in range(m):
+        out = out * c
+    return out
+
+
+def _term_by_term(levels, order):
+    """sum over 0 <= M_1 <= ... <= M_L of prod_j weight_j^M_j (num; step)_M_j / (den; step)_M_j,
+    from poch_finite, products and inverse, with each M_j below order + 6."""
+    work = order + 6
+    total = LaurentSeries.zero(order)
+    for ms in itertools.combinations_with_replacement(range(work), len(levels)):
+        term = LaurentSeries.one()
+        for lv, m in zip(levels, ms):
+            den = LaurentSeries.one()
+            for p, step in lv.den:
+                den = den * poch_finite(p, step, m)
+            term = term * LaurentSeries.monomial(_power(lv.weight.coeff, m), lv.weight.exp * m)
+            for p, step in lv.num:
+                term = term * poch_finite(p, step, m)
+            term = term * den.inverse(work)
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("base", _BASES.values(), ids=_BASES.keys())
+@pytest.mark.parametrize("case", _LEVEL_CASES)
+def test_single_chain_sum_matches_term_by_term(case, base):
+    levels = [_level(case, base, base)]
+    assert same(vwp._chain_sum(levels, 10), _term_by_term(levels, 10), 10)
+
+
+@pytest.mark.parametrize("base", _BASES.values(), ids=_BASES.keys())
+@pytest.mark.parametrize("outer,inner", [
+    ("rational", "root-of-unity"), ("root-of-unity", "q-power"), ("q-power", "rational"),
+])
+def test_double_chain_sum_matches_term_by_term(outer, inner, base):
+    levels = [_level(outer, base, vwp._param_mul(base, base)), _level(inner, base, base)]
+    assert same(vwp._chain_sum(levels, 8), _term_by_term(levels, 8), 8)
 
 
 # -- corollaries ----------------------------------------------------------------------
