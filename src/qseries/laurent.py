@@ -101,19 +101,6 @@ class ParamValue:
         """The reciprocal parameter 1/(c*q^e) = c^{-1} * q^{-e}."""
         return ParamValue(self.coeff.inverse(), -self.exp)
 
-    def scaled(self, base: "ParamValue", j: int) -> tuple[CycRat, int]:
-        """Coefficient and exponent of self * base^j (as a plain pair)."""
-        c = self.coeff
-        bc = base.coeff
-        if bc != ONE:
-            step = bc if j >= 0 else bc.inverse()
-            for _ in range(abs(j)):
-                c = c * step
-        return c, self.exp + j * base.exp
-
-    def is_one(self) -> bool:
-        return self.exp == 0 and self.coeff == ONE
-
     def __str__(self):
         if self.exp == 0:
             return str(self.coeff)
@@ -691,7 +678,12 @@ def _zero_factor_index(a: ParamValue, base: ParamValue) -> int | None:
 
 
 def _negative_slack(a: ParamValue, base: ParamValue, n: int | None = None) -> int:
-    """Total downward order shift from factors (1 - c*q^e) with e < 0."""
+    """Total of the negative exponents over the factors (1 - a*base^j), 0 <= j < n.
+
+    All j >= 0 when n is None.  InvalidBase when base has no positive q-power:
+    the family never leaves the negative exponents then.
+    """
+    _check_base(base)
     slack = 0
     e = a.exp
     j = 0

@@ -19,10 +19,12 @@ This module evaluates both sides exactly at specialized monomial parameters
 the bilateral companion series F_k, its finite-N truncation L_{k,N}, and the
 sum side of the well-poised 3-psi-3 evaluation.
 
-Every chained sum -- the multisum, the corollary single and double sums, the
-diagonal sum, and the catalog's sum sides -- runs through one driver,
-``_chain_sum``: a first term times one term ratio per summation level, each
-ratio a weight and lists of numerator and denominator binomials.  The driver
+Every sum -- the multisum, the corollary single and double sums, the
+diagonal sum, the catalog's sum sides, F_k, L_{k,N} and the 3-psi-3 -- runs
+through one driver, ``_chain_sum``: a first term times one term ratio per
+summation level, each ratio a weight that may grow geometrically with the
+index and lists of numerator and denominator binomials.  The bilateral sums
+fold their mirrored tails, t(-n) = base^n t(n), into one level.  The driver
 splits each level's weight and binomials once per index, steps every term
 through the laurent binomial kernel as a raw integer state, and adds the
 terms into one pair of integer lists.
@@ -41,16 +43,18 @@ the odd-base identities pass base explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .coeffring import ONE, CycRat
 from .laurent import (
+    InvalidBase,
     LaurentSeries,
     ParamValue,
     Q,
     ZeroFactor,
     _binomials,
     _check_base,
+    _negative_slack,
     _new,
     _raw,
     _split,
@@ -83,61 +87,9 @@ def _param_mul(a: ParamValue, b: ParamValue) -> ParamValue:
     return ParamValue(a.coeff * b.coeff, a.exp + b.exp)
 
 
-def _negative_weight(p: ParamValue, base: ParamValue) -> int:
-    """Total of negative exponents over the factor family (1 - p*base^m), m >= 0.
-
-    InvalidBase when base has no positive q-power: the family never leaves
-    the negative exponents then.
-    """
-    _check_base(base)
-    slack = 0
-    e = p.exp
-    while e < 0:
-        slack -= e
-        e += base.exp
-    return slack
-
-
-def _numerator_slack(params, base: ParamValue) -> int:
-    """Downward valuation shift available to numerator Pochhammers of params."""
-    return sum(
-        _negative_weight(p, base) + _negative_weight(p.inv(), base) for p in params
-    )
-
-
-def _apply_base_power(s: LaurentSeries, base: ParamValue, m: int) -> LaurentSeries:
-    """Multiply by base^m for a monomial base c*q^e."""
-    if m == 0:
-        return s
-    out = s.shift(base.exp * m)
-    if base.coeff != ONE:
-        c = base.coeff
-        acc = c
-        for _ in range(m - 1):
-            acc = acc * c
-        out = out.scale(acc)
-    return out
-
-
-def _pair_mul(s: LaurentSeries, p: ParamValue, base: ParamValue, m: int):
-    """Multiply by (1 - p*base^m)(1 - base^m/p); None when a factor vanishes."""
-    for q in (p, p.inv()):
-        c, e = q.scaled(base, m)
-        if c == ONE and e == 0:
-            return None
-        s = s.mul_one_minus(c, e)
-    return s
-
-
-def _pair_div(s: LaurentSeries, p: ParamValue, base: ParamValue, m: int,
-              what: str) -> LaurentSeries:
-    """Divide by (1 - p*base^m)(1 - base^m/p); ZeroFactor when one vanishes."""
-    for q in (p, p.inv()):
-        c, e = q.scaled(base, m)
-        if c == ONE and e == 0:
-            raise ZeroFactor(f"{what}: factor (1 - {q}*{base}^{m}) is zero")
-        s = s.div_one_minus(c, e)
-    return s
+def _param_pow(p: ParamValue, n: int) -> ParamValue:
+    """p^n for n >= 0."""
+    return ParamValue(math.prod([p.coeff] * n, start=ONE), n * p.exp)
 
 
 def _one_minus_pairs(params) -> LaurentSeries:
@@ -172,20 +124,24 @@ class Term:
 class Level:
     """One summation index M of a chained sum, given by its term ratio
 
-        R(M+1)/R(M) = weight * prod_num (1 - p*step^M) / prod_den (1 - p*step^M),
+        R(M+1)/R(M) = weight * growth^M * prod_num (1 - p*step^M) / prod_den (1 - p*step^M),
 
-    with every binomial written as a pair (p, step) of monomials.
+    with every binomial written as a pair (p, step) of monomials.  The weight
+    grows geometrically by ``growth``, q^0 by default (a constant weight); its
+    q-power must not be negative, so the ratios up to index M carry at least
+    q^(weight.exp*M + growth.exp*M(M-1)/2).
     """
 
     weight: ParamValue
     num: tuple
     den: tuple
+    growth: ParamValue = ParamValue(ONE)
 
 
 def _term_slack(t: Term) -> int:
     """Order a Term loses below its working order: its negative q-powers."""
     dips = [-e for _, e in t.muls if e < 0]
-    dips += [k * _negative_weight(ParamValue(c, e), ParamValue(ONE, s))
+    dips += [k * _negative_slack(ParamValue(c, e), ParamValue(ONE, s))
              for c, e, s, k in t.pochs if k > 0]
     return max(0, -t.shift) + sum(dips)
 
@@ -224,56 +180,65 @@ def _first_zero(factors) -> float:
 
 
 def _split_steps(level: Level):
-    """Yield level's numerator and denominator factors at M = 0, 1, ..., split
-    for the binomial kernel as tuples of (ca, cb, cd, e)."""
-    factors = level.num + level.den
-    cs = [p.coeff for p, _ in factors]
-    es = [p.exp for p, _ in factors]
-    steps = [(None if step.coeff == ONE else step.coeff, step.exp) for _, step in factors]
-    k = len(level.num)
+    """Yield level's ratio at M = 0, 1, ..., split for the binomial kernel: the
+    weight as a unit (ua, ub, ud), None for 1, and a shift, and the numerator
+    and denominator factors as tuples of (ca, cb, cd, e).  A coefficient is
+    split again only when its step changes it."""
+    pairs = ((level.weight, level.growth),) + level.num + level.den
+    cs = [p.coeff for p, _ in pairs]
+    es = [p.exp for p, _ in pairs]
+    steps = [(None if step.coeff == ONE else step.coeff, step.exp) for _, step in pairs]
+    parts = [_split(c) for c in cs]
+    k = len(level.num) + 1
     while True:
-        split = tuple((*_split(c), e) for c, e in zip(cs, es))
-        yield split[:k], split[k:]
+        split = [(*part, e) for part, e in zip(parts, es)]
+        unit = None if parts[0] == (1, 0, 1) else parts[0]
+        yield unit, es[0], tuple(split[1:k]), tuple(split[k:])
         cs = [c if sc is None else c * sc for c, (sc, _) in zip(cs, steps)]
         es = [e + se for e, (_, se) in zip(es, steps)]
+        parts = [part if sc is None else _split(c) for part, c, (sc, _) in zip(parts, cs, steps)]
 
 
 def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
     """sum over 0 <= M_1 <= ... <= M_L of first * prod_j R_j(M_j), R_j(0) = 1.
 
-    A term's valuation is at least first.shift + sum_j weight_j * M_j minus
-    the slack, the negative exponents that numerator factors (those of the
-    first term included) can contribute; a subtree is summed while that bound
-    is below ``order``.  Level j at index m holds its term with every deeper
-    level at m too, which is the first term of the next level's run, and that
-    run hands back its term one index on, so each index step costs one
-    level's binomials.  A numerator factor that vanishes at index m ends its
+    A term's valuation is at least first.shift plus, for every level j, its
+    weight_j * M_j + growth_j * M_j(M_j - 1)/2 (q-powers), minus the slack,
+    the negative exponents that numerator factors (those of the first term
+    included) can contribute; a subtree is summed while that bound is below
+    ``order``.  Level j at index m holds its term with every deeper level at
+    m too, which is the first term of the next level's run, and that run
+    hands back its term one index on, so each index step costs one level's
+    binomials.  A numerator factor that vanishes at index m ends its
     level after the term at m; a denominator factor that vanishes raises
     ZeroFactor.  Both are checked at every index a level steps through, also
     once a deeper level has vanished.
 
     Terms are raw states of the laurent binomial kernel: each index step is
-    one kernel call on the level's weight and factors, split once per level
-    and index in this call, and every term is added into one pair of integer
-    lists that runs from the a-priori floor up to the working order.
+    one kernel call on the level's weight and factors, stepped and split once
+    per level and index in this call, and every term is added into one pair
+    of integer lists that runs from the a-priori floor up to the working
+    order.
     """
     for lv in levels:
         _check_base(lv.weight)  # a weight without a positive q-power never stops
+        if lv.growth.exp < 0:
+            raise InvalidBase(f"weight growth must not lower the q-power, got {lv.growth}")
         for _, step in lv.num + lv.den:
             _check_base(step)
     slack = _term_slack(first) + sum(
-        _negative_weight(p, step) for lv in levels for p, step in lv.num)
+        _negative_slack(p, step) for lv in levels for p, step in lv.num)
     work = order + slack
     start = _term(first, work, {})
     if not levels:
         return start.require_order(order)
     floor = first.shift - slack
-    rest = [sum(lv.weight.exp for lv in levels[j:]) for j in range(len(levels))]
+    rest = [sum(lv.weight.exp for lv in levels[j:]) for j in range(len(levels) + 1)]
+    grow = [sum(lv.growth.exp for lv in levels[j:]) for j in range(len(levels) + 1)]
     ends = [_first_zero(lv.num) for lv in levels]
     breaks = [_first_zero(lv.den) for lv in levels]
-    units = [None if lv.weight.coeff == ONE else _split(lv.weight.coeff) for lv in levels]
     steps = [_split_steps(lv) for lv in levels]
-    splits = [[] for _ in levels]  # splits[j][m]: level j's factors at index m
+    splits = [[] for _ in levels]  # splits[j][m]: level j's split ratio at index m
     size = work - floor
     total_a, total_b = [0] * size, [0] * size
     total_den, total_order = 1, work
@@ -296,16 +261,19 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
         total_a[i:j] = [x + s * u for x, u in zip(total_a[i:j], a)]
         total_b[i:j] = [y + s * v for y, v in zip(total_b[i:j], b)]
 
+    def rise(j: int, m: int) -> int:
+        # the least q-power the ratios of levels j.. add, all at index m or beyond
+        return rest[j] * m + grow[j] * (m * (m - 1) // 2)
+
     def descend(j: int, m: int, acc: int, t):
         # t: the term with levels j.. at index m, or None once it vanished;
         # returns the term with levels j.. one index on (None if vanished)
-        lv = levels[j]
         first_index, carry = m, None
-        while floor + acc + rest[j] * m < order:
+        while floor + acc + rise(j, m) < order:
             nxt = t
             if t is not None:
                 if j + 1 < len(levels):
-                    nxt = descend(j + 1, m, acc + lv.weight.exp * m, t)
+                    nxt = descend(j + 1, m, acc + rise(j, m) - rise(j + 1, m), t)
                 else:
                     add(t)
             if m >= ends[j]:
@@ -317,8 +285,8 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
             if nxt is not None:
                 while len(splits[j]) <= m:
                     splits[j].append(next(steps[j]))
-                muls, divs = splits[j][m]
-                t = _binomials(nxt, muls, divs, shift=lv.weight.exp, unit=units[j])
+                unit, shift, muls, divs = splits[j][m]
+                t = _binomials(nxt, muls, divs, shift=shift, unit=unit)
             if m == first_index:
                 carry = t
             m += 1
@@ -457,23 +425,11 @@ def rhs_products(params, order: int, base: ParamValue = Q) -> LaurentSeries:
     k = len(params)
     work = order + 2 + 2 * sum(abs(p.exp) for p in params)
     table = ACoeffTable()
-    bk = params[-1]
-    prefix = poch_infinite(_param_mul(base, bk), base, work) * poch_infinite(
-        _param_mul(base, bk.inv()), base, work
-    )
+    prefix = _poch_shift_pair_inf(params[-1], base, work)
     total = LaurentSeries.zero(work)
     for i in range(1, k + 1):
-        term = a_coeff(k, i, params, work, table)
-        for j, p in enumerate(params, start=1):
-            if j == i:
-                continue
-            term = term.mul_one_minus(p.coeff, p.exp)
-            pi = p.inv()
-            term = term.mul_one_minus(pi.coeff, pi.exp)
-        bi = params[i - 1]
-        term = term * poch_infinite_inv(_param_mul(base, bi), base, work)
-        term = term * poch_infinite_inv(_param_mul(base, bi.inv()), base, work)
-        total = total + term
+        term = a_coeff(k, i, params, work, table) * _one_minus_pairs(params[:i - 1] + params[i:])
+        total = total + term * _poch_shift_pair_inf_inv(params[i - 1], base, work)
     return (prefix * total).require_order(order)
 
 
@@ -582,40 +538,46 @@ def corollary_k3(x: ParamValue, y: ParamValue, z: ParamValue, base: ParamValue,
 # -- bilateral series and finite-N form ----------------------------------------------
 
 
+def _poles(params, base: ParamValue) -> set:
+    """The indices n >= 0 at which a factor of prod_i (1-b_i base^n)(1-base^n/b_i)
+    vanishes; a bilateral term over that denominator has poles at n and -n."""
+    _check_base(base)
+    hits = (_zero_factor_index(b, base) for p in params for b in (p, p.inv()))
+    return {n for n in hits if n is not None}
+
+
+def _folded_sum(params, base: ParamValue, weight: ParamValue, first: Term, order: int,
+                growth: ParamValue = ParamValue(ONE), num=(), den=()) -> LaurentSeries:
+    """sum_{n>=0} (1 + base^n) t(n) - t(0), the sum of t(n) over all integers n
+    when t(-n) = base^n t(n), for t(0) = first and the term ratio
+
+        t(n+1)/t(n) = weight * growth^n * prod_num / prod_den * prod_i
+                      (1-b_i base^n)(1-base^n/b_i) / ((1-b_i base^(n+1))(1-base^(n+1)/b_i)).
+
+    One level sums it from 2 t(0), with (1 + base^(n+1))/(1 + base^n) in its ratio.
+    """
+    lv = _vwp_level(params, params, base, weight)
+    minus_one = ParamValue(-1)
+    level = Level(weight, lv.num + ((_param_mul(minus_one, base), base),) + num,
+                  lv.den + ((minus_one, base),) + den, growth)
+    total = _chain_sum([level], order, replace(first, scalar=2 * first.scalar))
+    return (total - _term(first, order, {})).require_order(order)
+
+
 def f_bilateral(params, order: int, base: ParamValue = Q) -> LaurentSeries:
     """F_k = sum over all integers n of
-        (-1)^n base^(C(n+1,2) + (k-1)n) / prod_i (1-b_i base^n)(1-base^n/b_i).
+        t(n) = (-1)^n base^(C(n+1,2) + (k-1)n) / prod_i (1-b_i base^n)(1-base^n/b_i),
 
-    The two tails fold together: the n -> -n term equals base^n times the
-    n term, so F_k = t(0) + sum_{n>=1} (1 + base^n) t(n), with t(n) updated
-    incrementally.  Parameters with b_i = base^{+-n} in range make some
-    denominator vanish; that raises ZeroFactor.
+    with the term ratio t(n+1)/t(n) = -base^(k+n) * prod_i (1-b_i base^n)(1-base^n/b_i)
+    / ((1-b_i base^(n+1))(1-base^(n+1)/b_i)) and mirrored tails t(-n) = base^n t(n).
+    ZeroFactor when some b_i is an integer power of base: terms n and -n have a pole.
     """
     params = as_params(params)
-    k = len(params)
-    eb = base.exp
-    slack = _numerator_slack(params, base)
-    work = order + slack
-    t = LaurentSeries.one(work)
-    for p in params:
-        t = _pair_div(t, p, base, 0, "bilateral n=0 denominator")
-    total = t
-    n = 1
-    while eb * (n * (n + 1) // 2 + (k - 1) * n) < order:
-        # t(n) = -t(n-1) * base^(n+k-1) * prod_i pair(n-1) / pair(n)
-        t = _apply_base_power(t, base, n + k - 1).scale(CycRat(-1))
-        for p in params:
-            got = _pair_mul(t, p, base, n - 1)
-            if got is None:  # a numerator zero can only mean b_i = base^{1-n}
-                raise ZeroFactor("bilateral numerator factor vanished")
-            t = got
-        for p in params:
-            t = _pair_div(t, p, base, n, "bilateral denominator")
-        # fold in the mirrored term: (1 + base^n) * t(n)
-        c, e = ParamValue(ONE, 0).scaled(base, n)
-        total = total + t.mul_one_minus(-c, e)
-        n += 1
-    return total.require_order(order)
+    if _poles(params, base):
+        raise ZeroFactor("F_k: some b_i is a power of the base, a term has a pole")
+    weight = _param_mul(ParamValue(-1), _param_pow(base, len(params)))
+    first = Term(divs=tuple((b.coeff, b.exp) for p in params for b in (p, p.inv())))
+    return _folded_sum(params, base, weight, first, order, growth=base)
 
 
 def f_consistency_rhs(params, order: int, base: ParamValue = Q) -> LaurentSeries:
@@ -642,58 +604,23 @@ def l_finite_n(params, bigN: int, order: int, base: ParamValue = Q) -> LaurentSe
 
         L_{k,N} = 1 + prod_i (1-b_i)(1-1/b_i) * sum_{n=1}^{N}
             (1 + base^n) base^{(k+N)n} (base^{-N}; base)_n
-            / (prod_i (1-b_i base^n)(1-base^n/b_i) * (base^{N+1}; base)_n).
+            / (prod_i (1-b_i base^n)(1-base^n/b_i) * (base^{N+1}; base)_n),
 
-    The (base^{-N}; base)_n factor dips the working valuation by as much as
-    N(N+1)/2 base-exponents, so the engine runs with that much slack before
-    re-truncating.  As bigN grows the coefficients below a fixed order
-    stabilize to prod_i (1-b_i)(1-1/b_i) * F_k.
+    which is sum_{n>=0} (1 + base^n) t(n) - t(0) for t(0) = 1 and the term ratio
+    t(n+1)/t(n) = base^(k+N) * prod_i (1-b_i base^n)(1-base^n/b_i)
+    / ((1-b_i base^(n+1))(1-base^(n+1)/b_i)) * (1-base^(n-N)) / (1-base^(N+1+n));
+    its factor (1 - base^(n-N)) ends the sum at n = N.  ZeroFactor when some
+    b_i = base^n with 1 <= |n| <= N: term |n| has a pole.  As bigN grows the
+    coefficients below a fixed order stabilize to prod_i (1-b_i)(1-1/b_i) * F_k.
     """
     params = as_params(params)
     if bigN < 0:
         raise ValueError("l_finite_n needs bigN >= 0")
-    k = len(params)
-    eb = base.exp
-    if bigN == 0:
-        return LaurentSeries.one(order)
-    slack = eb * bigN * (bigN + 1) // 2 + _numerator_slack(params, base)
-    work = order + slack
-
-    def base_pow(m):
-        return ParamValue(ONE, 0).scaled(base, m)
-
-    # term n = 1
-    t = LaurentSeries.one(work)
-    c, e = base_pow(1)
-    t = t.mul_one_minus(-c, e)  # (1 + base)
-    t = _apply_base_power(t, base, k + bigN)
-    c, e = base_pow(-bigN)
-    t = t.mul_one_minus(c, e)  # (1 - base^{-N})
-    c, e = base_pow(bigN + 1)
-    t = t.div_one_minus(c, e)  # 1/(1 - base^{N+1})
-    for p in params:
-        t = _pair_div(t, p, base, 1, "finite-N denominator")
-    total = t
-    for n in range(2, bigN + 1):
-        if eb * (n * (n + 1) // 2 + (k - 1) * n) >= order:
-            break
-        t = _apply_base_power(t, base, k + bigN)
-        c, e = base_pow(n)
-        t = t.mul_one_minus(-c, e)  # * (1 + base^n)
-        c, e = base_pow(n - 1)
-        t = t.div_one_minus(-c, e)  # / (1 + base^{n-1})
-        c, e = base_pow(n - 1 - bigN)
-        t = t.mul_one_minus(c, e)  # * (1 - base^{n-1-N})
-        c, e = base_pow(bigN + n)
-        t = t.div_one_minus(c, e)  # / (1 - base^{N+n})
-        for p in params:
-            got = _pair_mul(t, p, base, n - 1)
-            if got is None:
-                raise ZeroFactor("finite-N numerator factor vanished")
-            t = _pair_div(got, p, base, n, "finite-N denominator")
-        total = total + t
-    out = LaurentSeries.one(work) + _one_minus_pairs(params) * total
-    return out.require_order(order)
+    if any(0 < n <= bigN for n in _poles(params, base)):
+        raise ZeroFactor("L_{k,N}: some b_i is a power of the base, a term has a pole")
+    return _folded_sum(params, base, _param_pow(base, len(params) + bigN), Term(), order,
+                       num=((_param_pow(base, bigN).inv(), base),),
+                       den=((_param_pow(base, bigN + 1), base),))
 
 
 def l_infinite(params, order: int, base: ParamValue = Q) -> LaurentSeries:
@@ -709,38 +636,13 @@ def l_infinite(params, order: int, base: ParamValue = Q) -> LaurentSeries:
 def bailey_3psi3_sum(b: ParamValue, order: int) -> LaurentSeries:
     """The sum side of the well-poised bilateral evaluation at c = 1/b, d -> infinity:
 
-        sum over all integers n of
-            (b, 1/b; q)_n / (qb, q/b; q)_n * (-1)^n q^(n(n+1)/2)
-        = (q;q)_inf^2 / (qb, q/b; q)_inf.
+        sum over all integers n of t(n) = (b, 1/b; q)_n / (qb, q/b; q)_n * (-1)^n q^(n(n+1)/2)
+        = (q;q)_inf^2 / (qb, q/b; q)_inf,
 
-    The nonnegative tail is summed by incremental finite Pochhammers, the
-    negative tail by the extension (a;q)_{-m} = 1/prod_{j=1}^{m} (1 - a q^{-j}).
+    with the term ratio t(n+1)/t(n) = -q^(n+1) (1-b q^n)(1-q^n/b) / ((1-b q^(n+1))(1-q^(n+1)/b))
+    and, by (a;q)_{-n} = 1/(a q^{-n};q)_n, mirrored tails t(-n) = q^n t(n).  At
+    b = 1 every term but t(0) = 1 vanishes.  With b = q^n, n != 0, the pole of
+    term n lies within the a-priori bound at every order, so the driver
+    raises ZeroFactor there.
     """
-    base = Q
-    work = order + 2 + 2 * abs(b.exp)
-    # n >= 0 tail
-    t = LaurentSeries.one(work)
-    total = t
-    n = 0
-    while (n + 1) * (n + 2) // 2 < work:
-        t = t.shift(n + 1).scale(CycRat(-1))
-        got = _pair_mul(t, b, base, n)
-        if got is None:
-            raise ZeroFactor("3psi3 numerator factor vanished")
-        t = _pair_div(got, b, base, n + 1, "3psi3 denominator")
-        total = total + t
-        n += 1
-    # n <= -1 tail: term(-m) carries q^(m(m-1)/2) and the extension products
-    t = LaurentSeries.one(work)
-    m = 1
-    while m * (m - 1) // 2 + 2 * m < work:
-        # multiply by term(-m)/term(-(m-1)):
-        #   sign * q^{m-1} * pair(1-m) / pair(-m)
-        t = t.shift(m - 1).scale(CycRat(-1))
-        got = _pair_mul(t, b, base, 1 - m)
-        if got is None:
-            raise ZeroFactor("3psi3 numerator factor vanished")
-        t = _pair_div(got, b, base, -m, "3psi3 denominator")
-        total = total + t
-        m += 1
-    return total.require_order(order)
+    return _folded_sum((b,), Q, ParamValue(-1, 1), Term(), order, growth=Q)

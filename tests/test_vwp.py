@@ -2,6 +2,7 @@
 
 import itertools
 import signal
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +191,8 @@ def test_non_positive_factor_steps_are_rejected():
         _within(5, lambda: vwp._product_sum((vwp.Term(pochs=((1, -1, 0, 1),)),), 10))
     with pytest.raises(InvalidBase):  # a denominator step is checked too
         _within(5, lambda: vwp._chain_sum([vwp.Level(Q, (), ((qinv, flat),))], 10))
+    with pytest.raises(InvalidBase):  # a weight that shrinks with M never stops either
+        _within(5, lambda: vwp._chain_sum([vwp.Level(Q2, (), (), growth=qinv)], 10))
 
 
 _DEGENERATE_POOL = [P1, M1, W, Q, ParamValue(ONE, -1)]
@@ -244,8 +247,15 @@ def _power(c, m):
     return out
 
 
+def _power_param(p, m):
+    """p^m for any integer m."""
+    out = ParamValue(_power(p.coeff, abs(m)), p.exp * abs(m))
+    return out if m >= 0 else out.inv()
+
+
 def _term_by_term(levels, order):
-    """sum over 0 <= M_1 <= ... <= M_L of prod_j weight_j^M_j (num; step)_M_j / (den; step)_M_j,
+    """sum over 0 <= M_1 <= ... <= M_L of
+        prod_j weight_j^M_j growth_j^(M_j(M_j-1)/2) (num; step)_M_j / (den; step)_M_j,
     from poch_finite, products and inverse, with each M_j below order + 6."""
     work = order + 6
     total = LaurentSeries.zero(order)
@@ -255,7 +265,9 @@ def _term_by_term(levels, order):
             den = LaurentSeries.one()
             for p, step in lv.den:
                 den = den * poch_finite(p, step, m)
-            term = term * LaurentSeries.monomial(_power(lv.weight.coeff, m), lv.weight.exp * m)
+            weight = vwp._param_mul(_power_param(lv.weight, m),
+                                    _power_param(lv.growth, m * (m - 1) // 2))
+            term = term * LaurentSeries.monomial(weight.coeff, weight.exp)
             for p, step in lv.num:
                 term = term * poch_finite(p, step, m)
             term = term * den.inverse(work)
@@ -277,6 +289,17 @@ def test_single_chain_sum_matches_term_by_term(case, base):
 def test_double_chain_sum_matches_term_by_term(outer, inner, base):
     levels = [_level(outer, base, vwp._param_mul(base, base)), _level(inner, base, base)]
     assert same(vwp._chain_sum(levels, 8), _term_by_term(levels, 8), 8)
+
+
+@pytest.mark.parametrize("base", _BASES.values(), ids=_BASES.keys())
+def test_growing_weight_chain_sum_matches_term_by_term(base):
+    # a weight base * growth^M: the a-priori bound grows quadratically in M
+    minus_base = vwp._param_mul(M1, base)
+    single = [replace(_level("q-power", base, minus_base), growth=base)]
+    assert same(vwp._chain_sum(single, 12), _term_by_term(single, 12), 12)
+    double = [replace(_level("rational", base, base), growth=Q),
+              replace(_level("root-of-unity", base, base), growth=base)]
+    assert same(vwp._chain_sum(double, 8), _term_by_term(double, 8), 8)
 
 
 # -- corollaries ----------------------------------------------------------------------
@@ -344,6 +367,25 @@ def test_f_bilateral_zero_factor():
         vwp.f_bilateral((Q,), 10)  # b = q kills the n = 1 denominator
 
 
+@pytest.mark.parametrize("base", _BASES.values(), ids=_BASES.keys())
+def test_vanishing_denominator_raises_at_every_order(base):
+    # b = base^n puts a pole in the bilateral terms n and -n, and in term |n|
+    # of L_{k,N} once N >= |n|: however far the truncation reaches, the sums
+    # raise ZeroFactor (with k = 4 the weight outgrows the slack before |n|)
+    for n in (-3, -2, -1, 0, 1, 2, 3):
+        b = _power_param(base, n)
+        for params in ((b,), (W, b), (W, MW, M1, b)):
+            for order in range(1, 31):
+                with pytest.raises(ZeroFactor):
+                    vwp.f_bilateral(params, order, base)
+                if n:
+                    with pytest.raises(ZeroFactor):
+                        vwp.l_finite_n(params, abs(n), order, base)
+                if n and base == Q and len(params) == 1:
+                    with pytest.raises(ZeroFactor):
+                        vwp.bailey_3psi3_sum(b, order)
+
+
 # -- finite-N truncation ----------------------------------------------------------------
 
 
@@ -364,10 +406,47 @@ def test_l_finite_stabilizes_k3():
     assert same(vwp.l_finite_n((M1, W, MW), 25, 20), limit, 20)
 
 
+def _l_finite_term_by_term(params, big_n, order, base):
+    """L_{k,N} from its defining sum, each term an exact numerator times the
+    inverse of an exact denominator, from poch_finite, mul_one_minus and inverse."""
+    k = len(params)
+    work = order + base.exp * big_n * (big_n + 1) // 2 + sum(abs(p.exp) for p in params)
+    pairs = LaurentSeries.one()
+    for p in params:
+        for b in (p, p.inv()):
+            pairs = pairs.mul_one_minus(b.coeff, b.exp)
+    total = LaurentSeries.one(work)
+    for n in range(1, big_n + 1):
+        step = _power_param(base, n)
+        weight = _power_param(base, (k + big_n) * n)
+        num = pairs.mul_one_minus(-step.coeff, step.exp)  # (1 + base^n)
+        num = num * poch_finite(_power_param(base, -big_n), base, n)
+        num = num * LaurentSeries.monomial(weight.coeff, weight.exp)
+        den = poch_finite(_power_param(base, big_n + 1), base, n)
+        for p in params:
+            for b in (p, p.inv()):
+                den = den.mul_one_minus(b.coeff * step.coeff, b.exp + step.exp)
+        total = total + num * den.inverse(work)
+    return total.require_order(order)
+
+
+@pytest.mark.parametrize("base", _BASES.values(), ids=_BASES.keys())
+def test_l_finite_matches_term_by_term(base):
+    # parameters carrying powers of q: prod_i (1-b_i)(1-1/b_i) has negative
+    # valuation, so terms far past the plain q-power bound still reach the order
+    pool = [(MQ,), (ParamValue(CycRat(-1), -1),), (ParamValue(CycRat(2), -1), M1),
+            (ParamValue(CycRat(-1), 2), W), (_HALF, ParamValue(CycRat(rat(1, 3)), 1))]
+    for params in pool:
+        for big_n in (1, 3, 5):
+            got = vwp.l_finite_n(params, big_n, 10, base)
+            assert got.order == 10
+            assert same(got, _l_finite_term_by_term(params, big_n, 10, base), 10)
+
+
 # -- classical evaluations ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("b", [M1, W, MW])
+@pytest.mark.parametrize("b", [M1, W, MW, P1])
 def test_bailey_evaluation(b):
     # (q;q)_inf^2 / (qb, q/b; q)_inf
     euler = poch_infinite(Q, Q, 40)
