@@ -44,11 +44,12 @@ into integers, normalizing once at the end:
     dividing by it is the forward recurrence g[j] = f[j] + c*g[j-e],
     run entry by entry, also linear time.
 
-``mul_one_minus`` and ``div_one_minus`` are one kernel call each.  The
-chained-sum driver in ``vwp`` splits every factor once per level and index
-and steps raw states through the kernel without building a series per
-factor.  Building (a; q)_n or (a; q)_infinity this way costs O(n * order)
-instead of the O(order^2) of repeated general multiplication.
+``mul_one_minus`` and ``div_one_minus`` are one kernel call each, and so is
+every Pochhammer builder: (a; q)_n, (a; q)_infinity and their inverses split
+their factors once and normalize once, at O(n * order) instead of the
+O(order^2) of repeated general multiplication.  The chained-sum driver in
+``vwp`` steps raw states through the kernel on pre-split factors without
+building a series per factor.
 """
 
 from __future__ import annotations
@@ -280,24 +281,7 @@ class LaurentSeries:
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        order = _denorm_order(min(_norm_order(self.order), _norm_order(other.order)))
-        if not self._a:
-            return _new(other.offset, other._a, other._b, other._den, order)
-        if not other._a:
-            return _new(self.offset, self._a, self._b, self._den, order)
-        g = gcd(self._den, other._den)
-        m1, m2 = other._den // g, self._den // g
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self._a), other.offset + len(other._a))
-        a = [0] * (hi - lo)
-        b = [0] * (hi - lo)
-        i, j = self.offset - lo, self.offset - lo + len(self._a)
-        a[i:j] = _scaled(m1, self._a)
-        b[i:j] = _scaled(m1, self._b)
-        i, j = other.offset - lo, other.offset - lo + len(other._a)
-        a[i:j] = [s + m2 * x for s, x in zip(a[i:j], other._a)]
-        b[i:j] = [s + m2 * y for s, y in zip(b[i:j], other._b)]
-        return _new(lo, a, b, m1 * self._den, order)
+        return _new(*_plus(None, _raw(self), _raw(other)))
 
     def __neg__(self):
         return _new(self.offset, [-x for x in self._a], [-y for y in self._b],
@@ -386,7 +370,7 @@ class LaurentSeries:
                     "inverse of a non-monomial polynomial is an infinite series; "
                     "a finite order is required"
                 )
-            target, length = None, 1
+            target = None
         else:
             target = int(target)
             length = target + v  # result exponents run from -v up to target-1
@@ -394,6 +378,8 @@ class LaurentSeries:
                 return _new(0, [], [], 1, target)
         x0, y0 = self._a[0], self._b[0]
         norm = x0 * x0 - x0 * y0 + y0 * y0
+        if len(self._a) == 1:  # (den / F_0) q^(-v), F_0^{-1} = (x0 - y0 - y0*w) / norm
+            return _new(-v, [self._den * (x0 - y0)], [-self._den * y0], norm, target)
         pa, pb = y0 - x0, y0  # -conj(F_0)
         fa, fb = self._a[1:length], self._b[1:length]
         if norm != 1:
@@ -516,6 +502,26 @@ def _normal(offset: int, a: list, b: list, den: int, order: int | None) -> tuple
             a = [x // g for x in a]
             b = [y // g for y in b]
     return offset, a, b, den, order
+
+
+def _plus(cap: int | None, *states) -> tuple:
+    """The sum of raw states, trusted below the lowest of their orders and ``cap``."""
+    order = min((o for o in (cap, *(s[4] for s in states)) if o is not None), default=None)
+    parts = [s for s in states if s[1] and (order is None or s[0] < order)]
+    if not parts:
+        return 0, [], [], 1, order
+    lo = min(s[0] for s in parts)
+    hi = max(s[0] + len(s[1]) for s in parts)
+    if order is not None:
+        hi = min(hi, order)
+    den = lcm(*(s[3] for s in parts))
+    a, b = [0] * (hi - lo), [0] * (hi - lo)
+    for offset, xs, ys, d, _ in parts:
+        m, i = den // d, offset - lo
+        j = min(i + len(xs), hi - lo)
+        a[i:j] = [s + m * x for s, x in zip(a[i:j], xs)]
+        b[i:j] = [s + m * y for s, y in zip(b[i:j], ys)]
+    return _normal(lo, a, b, den, order)
 
 
 def _binomials(state: tuple, muls=(), divs=(), cap: int | None = None,
@@ -694,6 +700,45 @@ def _negative_slack(a: ParamValue, base: ParamValue, n: int | None = None) -> in
     return slack
 
 
+def _factors(a: ParamValue, base: ParamValue, count: int | None = None,
+             below: int | None = None) -> list:
+    """The factors (1 - a*base^j), j = 0, 1, ..., split for the kernel as
+    (ca, cb, cd, e): the first ``count`` of them (all when None) that have
+    e <= 0 or e < ``below``.  A coefficient is split again only when the
+    base's coefficient changes it.  The base must have a positive q-power
+    unless ``count`` is given."""
+    out, c, e = [], a.coeff, a.exp
+    part, step = _split(c), None if base.coeff == ONE else base.coeff
+    while (count is None or len(out) < count) and (e <= 0 or below is None or e < below):
+        out.append((*part, e))
+        if step is not None:
+            c = c * step
+            part = _split(c)
+        e += base.exp
+    return out
+
+
+def _poch(a: ParamValue, base: ParamValue, n: int | None, order: int | None,
+          invert: bool) -> LaurentSeries:
+    """(a; base)_n, or its inverse, in one kernel call; n None is the infinite
+    product.  Only factors that touch exponents below ``order`` are applied:
+    the leading factors with e < 0 move the valuation by the slack s, to -s
+    for the product and to s for the inverse, and a later factor with e > 0
+    changes nothing below e + valuation."""
+    if order is None:
+        if invert:
+            raise OrderExceeded("an inverse Pochhammer product needs a finite truncation order")
+        return _new(*_binomials(_raw(LaurentSeries.one()), muls=_factors(a, base, n)))
+    slack = _negative_slack(a, base, n)
+    if invert:
+        state = _binomials(_raw(LaurentSeries.one(order)),
+                           divs=_factors(a, base, n, order - slack), cap=order)
+    else:
+        state = _binomials(_raw(LaurentSeries.one(order + slack)),
+                           muls=_factors(a, base, n, order + slack))
+    return _new(*state).truncate(order)
+
+
 def poch_finite(a: ParamValue, base: ParamValue, n: int,
                 order: int | None = None) -> LaurentSeries:
     """The finite product (a; base)_n = prod_{j=0}^{n-1} (1 - a*base^j).
@@ -707,19 +752,7 @@ def poch_finite(a: ParamValue, base: ParamValue, n: int,
     j0 = _zero_factor_index(a, base)
     if j0 is not None and j0 < n:
         raise ZeroFactor(f"({a}; {base})_{n}: factor j={j0} is (1 - 1)")
-    if order is None:
-        out = LaurentSeries.one()
-    else:
-        out = LaurentSeries.one(order + _negative_slack(a, base, n))
-    c, e = a.coeff, a.exp
-    bc, be = base.coeff, base.exp
-    for _ in range(n):
-        if order is not None and e > 0 and not out.is_zero() and e + out.valuation() >= order:
-            break  # later factors only touch exponents >= order
-        out = out.mul_one_minus(c, e)
-        c = c * bc if bc != ONE else c
-        e += be
-    return out if order is None else out.truncate(order)
+    return _poch(a, base, n, order, invert=False)
 
 
 def poch_finite_inv(a: ParamValue, base: ParamValue, n: int, order: int) -> LaurentSeries:
@@ -734,16 +767,7 @@ def poch_finite_inv(a: ParamValue, base: ParamValue, n: int, order: int) -> Laur
     j0 = _zero_factor_index(a, base)
     if j0 is not None and j0 < n:
         raise ZeroFactor(f"1/(({a}; {base})_{n}): factor j={j0} is (1 - 1)")
-    out = LaurentSeries.one(order)
-    c, e = a.coeff, a.exp
-    bc, be = base.coeff, base.exp
-    for _ in range(n):
-        if e > 0 and not out.is_zero() and e + out.valuation() >= order:
-            break
-        out = out.div_one_minus(c, e)
-        c = c * bc if bc != ONE else c
-        e += be
-    return out.truncate(order)
+    return _poch(a, base, n, order, invert=True)
 
 
 def poch_infinite(a: ParamValue, base: ParamValue, order: int) -> LaurentSeries:
@@ -758,16 +782,7 @@ def poch_infinite(a: ParamValue, base: ParamValue, order: int) -> LaurentSeries:
         raise OrderExceeded("poch_infinite requires a finite truncation order")
     if _zero_factor_index(a, base) is not None:
         raise ZeroFactor(f"({a}; {base})_inf vanishes identically")
-    out = LaurentSeries.one(order + _negative_slack(a, base))
-    c, e = a.coeff, a.exp
-    bc, be = base.coeff, base.exp
-    while True:
-        if e > 0 and (out.is_zero() or e + out.valuation() >= order):
-            break
-        out = out.mul_one_minus(c, e)
-        c = c * bc if bc != ONE else c
-        e += be
-    return out.truncate(order)
+    return _poch(a, base, None, order, invert=False)
 
 
 def poch_infinite_inv(a: ParamValue, base: ParamValue, order: int) -> LaurentSeries:
@@ -775,15 +790,4 @@ def poch_infinite_inv(a: ParamValue, base: ParamValue, order: int) -> LaurentSer
     _check_base(base)
     if _zero_factor_index(a, base) is not None:
         raise ZeroFactor(f"1/(({a}; {base})_inf) divides by an identically zero factor")
-    out = LaurentSeries.one(order)
-    c, e = a.coeff, a.exp
-    bc, be = base.coeff, base.exp
-    # Dividing by (1 - c*q^e) with e > 0 only changes coefficients at
-    # exponents >= e + valuation; stop once e is out of range.
-    while True:
-        if e > 0 and (out.is_zero() or e + out.valuation() >= order):
-            break
-        out = out.div_one_minus(c, e)
-        c = c * bc if bc != ONE else c
-        e += be
-    return out.truncate(order)
+    return _poch(a, base, None, order, invert=True)

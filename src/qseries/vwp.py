@@ -25,16 +25,18 @@ through one driver, ``_chain_sum``: a first term times one term ratio per
 summation level, each ratio a weight that may grow geometrically with the
 index and lists of numerator and denominator binomials.  The bilateral sums
 fold their mirrored tails, t(-n) = base^n t(n), into one level.  The driver
-splits each level's weight and binomials once per index, steps every term
-through the laurent binomial kernel as a raw integer state, and adds the
-terms into one pair of integer lists.
+nests the sum from the inside out, Horner style, with U_{L+1}(m) = 1 and
+
+    U_j(m) = U_{j+1}(m) + (prod_{i>=j} r_i(m)) * U_j(m+1),   sum = first * U_1(0),
+
+for the term ratios r_i, so a k-fold sum costs O(k * order) calls of the
+laurent binomial kernel, each on the merged ratios of the inner levels.
 
 Sums are truncated by an exact lower bound on term valuations: the weights
-minus the finite total of negative exponents that numerator factors can
-contribute, and enumeration stops once that bound reaches the working order.
-Internally the engines run at order + slack so the transient
-negative-exponent factors never eat into the trusted range; the result is
-re-truncated to the requested order at the end.
+minus the finite total of negative exponents (the slack) that numerator
+factors can contribute.  The bound gives each level its top index and each
+U_j(m) the order below which the sum needs it; the result is trusted below
+the requested order.
 
 All engines take the base q by default; the q -> q^2 substitutions used for
 the odd-base identities pass base explicitly.
@@ -54,8 +56,10 @@ from .laurent import (
     ZeroFactor,
     _binomials,
     _check_base,
+    _factors,
     _negative_slack,
     _new,
+    _plus,
     _raw,
     _split,
     _zero_factor_index,
@@ -94,11 +98,8 @@ def _param_pow(p: ParamValue, n: int) -> ParamValue:
 
 def _one_minus_pairs(params) -> LaurentSeries:
     """prod over params of (1-p)(1-1/p), an exact Laurent polynomial."""
-    out = LaurentSeries.one()
-    for p in params:
-        for q in (p, p.inv()):
-            out = out.mul_one_minus(q.coeff, q.exp)
-    return out
+    muls = [(*_split(q.coeff), q.exp) for p in params for q in (p, p.inv())]
+    return _new(*_binomials(_raw(LaurentSeries.one()), muls))
 
 
 # -- product terms and the chained term-ratio driver ------------------------------------
@@ -179,46 +180,46 @@ def _first_zero(factors) -> float:
     return min((h for h in hits if h is not None), default=math.inf)
 
 
-def _split_steps(level: Level):
-    """Yield level's ratio at M = 0, 1, ..., split for the binomial kernel: the
-    weight as a unit (ua, ub, ud), None for 1, and a shift, and the numerator
-    and denominator factors as tuples of (ca, cb, cd, e).  A coefficient is
-    split again only when its step changes it."""
+def _split_steps(level: Level, count: int) -> list:
+    """Level's ratio at M = 0 .. count-1, split for the binomial kernel: the
+    weight as a unit (ua, ub, ud) and a shift, and the numerator and
+    denominator factors as tuples of (ca, cb, cd, e)."""
     pairs = ((level.weight, level.growth),) + level.num + level.den
-    cs = [p.coeff for p, _ in pairs]
-    es = [p.exp for p, _ in pairs]
-    steps = [(None if step.coeff == ONE else step.coeff, step.exp) for _, step in pairs]
-    parts = [_split(c) for c in cs]
     k = len(level.num) + 1
-    while True:
-        split = [(*part, e) for part, e in zip(parts, es)]
-        unit = None if parts[0] == (1, 0, 1) else parts[0]
-        yield unit, es[0], tuple(split[1:k]), tuple(split[k:])
-        cs = [c if sc is None else c * sc for c, (sc, _) in zip(cs, steps)]
-        es = [e + se for e, (_, se) in zip(es, steps)]
-        parts = [part if sc is None else _split(c) for part, c, (sc, _) in zip(parts, cs, steps)]
+    return [(row[0][:3], row[0][3], row[1:k], row[k:])
+            for row in zip(*(_factors(p, step, count) for p, step in pairs))]
 
 
 def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
     """sum over 0 <= M_1 <= ... <= M_L of first * prod_j R_j(M_j), R_j(0) = 1.
 
-    A term's valuation is at least first.shift plus, for every level j, its
-    weight_j * M_j + growth_j * M_j(M_j - 1)/2 (q-powers), minus the slack,
-    the negative exponents that numerator factors (those of the first term
-    included) can contribute; a subtree is summed while that bound is below
-    ``order``.  Level j at index m holds its term with every deeper level at
-    m too, which is the first term of the next level's run, and that run
-    hands back its term one index on, so each index step costs one level's
-    binomials.  A numerator factor that vanishes at index m ends its
-    level after the term at m; a denominator factor that vanishes raises
-    ZeroFactor.  Both are checked at every index a level steps through, also
-    once a deeper level has vanished.
+    Summed backwards, Horner style: with U_{L+1}(m) = 1, the inner sums
+    U_j(m) = sum over m <= M_j <= ... <= M_L of prod_{i>=j} R_i(M_i)/R_i(m) obey
 
-    Terms are raw states of the laurent binomial kernel: each index step is
-    one kernel call on the level's weight and factors, stepped and split once
-    per level and index in this call, and every term is added into one pair
-    of integer lists that runs from the a-priori floor up to the working
-    order.
+        U_j(m) = U_{j+1}(m) + rho_j(m) * U_j(m+1),   the sum = first * U_1(0),
+
+    where rho_j(m) = prod_{i>=j} R_i(m+1)/R_i(m).  m runs from the top index
+    down to 0, the deepest level first, and each (j, m) below level j's top
+    is one kernel call on U_j(m+1) with the weights, shifts and binomials of
+    levels j..L at m, each level split once per index.
+
+    Caps.  A term's valuation is at least floor = first.shift - slack plus
+    the q-powers weight_j*M_j + growth_j*M_j(M_j-1)/2 of every level j; the
+    slack is the negative exponents that numerator factors (those of the
+    first term included) can contribute.  With rise(j, m) the q-power that
+    levels j.. add up to index m and A_j(m) the slack their factors hold at
+    indices >= m, U_j(m) enters the sum times at least q^(floor + rise(j, m)
+    + A_j(m)).  So it is kept below cap_j(m) = order - floor - rise(j, m) -
+    A_j(m), and the kernel carries U_j(m+1) at its cap to exactly that.
+    Level j's top is the least m with floor + rise(j, m+1) >= order, where
+    rho_j(m) * U_j(m+1) lies at or above the cap.
+
+    A numerator factor that vanishes at index m ends its level after m:
+    level j's top is at most the end of every level i >= j, so no
+    denominator beyond a level's end is touched.  A denominator factor of
+    level j that vanishes at index m before the level's own end raises
+    ZeroFactor when floor + rise(j, m) < order: some term then steps level
+    j through m, whether or not a deeper level has ended.
     """
     for lv in levels:
         _check_base(lv.weight)  # a weight without a positive q-power never stops
@@ -228,72 +229,58 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
             _check_base(step)
     slack = _term_slack(first) + sum(
         _negative_slack(p, step) for lv in levels for p, step in lv.num)
-    work = order + slack
-    start = _term(first, work, {})
+    start = _term(first, order + slack, {})
     if not levels:
         return start.require_order(order)
     floor = first.shift - slack
-    rest = [sum(lv.weight.exp for lv in levels[j:]) for j in range(len(levels) + 1)]
-    grow = [sum(lv.growth.exp for lv in levels[j:]) for j in range(len(levels) + 1)]
-    ends = [_first_zero(lv.num) for lv in levels]
-    breaks = [_first_zero(lv.den) for lv in levels]
-    steps = [_split_steps(lv) for lv in levels]
-    splits = [[] for _ in levels]  # splits[j][m]: level j's split ratio at index m
-    size = work - floor
-    total_a, total_b = [0] * size, [0] * size
-    total_den, total_order = 1, work
-
-    def add(t):
-        nonlocal total_a, total_b, total_den, total_order
-        offset, a, b, den, t_order = t
-        if t_order is not None and t_order < total_order:
-            total_order = t_order
-        i = offset - floor
-        if not a or i >= size:
-            return
-        g = math.gcd(total_den, den)
-        if g != den:  # bring the total over a multiple of den
-            s = den // g
-            total_a = [s * x for x in total_a]
-            total_b = [s * y for y in total_b]
-            total_den *= s
-        s, j = total_den // den, min(i + len(a), size)
-        total_a[i:j] = [x + s * u for x, u in zip(total_a[i:j], a)]
-        total_b[i:j] = [y + s * v for y, v in zip(total_b[i:j], b)]
+    rest = [sum(lv.weight.exp for lv in levels[j:]) for j in range(len(levels))]
+    grow = [sum(lv.growth.exp for lv in levels[j:]) for j in range(len(levels))]
 
     def rise(j: int, m: int) -> int:
-        # the least q-power the ratios of levels j.. add, all at index m or beyond
         return rest[j] * m + grow[j] * (m * (m - 1) // 2)
 
-    def descend(j: int, m: int, acc: int, t):
-        # t: the term with levels j.. at index m, or None once it vanished;
-        # returns the term with levels j.. one index on (None if vanished)
-        first_index, carry = m, None
-        while floor + acc + rise(j, m) < order:
-            nxt = t
-            if t is not None:
-                if j + 1 < len(levels):
-                    nxt = descend(j + 1, m, acc + rise(j, m) - rise(j + 1, m), t)
-                else:
-                    add(t)
-            if m >= ends[j]:
-                break
-            if m >= breaks[j]:
-                raise ZeroFactor(
-                    f"chained sum: a denominator factor of level {j + 1} vanishes at index {m}")
-            t = None
-            if nxt is not None:
-                while len(splits[j]) <= m:
-                    splits[j].append(next(steps[j]))
-                unit, shift, muls, divs = splits[j][m]
-                t = _binomials(nxt, muls, divs, shift=shift, unit=unit)
-            if m == first_index:
-                carry = t
+    ends = [_first_zero(lv.num) for lv in levels]
+    for j, lv in enumerate(levels):
+        m = _first_zero(lv.den)
+        if m < ends[j] and floor + rise(j, m) < order:
+            raise ZeroFactor(
+                f"chained sum: a denominator factor of level {j + 1} vanishes at index {m}")
+    tops = []  # tops[j] <= tops[j+1]: rise(j, m) falls and min(ends[j:]) rises with j
+    for j in range(len(levels)):
+        end, m = min(ends[j:]), 0
+        while m < end and floor + rise(j, m + 1) < order:
             m += 1
-        return carry
-
-    descend(0, 0, 0, _raw(start))
-    return _new(floor, total_a, total_b, total_den, total_order).require_order(order)
+        tops.append(m)
+    splits = [_split_steps(lv, top) for lv, top in zip(levels, tops)]
+    tails = []  # tails[j][m]: the slack level j's numerators hold at indices >= m
+    for lv, rows in zip(levels, splits):
+        left, tail = sum(_negative_slack(p, step) for p, step in lv.num), []
+        for _, _, muls, _ in rows:
+            tail.append(left)
+            left -= sum(-e for *_, e in muls if e < 0)
+        tails.append(tail + [left])
+    one = _raw(LaurentSeries.one())
+    above = [None] * len(levels)  # above[j]: U_j at the index above m
+    for m in range(tops[-1], -1, -1):
+        inner, unit, shift, muls, divs, held = one, (1, 0, 1), 0, (), (), 0
+        for j in range(len(levels) - 1, -1, -1):
+            if m > tops[j]:
+                break
+            held += tails[j][m]
+            cap = order - floor - rise(j, m) - held
+            if m < tops[j]:
+                (ua, ub, ud), s, mu, dv = splits[j][m]
+                va, vb, vd = unit  # the merged weight, (ua + ub*w)(va + vb*w) / (ud*vd)
+                unit = ua * va - ub * vb, ua * vb + ub * va - ub * vb, ud * vd
+                shift, muls, divs = shift + s, mu + muls, dv + divs
+                inner = _plus(cap, inner, _binomials(above[j], muls, divs, cap, shift, unit))
+            else:
+                inner = _plus(cap, inner)
+            above[j] = inner
+    total = _new(*above[0])
+    if start.is_zero() or total.is_zero():  # then the product lies at or above the order
+        return LaurentSeries.zero(order)
+    return (start * total).require_order(order)
 
 
 def _vwp_level(nums, dens, base: ParamValue, weight: ParamValue | None = None) -> Level:

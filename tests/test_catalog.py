@@ -56,6 +56,13 @@ def test_verify_representatives(identity_id):
     assert report.elapsed >= 0.0
 
 
+@pytest.mark.parametrize("identity_id", ["Cor-b", "KL-relation", "DS3-d"])
+def test_verify_double_sums_at_high_order(identity_id):
+    # the chained sums' per-index caps and top indices only bind far from the
+    # low orders the other tests run at
+    assert verify(identity_id, 150).status == "equal"
+
+
 def test_verify_all_low_order():
     reports = verify_all(16)
     assert [r.id for r in reports] == EXPECTED_IDS
@@ -144,11 +151,12 @@ def test_expansion_errors_become_reports(monkeypatch, error):
 @pytest.mark.parametrize("identity_id", EXPECTED_IDS)
 def test_truncation_is_consistent(identity_id):
     # a side built at a high order, cut down, is the side built at the low
-    # order; at order 4 DS4's first-term factor (1 - q^-1) needs its slack
+    # order; at order 4 DS4's first-term factor (1 - q^-1) needs its slack,
+    # and at orders 1-3 a sum side's first term can lie at or above the order
     entry = registry()[identity_id]
     for side in (entry.lhs, entry.rhs):
         high = side(24)
-        for low in (4, 7, 19):
+        for low in (1, 2, 3, 4, 7, 19):
             assert high.truncate(low) == side(low)
 
 

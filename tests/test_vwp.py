@@ -260,16 +260,21 @@ def _term_by_term(levels, order):
     work = order + 6
     total = LaurentSeries.zero(order)
     for ms in itertools.combinations_with_replacement(range(work), len(levels)):
+        try:  # a numerator factor that vanishes ends its level: the term is 0
+            nums = [[poch_finite(p, step, m) for p, step in lv.num]
+                    for lv, m in zip(levels, ms)]
+        except ZeroFactor:
+            continue
         term = LaurentSeries.one()
-        for lv, m in zip(levels, ms):
+        for lv, m, num in zip(levels, ms, nums):
             den = LaurentSeries.one()
             for p, step in lv.den:
                 den = den * poch_finite(p, step, m)
             weight = vwp._param_mul(_power_param(lv.weight, m),
                                     _power_param(lv.growth, m * (m - 1) // 2))
             term = term * LaurentSeries.monomial(weight.coeff, weight.exp)
-            for p, step in lv.num:
-                term = term * poch_finite(p, step, m)
+            for f in num:
+                term = term * f
             term = term * den.inverse(work)
         total = total + term
     return total
@@ -300,6 +305,37 @@ def test_growing_weight_chain_sum_matches_term_by_term(base):
     double = [replace(_level("rational", base, base), growth=Q),
               replace(_level("root-of-unity", base, base), growth=base)]
     assert same(vwp._chain_sum(double, 8), _term_by_term(double, 8), 8)
+
+
+@pytest.mark.parametrize("base", _BASES.values(), ids=_BASES.keys())
+def test_triple_chain_sum_matches_term_by_term(base):
+    # three levels' units, shifts and factors merge into one ratio per index;
+    # the middle level's numerator (base^-2; base)_M has negative exponents and
+    # ends it at M = 2, which caps the outer level too, and the inner level's
+    # weight grows
+    ending = vwp.Level(base, ((_power_param(base, -2), base), (W, base)), ((MQ, base),))
+    levels = [_level("root-of-unity", base, base), ending,
+              replace(_level("rational", base, base), growth=base)]
+    assert same(vwp._chain_sum(levels, 8), _term_by_term(levels, 8), 8)
+
+
+def test_zero_factor_boundary():
+    # b_1 = q^2: level 1's denominator (q^-1; q)_M vanishes at M = 1, past the
+    # end of level 2 (b_3 = 1, so the sum is 1); level 1 steps through M = 1,
+    # and raises, once its bound q^(2M) = q^2 lies below the order
+    for order in range(1, 31):
+        if order > 2:
+            with pytest.raises(ZeroFactor):
+                vwp.lhs_multisum((Q2, M1, P1), order)
+        else:
+            assert vwp.lhs_multisum((Q2, M1, P1), order) == LaurentSeries.one(order)
+    # the numerator (q^-1; q)_M ends the level at M = 1, before its denominator
+    # (q^-3; q)_M vanishes at M = 3: the sum is 1 + q^3/(1 + q + q^2) at every order
+    ends_first = vwp.Level(Q, ((ParamValue(ONE, -1), Q),), ((ParamValue(ONE, -3), Q),))
+    cubic = LaurentSeries.from_terms({0: ONE, 1: ONE, 2: ONE}).inverse(40)
+    exact = LaurentSeries.one() + LaurentSeries.monomial(ONE, 3) * cubic
+    for order in range(1, 31):
+        assert same(vwp._chain_sum([ends_first], order), exact, order)
 
 
 # -- corollaries ----------------------------------------------------------------------
