@@ -112,11 +112,9 @@ def _cmd_derivation(args, out) -> int:
 
 def _cmd_counts(args, out) -> int:
     order = args.max_n + 1
-    table = {}
     try:
-        for family in combinat.FAMILIES:
-            series = combinat.count_series(family, order)
-            table[family] = [int(series.coeff(n).a) for n in range(order)]
+        table = {family: [int(series.coeff(n).a) for n in range(order)]
+                 for family, series in combinat.count_table(order).items()}
     except RuntimeError as exc:
         print(f"qseries: {exc}", file=sys.stderr)
         return 1

@@ -17,15 +17,17 @@ coefficient by coefficient.
 
 The counts come from listing, on purpose: the series engine gets checked
 against objects that can be listed by hand, not against itself, and the
-counting does no series arithmetic.  Components are still built one by one
-as validated ``Overpartition`` objects.  ``a_stats`` and the gf checks list
-each component class (the lambda1s, or the lambda2s, of one smallest part s
-and one weight) once per call, tally it by parity, and count the pairs of
-each weight by the product rule instead of building them;
-``enumerate_pairs_A`` still builds every pair and is the reference those
-counts are tested against.  Enumeration is capped at weight 30; the plain
-counting families (``count_series``) go to any order but self-validate
-against enumeration below weight 15.
+counting does no series arithmetic.  What is listed are classes of parts as
+plain tuples: D(t, p), the distinct parts >= p summing to t; M(t, s), the
+distinct multiples of 3 below 3s summing to t; and, for the plain families,
+the unrestricted partitions of t.  ``a_stats`` and the gf checks list each
+class once per call, tally it by count and parity, and count the components
+and then the pairs of each weight by the product rule instead of building
+them.  ``enumerate_pairs_A`` still builds every pair as validated
+``Overpartition`` objects and is the reference those counts are tested
+against.  Enumeration is capped at weight 30.  ``count_table`` expands the
+four plain counting families from two Pochhammer products to any order and
+self-validates them against the listed counts below weight 15.
 """
 
 from __future__ import annotations
@@ -232,25 +234,58 @@ def enumerate_pairs_A(n: int) -> list[OverpartitionPair]:
     return pairs
 
 
-def _tally(components: list[Overpartition]) -> tuple[int, int, int]:
-    """(count, how many have an even number of plain parts, of all parts)."""
-    return (len(components),
-            sum(1 for c in components if c.n_plain % 2 == 0),
-            sum(1 for c in components if c.n_parts % 2 == 0))
+def _parity_tally(tuples: Iterator[tuple[int, ...]]) -> tuple[int, int]:
+    """(count, how many have an even number of parts) of one listed class."""
+    count = even = 0
+    for t in tuples:
+        count += 1
+        even += len(t) % 2 == 0
+    return count, even
+
+
+def _joined(overlined: list[tuple[int, int]],
+            plain: list[tuple[int, int]]) -> tuple[int, int, int]:
+    """Tally of the components whose halves come from paired classes.
+
+    ``overlined[j]`` and ``plain[j]`` are (count, even) tallies of the classes
+    the overlined and the plain half are chosen from for split j.  Returns
+    (count, how many have an even number of plain parts, how many have an
+    even number of parts), summed over the splits; by the product rule a
+    part count is even when both halves' parities agree.
+    """
+    count = plain_even = parts_even = 0
+    for (co, eo), (cp, ep) in zip(overlined, plain):
+        count += co * cp
+        plain_even += co * ep
+        parts_even += eo * ep + (co - eo) * (cp - ep)
+    return count, plain_even, parts_even
 
 
 def _a_stats_upto(n: int) -> list[AStats]:
-    """``a_stats(m)`` for m = 1..n, listing each component class once.
+    """``a_stats(m)`` for m = 1..n, listing each class of parts once.
 
-    A pair of weight m splits as s + w1 + w2 with lambda1 from ``_firsts(s, w1)``
-    and lambda2 from ``_seconds(s, w2)``, chosen independently, so each split
-    contributes the product of the two classes' counts, and a parity of the
-    pair is even when both components' parities agree.
+    D(t, p) holds the tuples of distinct parts >= p summing to t and M(t, s)
+    the distinct multiples of 3 below 3s summing to t; each is listed once
+    and tallied by parity.  A lambda1 of weight s + w is the overlined s, an
+    overlined half from D(j, s + 1) and a plain half from D(w - j, s); a
+    lambda2 of weight w has an overlined half from D(j, s + 1) and a plain
+    half from M(w - j, s).  A pair of weight m splits as s + w1 + w2 with its
+    two components chosen independently, so each split contributes the
+    product of the two classes' counts, and a parity of the pair is even when
+    both components' parities agree.
     """
-    firsts = {(s, w): _tally(_firsts(s, w))
-              for s in range(1, n + 1) for w in range(n - s + 1)}
-    seconds = {(s, w): _tally(_seconds(s, w))
-               for s in range(1, n + 1) for w in range(n - s + 1)}
+    dist = {(t, p): _parity_tally(_distinct_parts(t, p))
+            for t in range(n + 1) for p in range(1, n + 2)}
+    mult3 = {(t, s): _parity_tally(_mult3_below(t, s))
+             for t in range(n + 1) for s in range(1, n + 1)}
+    firsts, seconds = {}, {}
+    for s in range(1, n + 1):
+        for w in range(n - s + 1):
+            overlined = [dist[j, s + 1] for j in range(w + 1)]
+            c1, plain1, parts1 = _joined(overlined, [dist[w - j, s] for j in range(w + 1)])
+            # the overlined s is one more part of lambda1, flipping its parity
+            firsts[s, w] = (c1, plain1, c1 - parts1)
+            seconds[s, w] = _joined(overlined, [mult3[w - j, s] for j in range(w + 1)])
     out = []
     for m in range(1, n + 1):
         a = a0 = a2 = 0
@@ -319,20 +354,21 @@ def gf_check_Adblprime(order: int) -> VerifyReport:
 # -- plain counting families -------------------------------------------------------------
 
 
-def _overpartitions(n: int, distinct: bool) -> Iterator[Overpartition]:
-    for j in range(n + 1):
-        for ov in _distinct_parts(j, 1):
-            if distinct:
-                plains = _distinct_parts(n - j, 1)
-            else:
-                plains = _partitions(n - j, 1)
-            for pl in plains:
-                yield Overpartition.of(ov, pl)
+def _size(tuples: Iterator[tuple[int, ...]]) -> int:
+    return sum(1 for _ in tuples)
 
 
 @lru_cache(maxsize=None)
 def _component_count(n: int, distinct: bool) -> int:
-    return sum(1 for _ in _overpartitions(n, distinct))
+    """Overpartitions of n, with distinct plain parts if ``distinct``.
+
+    An overpartition is a tuple of distinct overlined parts from D(j, 1)
+    beside a tuple of plain parts of n - j: any partition, or one in
+    distinct parts when ``distinct`` is set.  Both halves are listed.
+    """
+    plain = _distinct_parts if distinct else _partitions
+    return sum(_size(_distinct_parts(j, 1)) * _size(plain(n - j, 1))
+               for j in range(n + 1))
 
 
 def _family_count(family: str, n: int) -> int:
@@ -345,32 +381,38 @@ def _family_count(family: str, n: int) -> int:
                for k in range(n + 1))
 
 
-def count_series(family: str, order: int) -> LaurentSeries:
-    """The counting generating function of ``family``, expanded below order.
+def count_table(order: int) -> dict[str, LaurentSeries]:
+    """The counting generating function of every family, expanded below order.
 
     overpartitions: (-q;q)_inf/(q;q)_inf; overpartitions_distinct:
-    (-q;q)_inf^2; pairs and pairs_distinct square those.  Coefficients below
-    min(order, 15) are checked against direct enumeration before returning,
-    so a wrong series cannot come back quietly.
+    (-q;q)_inf^2; pairs and pairs_distinct square those.  Each Pochhammer
+    product is built once.  Coefficients below min(order, 15) are checked
+    against the listed counts before returning, so a wrong series cannot
+    come back quietly.
     """
+    if order < 1:
+        raise ValueError(f"count_table needs order >= 1, got {order}")
+    m = poch_infinite(_MQ, Q, order)
+    single = m * poch_infinite_inv(ParamValue(ONE, 1), Q, order)
+    single_distinct = m * m
+    table = {"overpartitions": single,
+             "overpartitions_distinct": single_distinct,
+             "pairs": single * single,
+             "pairs_distinct": single_distinct * single_distinct}
+    for family, series in table.items():
+        for n in range(min(order, 15)):
+            want = _family_count(family, n)
+            if series.coeff(n) != CycRat(want):
+                raise RuntimeError(
+                    f"count_series({family!r}): series coefficient at q^{n} is"
+                    f" {series.coeff(n)} but enumeration counts {want}")
+    return table
+
+
+def count_series(family: str, order: int) -> LaurentSeries:
+    """``count_table(order)[family]``: one family's counting series below order."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if order < 1:
         raise ValueError(f"count_series needs order >= 1, got {order}")
-    m = poch_infinite(_MQ, Q, order)
-    if family == "overpartitions":
-        out = m * poch_infinite_inv(ParamValue(ONE, 1), Q, order)
-    elif family == "overpartitions_distinct":
-        out = m * m
-    elif family == "pairs":
-        i = poch_infinite_inv(ParamValue(ONE, 1), Q, order)
-        out = m * m * i * i
-    else:
-        out = m * m * m * m
-    for n in range(min(order, 15)):
-        want = _family_count(family, n)
-        if out.coeff(n) != CycRat(want):
-            raise RuntimeError(
-                f"count_series({family!r}): series coefficient at q^{n} is"
-                f" {out.coeff(n)} but enumeration counts {want}")
-    return out
+    return count_table(order)[family]

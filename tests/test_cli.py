@@ -130,6 +130,35 @@ def test_counts_json(capsys):
                        "pairs": 4, "pairs_distinct": 4}
 
 
+def _product_counts(order):
+    """(-q;q)_inf/(q;q)_inf, (-q;q)_inf^2 and their squares, in integers."""
+    distinct = [1] + [0] * (order - 1)
+    partitions = [1] + [0] * (order - 1)
+    for k in range(1, order):
+        for n in range(order - 1, k - 1, -1):
+            distinct[n] += distinct[n - k]
+        for n in range(k, order):
+            partitions[n] += partitions[n - k]
+
+    def times(a, b):
+        return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(order)]
+
+    single, single_distinct = times(distinct, partitions), times(distinct, distinct)
+    return {"overpartitions": single, "overpartitions_distinct": single_distinct,
+            "pairs": times(single, single),
+            "pairs_distinct": times(single_distinct, single_distinct)}
+
+
+def test_counts_json_at_benchmark_size(capsys):
+    code, out, err = run(capsys, "counts", "--max-n", "149", "--format", "json")
+    rows = [json.loads(line) for line in out.splitlines()]
+    want = _product_counts(150)
+    assert code == 0
+    assert err == ""
+    assert rows == [{"n": n, **{f: want[f][n] for f in want}} for n in range(150)]
+    assert rows[149]["pairs"].bit_length() > 64  # beyond any fixed-width integer
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--identity", "A1-a", "--order", "0"),
     ("counts", "--max-n", "-1"),

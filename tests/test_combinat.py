@@ -1,5 +1,6 @@
 """Overpartition-pair enumeration, statistics, and generating functions."""
 
+import itertools
 import pathlib
 
 import pytest
@@ -10,8 +11,13 @@ from qseries.combinat import (
     FAMILIES,
     Overpartition,
     OverpartitionPair,
+    _a_stats_upto,
+    _component_count,
+    _distinct_parts,
+    _partitions,
     a_stats,
     count_series,
+    count_table,
     enumerate_pairs_A,
     gf_check_Adblprime,
     gf_check_Aprime,
@@ -116,6 +122,17 @@ def test_a_stats_matches_enumeration(n):
     assert s.A2 == sum(1 for p in pairs if p.n_parts % 2 == 0)
 
 
+def test_a_stats_golden_to_cap():
+    # rows "n A A0 A2" for n = 1..30, recorded from a tally of validated
+    # Overpartition objects
+    golden = [tuple(map(int, line.split()))
+              for line in (DATA / "a_stats_30.txt").read_text().splitlines()]
+    assert [row[0] for row in golden] == list(range(1, ENUMERATION_CAP + 1))
+    upto = _a_stats_upto(ENUMERATION_CAP)
+    assert [(s.n, s.A, s.A0, s.A2) for s in upto] == golden
+    assert a_stats(ENUMERATION_CAP) == upto[-1]
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_enumeration_satisfies_definition(n):
     pairs = enumerate_pairs_A(n)
@@ -159,6 +176,47 @@ def test_gf_check_order_bounds(order):
 # -- counting series --------------------------------------------------------------------
 
 
+def _overpartitions(n, distinct):
+    """Overlined parts D(j, 1) beside plain parts of n - j, as validated objects."""
+    for j in range(n + 1):
+        for ov in _distinct_parts(j, 1):
+            plains = _distinct_parts(n - j, 1) if distinct else _partitions(n - j, 1)
+            for pl in plains:
+                yield Overpartition.of(ov, pl)
+
+
+def _overlined_subsets(n):
+    """Every overpartition of n: a partition with any set of its values overlined."""
+    def partitions(total, largest):
+        if total == 0:
+            yield ()
+        for v in range(min(total, largest), 0, -1):
+            for rest in partitions(total - v, v):
+                yield (v,) + rest
+
+    for parts in partitions(n, n):
+        values = sorted(set(parts))
+        for k in range(len(values) + 1):
+            for chosen in itertools.combinations(values, k):
+                plain = list(parts)
+                for v in chosen:
+                    plain.remove(v)
+                yield Overpartition.of(chosen, plain)
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("n", range(15))
+def test_component_count_matches_listing(n, distinct):
+    listed = list(_overpartitions(n, distinct))
+    renders = {p.render() for p in listed}
+    assert len(renders) == len(listed)
+    assert all(p.weight == n for p in listed)
+    want = {p.render() for p in _overlined_subsets(n)
+            if not distinct or p.has_distinct_parts()}
+    assert renders == want
+    assert _component_count(n, distinct) == len(listed)
+
+
 def test_count_series_overpartitions():
     s = count_series("overpartitions", 8)
     got = [int(s.coeff(n).a) for n in range(8)]
@@ -185,6 +243,8 @@ def test_count_series_validation():
         count_series("nope", 5)
     with pytest.raises(ValueError):
         count_series("pairs", 0)
+    with pytest.raises(ValueError, match=r"^count_table needs order >= 1"):
+        count_table(0)
     assert set(FAMILIES) == {
         "overpartitions", "overpartitions_distinct", "pairs", "pairs_distinct",
     }
