@@ -4,14 +4,15 @@ Each entry carries two independent builders.  A sum side is data: a first
 term and one term ratio per summation index, transcribed from the stated sum
 and summed by vwp's chained term-ratio driver.  A product side is data too: a
 list of terms scalar * q^a * prod (1 - c q^e)^{+-1} * prod (c q^e; q^s)_inf^k,
-in the style of Garvan's etaq.  Verification expands both to a truncation
-order and compares coefficients exactly; nothing is ever checked numerically
-in floating point.
+in the style of Garvan's etaq, each expanded by one binomial-kernel call.
+Verification expands both to a truncation order and compares coefficients
+exactly; nothing is ever checked numerically in floating point.
 
 Entries that arose by specializing the two-parameter or three-parameter
 corollaries also record that specialization (base, parameter values, and the
-eta-quotient prefactor), so ``derivation_check`` can re-derive the sum side
-from the corollary's closed form and confirm it against the direct builder.
+eta-quotient prefactor, one term), so ``derivation_check`` can re-derive the
+sum side from the corollary's closed form, with the prefactor applied to it
+in one kernel call, and confirm it against the direct builder.
 
 The identity families:
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from types import MappingProxyType
 from typing import Callable
 
@@ -43,9 +45,11 @@ from .laurent import (
     ParamValue,
     Q,
     ZeroFactor,
+    _new,
+    _raw,
 )
 from . import vwp
-from .vwp import DegenerateC, Level, Term, _chain_sum, _product_sum
+from .vwp import DegenerateC, Level, Term, _apply, _chain_sum, _product_sum, _term_slack
 
 
 class UnknownIdentity(KeyError):
@@ -84,12 +88,12 @@ class Specialization:
     ``params`` is (y, z) for single-sum entries (two-parameter corollary) and
     (x, y, z) for double-sum entries (three-parameter corollary).  The
     prefactor is the eta-quotient multiplier in front of the corollary's right
-    side, as a tuple of product terms.
+    side, as one product term.
     """
 
     base: ParamValue
     params: tuple[ParamValue, ...]
-    prefactor: tuple[Term, ...]
+    prefactor: Term
 
 
 @dataclass(frozen=True)
@@ -125,15 +129,15 @@ def _lv(weight: int, num=(), den=()) -> Level:
 
 
 def _sum_side(first: Term, *levels: Level) -> Callable[[int], LaurentSeries]:
-    return lambda order: _chain_sum(levels, order, first)
+    return partial(_chain_sum, levels, first=first)
 
 
 def _product_side(*terms: Term) -> Callable[[int], LaurentSeries]:
-    return lambda order: _product_sum(terms, order)
+    return partial(_product_sum, terms)
 
 
-def _const(num: int, den: int) -> tuple[Term, ...]:
-    return (Term(_r(num, den)),)
+def _const(num: int, den: int) -> Term:
+    return Term(_r(num, den))
 
 
 # -- the stated sums, as data -----------------------------------------------------------
@@ -388,35 +392,35 @@ def _build_registry() -> dict[str, IdentityEntry]:
         ("A1-a",
          "sum_{n>=1} q^n (q^n;q)_inf (-q^{n+1};q)_inf^2 (q^3;q^3)_{n-1}"
          " = (q^2;q^2)_inf/(q;q^2)_inf - (q^3;q^3)_inf",
-         Q, (_M1, _W), (Term(_r(1, 3), pochs=((1, 1, 1, 1), (-1, 1, 1, 2))),)),
+         Q, (_M1, _W), Term(_r(1, 3), pochs=((1, 1, 1, 1), (-1, 1, 1, 2)))),
         ("A1-b",
          "sum_{n>=1} q^n (q^n;q)_inf (q^{n+1};q)_inf^2 (q^3;q^3)_{n-1}"
          " = (1/3)((q^3;q^3)_inf - (q;q)_inf^3)",
-         Q, (_P1, _W), (Term(_r(1, 3), pochs=((1, 1, 1, 3),)),)),
+         Q, (_P1, _W), Term(_r(1, 3), pochs=((1, 1, 1, 3),))),
         ("A1-c",
          "sum_{n>=1} q^n (-q^n;q)_inf (-q^{n+1};q)_inf^2 (-q^3;q^3)_{n-1}"
          " = (1/3)((-q;q)_inf^3 - (-q^3;q^3)_inf)",
-         Q, (_M1, _MW), (Term(pochs=((-1, 1, 1, 3),)),)),
+         Q, (_M1, _MW), Term(pochs=((-1, 1, 1, 3),))),
         ("A1-d",
          "sum_{n>=1} q^n (-q^n;q)_inf (q^{n+1};q)_inf^2 (-q^3;q^3)_{n-1}"
          " = (-q^3;q^3)_inf - (-q;q)_inf (q;q)_inf^2",
-         Q, (_P1, _MW), (Term(pochs=((-1, 1, 1, 1), (1, 1, 1, 2))),)),
+         Q, (_P1, _MW), Term(pochs=((-1, 1, 1, 1), (1, 1, 1, 2)))),
         ("A2-a",
          "sum_{n>=1} q^n / ((q^{n+1};q)_inf (-q^n;q)_inf^2 (q^3;q^3)_n)"
          " = 1/(q^3;q^3)_inf - (q;q^2)_inf/(q^2;q^2)_inf",
-         Q, (_W, _M1), (Term(_r(1, 4), pochs=((1, 1, 1, -1), (-1, 1, 1, -2))),)),
+         Q, (_W, _M1), Term(_r(1, 4), pochs=((1, 1, 1, -1), (-1, 1, 1, -2)))),
         ("A2-b",
          "sum_{n>=1} q^n / ((-q^{n+1};q)_inf (-q^n;q)_inf^2 (-q^3;q^3)_n)"
          " = (1/3)(1/(-q^3;q^3)_inf - 1/(-q;q)_inf^3)",
-         Q, (_MW, _M1), (Term(_r(1, 4), pochs=((-1, 1, 1, -3),)),)),
+         Q, (_MW, _M1), Term(_r(1, 4), pochs=((-1, 1, 1, -3),))),
         ("A2-c",
          "sum_{n>=1} q^n (q^n;q)_inf (q^3;q^3)_{n-1} / ((-q^{n+1};q)_inf (-q^3;q^3)_n)"
          " = (1/2)((q^3;q^3)_inf/(-q^3;q^3)_inf - (q;q)_inf/(-q;q)_inf)",
-         Q, (_MW, _W), (Term(_r(1, 3), pochs=((1, 1, 1, 1), (-1, 1, 1, -1))),)),
+         Q, (_MW, _W), Term(_r(1, 3), pochs=((1, 1, 1, 1), (-1, 1, 1, -1)))),
         ("A2-d",
          "sum_{n>=1} q^n (-q^n;q)_inf (-q^3;q^3)_{n-1} / ((q^{n+1};q)_inf (q^3;q^3)_n)"
          " = (-1/2)((-q^3;q^3)_inf/(q^3;q^3)_inf - (-q;q)_inf/(q;q)_inf)",
-         Q, (_W, _MW), (Term(pochs=((-1, 1, 1, 1), (1, 1, 1, -1))),)),
+         Q, (_W, _MW), Term(pochs=((-1, 1, 1, 1), (1, 1, 1, -1)))),
     ]
     ds = [
         ("DS1-a", 3, (_P1, _W, _MW)), ("DS1-b", 3, (_P1, _MW, _W)),
@@ -433,22 +437,22 @@ def _build_registry() -> dict[str, IdentityEntry]:
          " (q^{2n+3};q^2)_inf (q^6;q^6)_{n-1}"
          " = (q^6;q^6)_inf/(1+q+q^2) - (q^2;q^2)_inf (q;q^2)_inf^2/(1-q^3)",
          _Q2, (Q, _W),
-         (Term(_r(1, 3), shift=-1, divs=((1, 1),), pochs=((1, 2, 2, 1), (1, 1, 2, 2))),)),
+         Term(_r(1, 3), shift=-1, divs=((1, 1),), pochs=((1, 2, 2, 1), (1, 1, 2, 2)))),
         ("Bprime-b",
          "sum_{n>=1} q^{2n-1} (q^{2n+1};q^2)_inf (-q^{2n};q^2)_inf"
          " (q^{2n+3};q^2)_inf (-q^6;q^6)_{n-1}"
          " = ((-q^6;q^6)_inf - (-q^2,q^3,q;q^2)_inf)/(1-q+q^2)",
-         _Q2, (Q, _MW), (Term(shift=-1, divs=((1, 1),), pochs=((1, 1, 2, 2), (-1, 2, 2, 1))),)),
+         _Q2, (Q, _MW), Term(shift=-1, divs=((1, 1),), pochs=((1, 1, 2, 2), (-1, 2, 2, 1)))),
         ("Bprime-c",
          "sum_{n>=1} q^{2n-1} / ((q^{2n-1};q^2)_inf (q^{2n+1};q^2)_inf"
          " (q^{2n+2};q^2)_inf (q^6;q^6)_n)"
          " = ((1-q)/((q;q^2)_inf^2 (q^2;q^2)_inf) - 1/(q^6;q^6)_inf)/(1+q+q^2)",
-         _Q2, (_W, Q), (Term(-1, divs=((1, 1),), pochs=((1, 1, 2, -2), (1, 2, 2, -1))),)),
+         _Q2, (_W, Q), Term(-1, divs=((1, 1),), pochs=((1, 1, 2, -2), (1, 2, 2, -1)))),
         ("Bprime-d",
          "sum_{n>=1} q^{2n-1} / ((q^{2n-1};q^2)_inf (q^{2n+1};q^2)_inf"
          " (-q^{2n+2};q^2)_inf (-q^6;q^6)_n)"
          " = (1/(-q^2,q^3,q;q^2)_inf - 1/(-q^6;q^6)_inf)/(1-q+q^2)",
-         _Q2, (_MW, Q), (Term(-1, divs=((1, 1),), pochs=((1, 1, 2, -2), (-1, 2, 2, -1))),)),
+         _Q2, (_MW, Q), Term(-1, divs=((1, 1),), pochs=((1, 1, 2, -2), (-1, 2, 2, -1)))),
     ]
     ds4 = [
         ("DS4-a", 3, (_P1, Q, _W), ""), ("DS4-b", 1, (_P1, Q, _MW), ""),
@@ -534,11 +538,11 @@ def _derived(sp: Specialization, order: int) -> LaurentSeries:
     """prefactor * (corollary RHS - first row) at the recorded parameters.
 
     The first row is the constant 1 for single sums and the two-parameter
-    corollary RHS for double sums.  A prefactor with a negative valuation
-    needs the closed form that much beyond ``order``.
+    corollary RHS for double sums.  The prefactor applies to the closed form
+    in one binomial-kernel call, so a prefactor that lowers the valuation or
+    the order needs the closed form that much beyond ``order``.
     """
-    pref = _product_sum(sp.prefactor, order)
-    work = order - min(0, pref.valuation())
+    work = order + _term_slack(sp.prefactor)
     if len(sp.params) == 2:
         y, z = sp.params
         rest = vwp.corollary_k2(y, z, sp.base, work) - LaurentSeries.one()
@@ -546,7 +550,7 @@ def _derived(sp: Specialization, order: int) -> LaurentSeries:
         x, y, z = sp.params
         rest = (vwp.corollary_k3(x, y, z, sp.base, work)
                 - vwp.corollary_k2(y, z, sp.base, work))
-    return (pref * rest).require_order(order)
+    return _new(*_apply(sp.prefactor, _raw(rest))).require_order(order)
 
 
 def derivation_check(identity_id: str, order: int = DEFAULT_ORDER) -> VerifyReport:

@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from . import catalog, combinat
 from .catalog import MissingSpecialization, UnknownIdentity, VerifyReport
@@ -132,7 +133,11 @@ def _cmd_counts(args, out) -> int:
     return 0
 
 
+@lru_cache(maxsize=4)
 def _build_parser(default_order: int) -> argparse.ArgumentParser:
+    """The argument parser for one default order, built on first use and then
+    reused: parsing leaves it unchanged, and building it costs about as much
+    as a small check."""
     parser = argparse.ArgumentParser(
         prog="qseries",
         description="Exact verification of q-series identities and overpartition counts.")

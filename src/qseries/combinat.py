@@ -18,12 +18,12 @@ coefficient by coefficient.
 The counts come from listing, on purpose: the series engine gets checked
 against objects that can be listed by hand, not against itself, and the
 counting does no series arithmetic.  What is listed are classes of parts as
-plain tuples: D(t, p), the distinct parts >= p summing to t; M(t, s), the
-distinct multiples of 3 below 3s summing to t; and, for the plain families,
-the unrestricted partitions of t.  ``a_stats`` and the gf checks list each
-class once per call, tally it by count and parity, and count the components
-and then the pairs of each weight by the product rule instead of building
-them.  ``enumerate_pairs_A`` still builds every pair as validated
+plain tuples: D(t, p), the distinct parts >= p summing to t, listed once as
+D(t, 1) and split by smallest part; M(t, s), the distinct multiples of 3
+below 3s summing to t; and, for the plain families, the unrestricted
+partitions of t.  ``a_stats`` and the gf checks list each class once per
+call, tally it by count and parity, and count the components and then the
+pairs of each weight by the product rule instead of building them.  ``enumerate_pairs_A`` still builds every pair as validated
 ``Overpartition`` objects and is the reference those counts are tested
 against.  Enumeration is capped at weight 30.  ``count_table`` expands the
 four plain counting families from two Pochhammer products to any order and
@@ -265,17 +265,27 @@ def _a_stats_upto(n: int) -> list[AStats]:
     """``a_stats(m)`` for m = 1..n, listing each class of parts once.
 
     D(t, p) holds the tuples of distinct parts >= p summing to t and M(t, s)
-    the distinct multiples of 3 below 3s summing to t; each is listed once
-    and tallied by parity.  A lambda1 of weight s + w is the overlined s, an
-    overlined half from D(j, s + 1) and a plain half from D(w - j, s); a
-    lambda2 of weight w has an overlined half from D(j, s + 1) and a plain
-    half from M(w - j, s).  A pair of weight m splits as s + w1 + w2 with its
-    two components chosen independently, so each split contributes the
-    product of the two classes' counts, and a parity of the pair is even when
-    both components' parities agree.
+    the distinct multiples of 3 below 3s summing to t.  Each D(t, 1) is
+    listed once and bucketed by smallest part, so the parity tally of D(t, p)
+    is a suffix sum over p; each M(t, s) is listed once and tallied.  A
+    lambda1 of weight s + w is the overlined s, an overlined half from
+    D(j, s + 1) and a plain half from D(w - j, s); a lambda2 of weight w has
+    an overlined half from D(j, s + 1) and a plain half from M(w - j, s).  A
+    pair of weight m splits as s + w1 + w2 with its two components chosen
+    independently, so each split contributes the product of the two classes'
+    counts, and a parity of the pair is even when both components' parities
+    agree.
     """
-    dist = {(t, p): _parity_tally(_distinct_parts(t, p))
-            for t in range(n + 1) for p in range(1, n + 2)}
+    dist = {}
+    for t in range(n + 1):
+        least = [[] for _ in range(n + 2)]  # D(t, 1) by smallest part, () last
+        for parts in _distinct_parts(t, 1):
+            least[parts[-1] if parts else n + 1].append(parts)
+        count = even = 0
+        for p in range(n + 1, 0, -1):  # D(t, p): the tuples whose parts are all >= p
+            c, e = _parity_tally(least[p])
+            count, even = count + c, even + e
+            dist[t, p] = count, even
     mult3 = {(t, s): _parity_tally(_mult3_below(t, s))
              for t in range(n + 1) for s in range(1, n + 1)}
     firsts, seconds = {}, {}

@@ -32,6 +32,13 @@ nests the sum from the inside out, Horner style, with U_{L+1}(m) = 1 and
 for the term ratios r_i, so a k-fold sum costs O(k * order) calls of the
 laurent binomial kernel, each on the merged ratios of the inner levels.
 
+A product term (``Term``) is nothing but binomials: a scalar, a shift,
+binomials (1 - c q^e)^{+-1} and Pochhammer powers (c q^e; q^s)_inf^k.  It is
+applied to a series, the constant 1 for a product side, U_1(0) for a sum's
+first term and a corollary closed form for a catalog prefactor, in one
+kernel call that takes the Pochhammer factors as multiplications (k > 0) or
+divisions (k < 0), so no Pochhammer series is built or multiplied.
+
 Sums are truncated by an exact lower bound on term valuations: the weights
 minus the finite total of negative exponents (the slack) that numerator
 factors can contribute.  The bound gives each level its top index and each
@@ -111,7 +118,8 @@ class Term:
 
     ``muls`` and ``divs`` hold binomials as pairs (c, e); ``pochs`` holds
     infinite Pochhammer powers as (c, e, s, k) with k != 0, in the style of
-    Garvan's etaq.  Coefficients c are ints or CycRat.
+    Garvan's etaq.  Coefficients c are ints or CycRat.  ``_apply`` multiplies
+    a raw state by a Term in one binomial-kernel call.
     """
 
     scalar: int | CycRat = 1
@@ -140,38 +148,49 @@ class Level:
 
 
 def _term_slack(t: Term) -> int:
-    """Order a Term loses below its working order: its negative q-powers."""
+    """Order a Term loses below its working order: its negative q-powers.
+    InvalidBase when a Pochhammer step has no positive q-power."""
     dips = [-e for _, e in t.muls if e < 0]
-    dips += [k * _negative_slack(ParamValue(c, e), ParamValue(ONE, s))
-             for c, e, s, k in t.pochs if k > 0]
+    dips += [max(k, 0) * _negative_slack(ParamValue(c, e), ParamValue(ONE, s))
+             for c, e, s, k in t.pochs]
     return max(0, -t.shift) + sum(dips)
 
 
-def _term(t: Term, order: int, built: dict) -> LaurentSeries:
-    """One Term below ``order``; ``built`` shares Pochhammer products between terms."""
-    out = LaurentSeries.monomial(t.scalar, t.shift, order)
+def _apply(t: Term, state: tuple) -> tuple:
+    """The raw state t * state, in one call of the binomial kernel.
+
+    The scalar is the kernel's unit and the shift its shift; the Term's
+    binomials and, repeated |k| times, the factors of each (c q^e; q^s)_inf^k
+    are its multiplications (k > 0) or divisions (k < 0).
+
+    A factor (1 - c q^e) left out changes the product only at exponents of
+    at least e plus the valuation of everything else.  The shift and the
+    factors with e < 0 move that valuation and the trusted order alike, so
+    of a state trusted below a finite N only factors with e below N minus
+    the state's valuation can touch a trusted coefficient, and only those
+    are applied.  The result is trusted at least below N + t.shift minus
+    the negative exponents of the multiplications.  ZeroFactor when a
+    Pochhammer product vanishes identically.
+    """
+    below = state[4] - state[0]
+    muls = [(*_split(c), e) for c, e in t.muls]
+    divs = [(*_split(c), e) for c, e in t.divs]
     for c, e, s, k in t.pochs:
-        key = (c, e, s, k > 0)
-        if key not in built:
-            poch = poch_infinite if k > 0 else poch_infinite_inv
-            built[key] = poch(ParamValue(c, e), ParamValue(ONE, s), order)
-        for _ in range(abs(k)):
-            out = out * built[key]
-    for c, e in t.muls:
-        out = out.mul_one_minus(c, e)
-    for c, e in t.divs:
-        out = out.div_one_minus(c, e)
-    return out
+        p, base = ParamValue(c, e), ParamValue(ONE, s)
+        _check_base(base)
+        if _zero_factor_index(p, base) is not None:
+            raise ZeroFactor(f"({p}; {base})_inf vanishes identically")
+        (muls if k > 0 else divs).extend(_factors(p, base, below=below) * abs(k))
+    return _binomials(state, muls, divs, shift=t.shift, unit=_split(t.scalar))
 
 
 def _product_sum(terms, order: int) -> LaurentSeries:
-    """The sum of ``terms``, trusted below ``order``."""
-    work = order + max(_term_slack(t) for t in terms)
-    built: dict = {}
-    total = LaurentSeries.zero(work)
-    for t in terms:
-        total = total + _term(t, work, built)
-    return total.require_order(order)
+    """The sum of ``terms``, trusted below ``order``: one kernel call per Term,
+    each on the constant 1 trusted far enough for the Term to reach ``order``."""
+    slacks = [_term_slack(t) for t in terms]  # every base is checked before any product
+    states = [_apply(t, _raw(LaurentSeries.one(order + slack - t.shift)))
+              for t, slack in zip(terms, slacks)]
+    return _new(*_plus(order, *states))
 
 
 def _first_zero(factors) -> float:
@@ -201,7 +220,8 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
     where rho_j(m) = prod_{i>=j} R_i(m+1)/R_i(m).  m runs from the top index
     down to 0, the deepest level first, and each (j, m) below level j's top
     is one kernel call on U_j(m+1) with the weights, shifts and binomials of
-    levels j..L at m, each level split once per index.
+    levels j..L at m, each level split once per index.  The first term then
+    applies to U_1(0) in one more kernel call.
 
     Caps.  A term's valuation is at least floor = first.shift - slack plus
     the q-powers weight_j*M_j + growth_j*M_j(M_j-1)/2 of every level j; the
@@ -227,11 +247,10 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
             raise InvalidBase(f"weight growth must not lower the q-power, got {lv.growth}")
         for _, step in lv.num + lv.den:
             _check_base(step)
+    if not levels:
+        return _product_sum((first,), order)
     slack = _term_slack(first) + sum(
         _negative_slack(p, step) for lv in levels for p, step in lv.num)
-    start = _term(first, order + slack, {})
-    if not levels:
-        return start.require_order(order)
     floor = first.shift - slack
     rest = [sum(lv.weight.exp for lv in levels[j:]) for j in range(len(levels))]
     grow = [sum(lv.growth.exp for lv in levels[j:]) for j in range(len(levels))]
@@ -277,10 +296,7 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
             else:
                 inner = _plus(cap, inner)
             above[j] = inner
-    total = _new(*above[0])
-    if start.is_zero() or total.is_zero():  # then the product lies at or above the order
-        return LaurentSeries.zero(order)
-    return (start * total).require_order(order)
+    return _new(*_apply(first, above[0])).require_order(order)
 
 
 def _vwp_level(nums, dens, base: ParamValue, weight: ParamValue | None = None) -> Level:
@@ -548,7 +564,7 @@ def _folded_sum(params, base: ParamValue, weight: ParamValue, first: Term, order
     level = Level(weight, lv.num + ((_param_mul(minus_one, base), base),) + num,
                   lv.den + ((minus_one, base),) + den, growth)
     total = _chain_sum([level], order, replace(first, scalar=2 * first.scalar))
-    return (total - _term(first, order, {})).require_order(order)
+    return (total - _product_sum((first,), order)).require_order(order)
 
 
 def f_bilateral(params, order: int, base: ParamValue = Q) -> LaurentSeries:

@@ -183,3 +183,21 @@ def test_env_default_order_invalid(monkeypatch):
     monkeypatch.setenv("QSERIES_DEFAULT_ORDER", "zero")
     with pytest.raises(SystemExit):
         cli.main(["list"])
+
+
+def test_parser_reuse_follows_env_default_order(capsys, monkeypatch):
+    # one process, several main() calls: each sees the default order in force
+    # when it runs, and a bad flag after a good run is still a usage error
+    for value in ("7", "11", "7"):
+        monkeypatch.setenv("QSERIES_DEFAULT_ORDER", value)
+        code, out, _ = run(capsys, "verify", "--identity", "Cor-a", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["order"] == int(value)
+    code, _, _ = run(capsys, "verify", "--identity", "Cor-a", "--order", "5")
+    assert code == 0
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["verify", "--identity", "Cor-a", "--no-such-flag"])
+    assert exc_info.value.code == 2
+    code, out, _ = run(capsys, "verify", "--identity", "Cor-a", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["order"] == 7

@@ -338,6 +338,74 @@ def test_zero_factor_boundary():
         assert same(vwp._chain_sum([ends_first], order), exact, order)
 
 
+# -- product terms against a factor-by-factor build ----------------------------------------
+
+
+def _built_term(t, order):
+    """Term t from a monomial times whole Pochhammer powers, each built by
+    poch_infinite or poch_infinite_inv and multiplied in, then its binomials."""
+    out = LaurentSeries.monomial(t.scalar, t.shift, order)
+    for c, e, s, k in t.pochs:
+        poch = poch_infinite if k > 0 else poch_infinite_inv
+        factor = poch(ParamValue(c, e), ParamValue(ONE, s), order)
+        for _ in range(abs(k)):
+            out = out * factor
+    for c, e in t.muls:
+        out = out.mul_one_minus(c, e)
+    for c, e in t.divs:
+        out = out.div_one_minus(c, e)
+    return out
+
+
+_CATALOG_TERMS = {
+    "product sides": [t for terms in catalog._RHS.values() for t in terms],
+    "prefactors": [e.specialization.prefactor for e in catalog.registry().values()
+                   if e.specialization is not None],
+    "first terms": [side.keywords["first"] for side in catalog._LHS.values()],
+}
+
+
+@pytest.mark.parametrize("kind", _CATALOG_TERMS)
+def test_catalog_terms_match_built_products(kind):
+    for t in _CATALOG_TERMS[kind]:
+        for order in list(range(1, 31)) + [150]:
+            got = vwp._product_sum((t,), order)
+            assert got.order == order
+            assert same(got, _built_term(t, order + vwp._term_slack(t)), order), (t, order)
+
+
+def test_vanishing_or_flat_pochhammer_in_a_term():
+    # (1; q)_inf and 1/(q^-2; q)_inf hold the factor (1 - 1); (q; q^0)_inf never ends
+    level = vwp.Level(Q, ((W, Q),), ((M1, Q),))
+    for poch, error in [((1, 0, 1, 1), ZeroFactor), ((1, -2, 1, -1), ZeroFactor),
+                        ((1, 1, 0, 1), InvalidBase), ((1, 1, 0, -1), InvalidBase),
+                        ((1, 1, -1, -2), InvalidBase)]:
+        t = vwp.Term(3, shift=-1, muls=((2, 1),), pochs=((-1, 1, 1, 1), poch))
+        for order in (1, 10):
+            with pytest.raises(error):
+                vwp._product_sum((vwp.Term(), t), order)
+            with pytest.raises(error):
+                vwp._chain_sum([level], order, t)
+
+
+@pytest.mark.parametrize("first", [
+    # a negative shift and (q^-1; q^2)_inf, as in DS4-c's product side, lower
+    # the first term's valuation below the sum's
+    vwp.Term(_HALF.coeff, shift=-2, muls=((1, -1),), divs=((-1, 1),),
+             pochs=((1, -1, 2, 1), (OMEGA, 1, 1, -1))),
+    # the level's ratio q(1 - 2q^-2)/2 gives the sum a negative valuation, so
+    # the first term needs one more factor of (q; q)_inf^2 than the order alone asks
+    vwp.Term(-1, shift=1, pochs=((1, 1, 1, 2),)),
+], ids=["negative", "positive"])
+def test_chain_sum_first_term_matches_term_by_term(first):
+    levels = [vwp.Level(Q, ((ParamValue(CycRat(2), -2), Q),), ((M1, Q),))]
+    for order in (1, 4, 8):
+        got = vwp._chain_sum(levels, order, first)
+        assert got.order == order
+        want = _built_term(first, order + 12) * _term_by_term(levels, order + 12)
+        assert same(got, want, order)
+
+
 # -- corollaries ----------------------------------------------------------------------
 
 
