@@ -507,8 +507,10 @@ def _compare(identity_id: str, order: int, sides) -> VerifyReport:
     """Build (lhs, rhs) = sides() and compare them below ``order``.
 
     Every library exception raised on the way becomes an error report that
-    names the exception type.
+    names the exception type; an order below 1 raises ValueError.
     """
+    if order < 1:
+        raise ValueError(f"{identity_id}: order must be >= 1, got {order}")
     start = time.perf_counter()
     try:
         lhs, rhs = sides()

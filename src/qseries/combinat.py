@@ -261,8 +261,9 @@ def _joined(overlined: list[tuple[int, int]],
     return count, plain_even, parts_even
 
 
-def _a_stats_upto(n: int) -> list[AStats]:
-    """``a_stats(m)`` for m = 1..n, listing each class of parts once.
+@lru_cache(maxsize=None)
+def _a_stats_upto(n: int) -> tuple[AStats, ...]:
+    """``a_stats(m)`` for m = 1..n, listing each class of parts once (cached).
 
     D(t, p) holds the tuples of distinct parts >= p summing to t and M(t, s)
     the distinct multiples of 3 below 3s summing to t.  Each D(t, 1) is
@@ -308,7 +309,7 @@ def _a_stats_upto(n: int) -> list[AStats]:
                 a2 += parts1 * parts2 + (c1 - parts1) * (c2 - parts2)
         out.append(AStats(n=m, A=a, A0=a0, A1=a - a0, A2=a2, A3=a - a2,
                           Aprime=2 * a0 - a, Adblprime=a - 2 * a2))
-    return out
+    return tuple(out)
 
 
 def a_stats(n: int) -> AStats:

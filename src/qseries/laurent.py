@@ -644,19 +644,11 @@ def _binomials(state: tuple, muls=(), divs=(), cap: int | None = None,
 
 
 def _product_order(f: LaurentSeries, g: LaurentSeries):
-    """Trusted order of f*g, accounting for valuations (see module docstring)."""
-    of = _norm_order(f.order)
-    og = _norm_order(g.order)
-    if of == _INF and og == _INF:
-        return _INF
+    """Trusted order of f*g, accounting for valuations (see module docstring);
+    a zero operand counts as valuation 0."""
     vf = 0 if f.is_zero() else f.offset
     vg = 0 if g.is_zero() else g.offset
-    terms = []
-    if of != _INF:
-        terms.append(of + vg)
-    if og != _INF:
-        terms.append(og + vf)
-    return min(terms)
+    return min(_norm_order(f.order) + vg, _norm_order(g.order) + vf)
 
 
 # -- q-Pochhammer products -----------------------------------------------------------

@@ -33,11 +33,13 @@ for the term ratios r_i, so a k-fold sum costs O(k * order) calls of the
 laurent binomial kernel, each on the merged ratios of the inner levels.
 
 A product term (``Term``) is nothing but binomials: a scalar, a shift,
-binomials (1 - c q^e)^{+-1} and Pochhammer powers (c q^e; q^s)_inf^k.  It is
-applied to a series, the constant 1 for a product side, U_1(0) for a sum's
-first term and a corollary closed form for a catalog prefactor, in one
-kernel call that takes the Pochhammer factors as multiplications (k > 0) or
-divisions (k < 0), so no Pochhammer series is built or multiplied.
+binomials (1 - c q^e)^{+-1} and Pochhammer powers (c q^e; base)_inf^k.  It
+is applied to a series in one kernel call that takes the Pochhammer factors
+as multiplications (k > 0) or divisions (k < 0), so no Pochhammer series is
+built or multiplied.  Every closed form is a list of Terms: C(z,y) is two
+divided binomials, D a product of binomials, and the corollary right sides,
+the product side of the identity and the closed form of F_k are Terms
+applied to the constant 1 or to A_{k,i}.
 
 Sums are truncated by an exact lower bound on term valuations: the weights
 minus the finite total of negative exponents (the slack) that numerator
@@ -70,8 +72,6 @@ from .laurent import (
     _raw,
     _split,
     _zero_factor_index,
-    poch_infinite,
-    poch_infinite_inv,
 )
 
 
@@ -90,10 +90,6 @@ def as_params(params) -> tuple[ParamValue, ...]:
     return items
 
 
-def _mono(p: ParamValue) -> LaurentSeries:
-    return LaurentSeries.monomial(p.coeff, p.exp)
-
-
 def _param_mul(a: ParamValue, b: ParamValue) -> ParamValue:
     return ParamValue(a.coeff * b.coeff, a.exp + b.exp)
 
@@ -103,23 +99,18 @@ def _param_pow(p: ParamValue, n: int) -> ParamValue:
     return ParamValue(math.prod([p.coeff] * n, start=ONE), n * p.exp)
 
 
-def _one_minus_pairs(params) -> LaurentSeries:
-    """prod over params of (1-p)(1-1/p), an exact Laurent polynomial."""
-    muls = [(*_split(q.coeff), q.exp) for p in params for q in (p, p.inv())]
-    return _new(*_binomials(_raw(LaurentSeries.one()), muls))
-
-
 # -- product terms and the chained term-ratio driver ------------------------------------
 
 
 @dataclass(frozen=True)
 class Term:
-    """scalar * q^shift * prod (1 - c q^e) / prod (1 - c q^e) * prod (c q^e; q^s)_inf^k.
+    """scalar * q^shift * prod (1 - c q^e) / prod (1 - c q^e) * prod (c q^e; base)_inf^k.
 
     ``muls`` and ``divs`` hold binomials as pairs (c, e); ``pochs`` holds
     infinite Pochhammer powers as (c, e, s, k) with k != 0, in the style of
-    Garvan's etaq.  Coefficients c are ints or CycRat.  ``_apply`` multiplies
-    a raw state by a Term in one binomial-kernel call.
+    Garvan's etaq, where s is the base: the step q^s for an int, or any
+    ParamValue.  Coefficients c are ints or CycRat.  ``_apply`` multiplies a
+    raw state by a Term in one binomial-kernel call.
     """
 
     scalar: int | CycRat = 1
@@ -147,20 +138,34 @@ class Level:
     growth: ParamValue = ParamValue(ONE)
 
 
+def _base(s) -> ParamValue:  # a Pochhammer base: the step q^s for an int s
+    return s if isinstance(s, ParamValue) else ParamValue(ONE, s)
+
+
 def _term_slack(t: Term) -> int:
     """Order a Term loses below its working order: its negative q-powers.
-    InvalidBase when a Pochhammer step has no positive q-power."""
+    InvalidBase when a Pochhammer base has no positive q-power."""
     dips = [-e for _, e in t.muls if e < 0]
-    dips += [max(k, 0) * _negative_slack(ParamValue(c, e), ParamValue(ONE, s))
-             for c, e, s, k in t.pochs]
+    dips += [max(k, 0) * _negative_slack(ParamValue(c, e), _base(s)) for c, e, s, k in t.pochs]
     return max(0, -t.shift) + sum(dips)
+
+
+def _powers(t: Term):
+    """Yield t's Pochhammer powers as (p, base, k).  InvalidBase for a base without
+    a positive q-power, ZeroFactor for a product that vanishes identically."""
+    for c, e, s, k in t.pochs:
+        p, base = ParamValue(c, e), _base(s)
+        _check_base(base)
+        if _zero_factor_index(p, base) is not None:
+            raise ZeroFactor(f"({p}; {base})_inf vanishes identically")
+        yield p, base, k
 
 
 def _apply(t: Term, state: tuple) -> tuple:
     """The raw state t * state, in one call of the binomial kernel.
 
     The scalar is the kernel's unit and the shift its shift; the Term's
-    binomials and, repeated |k| times, the factors of each (c q^e; q^s)_inf^k
+    binomials and, repeated |k| times, the factors of each (c q^e; base)_inf^k
     are its multiplications (k > 0) or divisions (k < 0).
 
     A factor (1 - c q^e) left out changes the product only at exponents of
@@ -169,27 +174,43 @@ def _apply(t: Term, state: tuple) -> tuple:
     of a state trusted below a finite N only factors with e below N minus
     the state's valuation can touch a trusted coefficient, and only those
     are applied.  The result is trusted at least below N + t.shift minus
-    the negative exponents of the multiplications.  ZeroFactor when a
-    Pochhammer product vanishes identically.
+    the negative exponents of the multiplications.  An exact state (order
+    None) takes a Term without Pochhammer powers exactly.
     """
-    below = state[4] - state[0]
     muls = [(*_split(c), e) for c, e in t.muls]
     divs = [(*_split(c), e) for c, e in t.divs]
-    for c, e, s, k in t.pochs:
-        p, base = ParamValue(c, e), ParamValue(ONE, s)
-        _check_base(base)
-        if _zero_factor_index(p, base) is not None:
-            raise ZeroFactor(f"({p}; {base})_inf vanishes identically")
-        (muls if k > 0 else divs).extend(_factors(p, base, below=below) * abs(k))
+    for p, base, k in _powers(t):
+        (muls if k > 0 else divs).extend(_factors(p, base, below=state[4] - state[0]) * abs(k))
     return _binomials(state, muls, divs, shift=t.shift, unit=_split(t.scalar))
 
 
-def _product_sum(terms, order: int) -> LaurentSeries:
+def _product_sum(terms, order: int | None) -> LaurentSeries:
     """The sum of ``terms``, trusted below ``order``: one kernel call per Term,
-    each on the constant 1 trusted far enough for the Term to reach ``order``."""
+    each on the constant 1 trusted far enough for the Term to reach ``order``.
+    With order None the Terms must be Laurent polynomials, summed exactly."""
     slacks = [_term_slack(t) for t in terms]  # every base is checked before any product
-    states = [_apply(t, _raw(LaurentSeries.one(order + slack - t.shift)))
+    states = [_apply(t, _raw(LaurentSeries.one(None if order is None
+                                               else order + slack - t.shift)))
               for t, slack in zip(terms, slacks)]
+    return _new(*_plus(order, *states))
+
+
+def _merged(*terms: Term) -> Term:
+    """The product of ``terms`` as one Term."""
+    return Term(math.prod((t.scalar for t in terms), start=1),
+                sum(t.shift for t in terms),
+                sum((t.muls for t in terms), ()),
+                sum((t.divs for t in terms), ()),
+                sum((t.pochs for t in terms), ()))
+
+
+def _applied_a(terms, params, order: int) -> LaurentSeries:
+    """sum_i terms[i-1] * A_{k,i}(params), trusted below ``order``: one kernel
+    call per i, on A_{k,i} trusted far enough for its term to reach ``order``."""
+    work = order + max(_term_slack(t) for t in terms)
+    table = ACoeffTable()
+    states = [_apply(t, _raw(a_coeff(len(params), i, params, work, table)))
+              for i, t in enumerate(terms, 1)]
     return _new(*_plus(order, *states))
 
 
@@ -309,27 +330,45 @@ def _vwp_level(nums, dens, base: ParamValue, weight: ParamValue | None = None) -
     )
 
 
-# -- scalar helpers -----------------------------------------------------------------
+# -- the closed forms' factors, as Terms ------------------------------------------------
+
+
+def _c_term(z: ParamValue, y: ParamValue) -> Term:
+    """C(z,y) = z^-1 / ((1 - y/z)(1 - 1/(yz))), as (z - y)(1 - 1/(yz)) = z + 1/z - y - 1/y.
+    DegenerateC when z is y or 1/y, where the denominator vanishes identically."""
+    if z == y or z == y.inv():
+        raise DegenerateC(f"C({z}, {y}) undefined: z coincides with y or 1/y")
+    zi = z.inv()
+    return Term(zi.coeff, zi.exp,
+                divs=tuple((p.coeff, p.exp) for p in (_param_mul(y, zi), _param_mul(y.inv(), zi))))
+
+
+def _d_term(*params: ParamValue) -> Term:
+    """prod over params of (1-p)(1-1/p); D(z,y) is _d_term(y, z)."""
+    return Term(muls=tuple((b.coeff, b.exp) for p in params for b in (p, p.inv())))
+
+
+def _pochs(base: ParamValue, k: int, *params: ParamValue) -> Term:
+    """prod over params of (p; base)_inf^k."""
+    return Term(pochs=tuple((p.coeff, p.exp, base, k) for p in params))
+
+
+def _lifted(p: ParamValue, base: ParamValue, k: int) -> Term:
+    """(base*p, base/p; base)_inf^k: base/p pairs the inverse parameter."""
+    return _pochs(base, k, _param_mul(base, p), _param_mul(base, p.inv()))
 
 
 def c_helper(z: ParamValue, y: ParamValue, order: int | None = None) -> LaurentSeries:
-    """C(z,y) = 1/(z + 1/z - y - 1/y) as a (possibly constant) series.
-
-    Raises DegenerateC when z is y or 1/y, where the denominator vanishes
-    identically.  A finite order is needed exactly when a parameter carries a
-    power of q (the denominator is then a genuine polynomial).
+    """C(z,y) = 1/(z + 1/z - y - 1/y) as a (possibly constant) series, in one
+    kernel call.  DegenerateC when z is y or 1/y.  A finite order is needed
+    exactly when a parameter carries a power of q; OrderExceeded without one.
     """
-    if z == y or z == y.inv():
-        raise DegenerateC(f"C({z}, {y}) undefined: z coincides with y or 1/y")
-    denom = _mono(z) + _mono(z.inv()) - _mono(y) - _mono(y.inv())
-    if denom.is_zero():  # unreachable for monomial params, kept as a guard
-        raise DegenerateC(f"C({z}, {y}): denominator is identically zero")
-    return denom.inverse(order)
+    return _product_sum((_c_term(z, y),), order)
 
 
 def d_helper(z: ParamValue, y: ParamValue) -> LaurentSeries:
     """D(z,y) = (1-y)(1-1/y)(1-z)(1-1/z), an exact Laurent polynomial."""
-    return _one_minus_pairs((y, z))
+    return _product_sum((_d_term(y, z),), None)
 
 
 # -- A_{k,i} recursion ---------------------------------------------------------------
@@ -385,10 +424,8 @@ def a_coeff(k: int, i: int, params, order: int | None = None,
             return c * a_coeff(k - 1, k - 1, swapped, order, table)
         if i == k - 1:
             return -(c * a_coeff(k - 1, k - 1, params[: k - 1], order, table))
-        return c * (
-            a_coeff(k - 1, i, swapped, order, table)
-            - a_coeff(k - 1, i, params[: k - 1], order, table)
-        )
+        return c * (a_coeff(k - 1, i, swapped, order, table)
+                    - a_coeff(k - 1, i, params[: k - 1], order, table))
 
     return table.get_or_compute((k, i, params, order), compute)
 
@@ -414,26 +451,23 @@ def rhs_products(params, order: int, base: ParamValue = Q) -> LaurentSeries:
 
     Implemented in the cancelled form
 
-        (base*b_k, base/b_k; base)_inf *
         sum_i A_{k,i} * prod_{j != i} (1-b_j)(1-1/b_j)
-              / (base*b_i, base/b_i; base)_inf,
+              * (base*b_k, base/b_k; base)_inf / (base*b_i, base/b_i; base)_inf,
 
     obtained by pushing the (1-b_i)(1-1/b_i) prefactors through
     (b_i, 1/b_i; base)_inf = (1-b_i)(1-1/b_i)(base*b_i, base/b_i; base)_inf.
     This is the unique form that stays regular when some b_i = 1 (the factors
     then vanish rather than divide by zero), which the x = 1 specializations
-    genuinely need.
+    genuinely need.  Each summand is one Term applied to A_{k,i}; at i = k
+    its Pochhammer powers cancel, but ZeroFactor is still raised, before any
+    A_{k,i} is computed, when (base*b_k, base/b_k; base)_inf vanishes.
     """
     params = as_params(params)
-    k = len(params)
-    work = order + 2 + 2 * sum(abs(p.exp) for p in params)
-    table = ACoeffTable()
-    prefix = _poch_shift_pair_inf(params[-1], base, work)
-    total = LaurentSeries.zero(work)
-    for i in range(1, k + 1):
-        term = a_coeff(k, i, params, work, table) * _one_minus_pairs(params[:i - 1] + params[i:])
-        total = total + term * _poch_shift_pair_inf_inv(params[i - 1], base, work)
-    return (prefix * total).require_order(order)
+    prefix = _lifted(params[-1], base, 1)
+    list(_powers(prefix))  # raises for a vanishing prefix, which cancels at i = k
+    terms = [_merged(_d_term(*params[:i], *params[i + 1:]), prefix, _lifted(p, base, -1))
+             for i, p in enumerate(params[:-1])]
+    return _applied_a(terms + [_d_term(*params[:-1])], params, order)
 
 
 # -- single / double sums in corollary shape -------------------------------------------
@@ -472,31 +506,6 @@ def diagonal_sum(x: ParamValue, y: ParamValue, z: ParamValue, order: int,
 # -- the k=2 and k=3 corollaries --------------------------------------------------------
 
 
-def _poch_pair_inf(p: ParamValue, base: ParamValue, order: int) -> LaurentSeries:
-    """(p, 1/p; base)_inf."""
-    return poch_infinite(p, base, order) * poch_infinite(p.inv(), base, order)
-
-
-def _poch_pair_inf_inv(p: ParamValue, base: ParamValue, order: int) -> LaurentSeries:
-    """1 / (p, 1/p; base)_inf."""
-    return poch_infinite_inv(p, base, order) * poch_infinite_inv(p.inv(), base, order)
-
-
-def _poch_shift_pair_inf(p: ParamValue, base: ParamValue, order: int) -> LaurentSeries:
-    """(base*p, base/p; base)_inf.  Note base/p pairs the inverse parameter,
-    not the inverse of base*p."""
-    return poch_infinite(_param_mul(base, p), base, order) * poch_infinite(
-        _param_mul(base, p.inv()), base, order
-    )
-
-
-def _poch_shift_pair_inf_inv(p: ParamValue, base: ParamValue, order: int) -> LaurentSeries:
-    """1 / (base*p, base/p; base)_inf."""
-    return poch_infinite_inv(_param_mul(base, p), base, order) * poch_infinite_inv(
-        _param_mul(base, p.inv()), base, order
-    )
-
-
 def corollary_k2(y: ParamValue, z: ParamValue, base: ParamValue,
                  order: int) -> LaurentSeries:
     """The closed form of the k=2 specialization
@@ -504,12 +513,12 @@ def corollary_k2(y: ParamValue, z: ParamValue, base: ParamValue,
         sum_{n>=0} base^n (z,1/z;base)_n / (base*y, base/y; base)_n
         = C(z,y) ((1-y)(1-1/y) - (z,1/z;base)_inf / (base*y, base/y;base)_inf),
 
-    trusted through ``order``; the sum side is ``vwp_single_sum(z, y)``.
+    trusted through ``order``, as two Terms; the sum side is
+    ``vwp_single_sum(z, y)``.
     """
-    work = order + 2 + 2 * (abs(y.exp) + abs(z.exp))
-    c = c_helper(z, y, work)
-    quotient = _poch_pair_inf(z, base, work) * _poch_shift_pair_inf_inv(y, base, work)
-    return (c * (_one_minus_pairs((y,)) - quotient)).require_order(order)
+    c = _c_term(z, y)
+    quotient = _merged(Term(-1), _pochs(base, 1, z, z.inv()), _lifted(y, base, -1))
+    return _product_sum((_merged(c, _d_term(y)), _merged(c, quotient)), order)
 
 
 def corollary_k3(x: ParamValue, y: ParamValue, z: ParamValue, base: ParamValue,
@@ -523,19 +532,17 @@ def corollary_k3(x: ParamValue, y: ParamValue, z: ParamValue, base: ParamValue,
           + D(y,z) C(z,y) (C(y,x) - C(z,x))
                            (base*z,base/z;base)_inf/(base*x,base/x;base)_inf,
 
-    trusted through ``order``; the sum side is ``vwp_double_sum(y, z, x, y)``.
+    trusted through ``order``, as four Terms (the last summand split in two);
+    the sum side is ``vwp_double_sum(y, z, x, y)``.
     """
-    work = order + 2 + 2 * (abs(x.exp) + abs(y.exp) + abs(z.exp))
-    czy = c_helper(z, y, work)
-    czx = c_helper(z, x, work)
-    cyx = c_helper(y, x, work)
-    pz = _poch_shift_pair_inf(z, base, work)
-    py_inv = _poch_shift_pair_inf_inv(y, base, work)
-    px_inv = _poch_shift_pair_inf_inv(x, base, work)
-    rhs = d_helper(x, y) * czy * czx
-    rhs = rhs - d_helper(x, z) * czy * cyx * pz * py_inv
-    rhs = rhs + d_helper(y, z) * czy * (cyx - czx) * pz * px_inv
-    return rhs.require_order(order)
+    czy, czx, cyx = _c_term(z, y), _c_term(z, x), _c_term(y, x)
+    by_y = _merged(_lifted(z, base, 1), _lifted(y, base, -1))
+    by_x = _merged(_lifted(z, base, 1), _lifted(x, base, -1))
+    terms = (_merged(_d_term(x, y), czy, czx),
+             _merged(Term(-1), _d_term(x, z), czy, cyx, by_y),
+             _merged(_d_term(y, z), czy, cyx, by_x),
+             _merged(Term(-1), _d_term(y, z), czy, czx, by_x))
+    return _product_sum(terms, order)
 
 
 # -- bilateral series and finite-N form ----------------------------------------------
@@ -586,20 +593,14 @@ def f_bilateral(params, order: int, base: ParamValue = Q) -> LaurentSeries:
 def f_consistency_rhs(params, order: int, base: ParamValue = Q) -> LaurentSeries:
     """(base;base)_inf^2 * sum_i A_{k,i} / (b_i, 1/b_i; base)_inf.
 
-    The closed form of F_k implied by the recursion; requires every b_i != 1
-    (the uncancelled denominators appear as stated).
+    The closed form of F_k implied by the recursion, one Term applied to each
+    A_{k,i}; requires every b_i != 1 (the uncancelled denominators appear as
+    stated).
     """
     params = as_params(params)
-    k = len(params)
-    work = order + 2 + 2 * sum(abs(p.exp) for p in params)
-    table = ACoeffTable()
-    euler = poch_infinite(base, base, work)
-    total = LaurentSeries.zero(work)
-    for i in range(1, k + 1):
-        total = total + a_coeff(k, i, params, work, table) * _poch_pair_inf_inv(
-            params[i - 1], base, work
-        )
-    return (euler * euler * total).require_order(order)
+    euler = _pochs(base, 2, base)
+    return _applied_a([_merged(euler, _pochs(base, -1, p, p.inv())) for p in params],
+                      params, order)
 
 
 def l_finite_n(params, bigN: int, order: int, base: ParamValue = Q) -> LaurentSeries:
@@ -630,7 +631,7 @@ def l_infinite(params, order: int, base: ParamValue = Q) -> LaurentSeries:
     """The bigN -> infinity limit: prod_i (1-b_i)(1-1/b_i) * F_k."""
     params = as_params(params)
     f = f_bilateral(params, order, base)
-    return (_one_minus_pairs(params) * f).require_order(order)
+    return _new(*_apply(_d_term(*params), _raw(f))).require_order(order)
 
 
 # -- classical evaluations ----------------------------------------------------------

@@ -69,6 +69,16 @@ def test_verify_all_low_order():
     assert all(r.status == "equal" for r in reports)
 
 
+@pytest.mark.parametrize("order", [0, -1])
+@pytest.mark.parametrize("check", [
+    verify, derivation_check, lambda identity_id, order: verify_all(order),
+], ids=["verify", "derivation_check", "verify_all"])
+def test_non_positive_order_is_rejected(check, order):
+    # no coefficient lies below such an order, so a report would be vacuous
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        check("DS4-d", order)
+
+
 def test_unknown_identity():
     with pytest.raises(UnknownIdentity):
         verify("DS9-a")

@@ -11,6 +11,7 @@ from qseries.coeffring import CycRat, OMEGA, OMEGA_BAR, ONE, rat
 from qseries.laurent import (
     InvalidBase,
     LaurentSeries,
+    OrderExceeded,
     ParamValue,
     Q,
     ZeroFactor,
@@ -437,6 +438,189 @@ def test_corollary_k3_base_q(x, y, z):
 def test_corollary_k3_base_q2(x, y, z):
     assert same(vwp.vwp_double_sum(y, z, x, y, 25, Q2),
                 vwp.corollary_k3(x, y, z, Q2, 25), 25)
+
+
+# -- closed forms against a series-built reference -------------------------------------
+#
+# The closed forms as they read in the paper, built from whole Pochhammer series
+# (poch_infinite, poch_infinite_inv), schoolbook products, monomial sums and
+# LaurentSeries.inverse for C, with a generous working order and a final
+# truncation.  None of it goes through the Term path, so the stored data of
+# the two must agree exactly.
+
+
+def _mono(p):
+    return LaurentSeries.monomial(p.coeff, p.exp)
+
+
+def _times(a, b):
+    return ParamValue(a.coeff * b.coeff, a.exp + b.exp)
+
+
+def _ref_c(z, y, order=None):
+    if z in (y, y.inv()):
+        raise vwp.DegenerateC(f"C({z}, {y})")
+    return (_mono(z) + _mono(z.inv()) - _mono(y) - _mono(y.inv())).inverse(order)
+
+
+def _ref_d(*params):
+    """prod (1-p)(1-1/p) = prod (2 - p - 1/p)."""
+    out = LaurentSeries.one()
+    for p in params:
+        out = out * (LaurentSeries.monomial(CycRat(2)) - _mono(p) - _mono(p.inv()))
+    return out
+
+
+def _ref_pochs(params, base, order, k=1):
+    """prod over params of (p; base)_inf^k, k = 1, 2 or -1."""
+    out = LaurentSeries.one()
+    for p in params:
+        factor = (poch_infinite if k > 0 else poch_infinite_inv)(p, base, order)
+        for _ in range(abs(k)):
+            out = out * factor
+    return out
+
+
+def _ref_lifted(p, base):
+    return _times(base, p), _times(base, p.inv())
+
+
+def _ref_work(order, params):
+    return order + 2 + 2 * sum(abs(p.exp) for p in params)
+
+
+def _ref_k2(y, z, base, order):
+    work = _ref_work(order, (y, z))
+    c = _ref_c(z, y, work)
+    quotient = (_ref_pochs((z, z.inv()), base, work)
+                * _ref_pochs(_ref_lifted(y, base), base, work, -1))
+    return (c * (_ref_d(y) - quotient)).require_order(order)
+
+
+def _ref_k3(x, y, z, base, order):
+    work = _ref_work(order, (x, y, z))
+    czy, czx, cyx = _ref_c(z, y, work), _ref_c(z, x, work), _ref_c(y, x, work)
+    pz = _ref_pochs(_ref_lifted(z, base), base, work)
+    py_inv = _ref_pochs(_ref_lifted(y, base), base, work, -1)
+    px_inv = _ref_pochs(_ref_lifted(x, base), base, work, -1)
+    rhs = _ref_d(x, y) * czy * czx
+    rhs = rhs - _ref_d(x, z) * czy * cyx * pz * py_inv
+    rhs = rhs + _ref_d(y, z) * czy * (cyx - czx) * pz * px_inv
+    return rhs.require_order(order)
+
+
+def _ref_a(k, i, params, order):
+    """A_{k,i} by the three-branch recursion, on _ref_c."""
+    if k == 1:
+        return LaurentSeries.one(order)
+    c = _ref_c(params[-1], params[-2], order)
+    swapped = params[:-2] + params[-1:]
+    if i == k:
+        return c * _ref_a(k - 1, k - 1, swapped, order)
+    if i == k - 1:
+        return -(c * _ref_a(k - 1, k - 1, params[:-1], order))
+    return c * (_ref_a(k - 1, i, swapped, order) - _ref_a(k - 1, i, params[:-1], order))
+
+
+def _ref_rhs_products(params, order, base):
+    k, work = len(params), _ref_work(order, params)
+    prefix = _ref_pochs(_ref_lifted(params[-1], base), base, work)
+    total = LaurentSeries.zero(work)
+    for i in range(1, k + 1):
+        term = _ref_a(k, i, params, work) * _ref_d(*params[:i - 1], *params[i:])
+        total = total + term * _ref_pochs(_ref_lifted(params[i - 1], base), base, work, -1)
+    return (prefix * total).require_order(order)
+
+
+def _ref_f_consistency(params, order, base):
+    work = _ref_work(order, params)
+    euler = _ref_pochs((base,), base, work, 2)
+    total = LaurentSeries.zero(work)
+    for i, p in enumerate(params, 1):
+        total = total + (_ref_a(len(params), i, params, work)
+                         * _ref_pochs((p, p.inv()), base, work, -1))
+    return (euler * total).require_order(order)
+
+
+def _data(build):
+    """The series build() returns, or the type of the library exception it raises;
+    series compare equal exactly when their stored data are equal."""
+    try:
+        return build()
+    except (ZeroFactor, vwp.DegenerateC, OrderExceeded, InvalidBase) as exc:
+        return type(exc)
+
+
+_REF_POOL = [P1, M1, W, MW, ParamValue(CycRat(2)), Q, ParamValue(ONE, -1), MQ,
+             ParamValue(CycRat(rat(1, 3)), 2)]
+_REF_BASES = {"q": Q, "q^2": Q2, "wq": ParamValue(OMEGA, 1)}
+
+
+def test_c_helper_matches_reference():
+    for z, y in itertools.product(_REF_POOL, repeat=2):
+        for order in [None] + list(range(1, 31)):
+            assert _data(lambda: vwp.c_helper(z, y, order)) == \
+                _data(lambda: _ref_c(z, y, order)), (z, y, order)
+        assert _data(lambda: vwp.d_helper(z, y)) == _ref_d(y, z)
+
+
+@pytest.mark.parametrize("base", _REF_BASES.values(), ids=_REF_BASES.keys())
+def test_corollary_k2_matches_reference(base):
+    for n, (y, z) in enumerate(itertools.product(_REF_POOL, repeat=2)):
+        for order in (1 + n % 30, 30 - n % 30):
+            assert _data(lambda: vwp.corollary_k2(y, z, base, order)) == \
+                _data(lambda: _ref_k2(y, z, base, order)), (y, z, order)
+
+
+@pytest.mark.parametrize("base", _REF_BASES.values(), ids=_REF_BASES.keys())
+def test_corollary_k3_matches_reference(base):
+    for n, (x, y, z) in enumerate(itertools.product(_REF_POOL[:6], repeat=3)):
+        order = 1 + n % 30
+        assert _data(lambda: vwp.corollary_k3(x, y, z, base, order)) == \
+            _data(lambda: _ref_k3(x, y, z, base, order)), (x, y, z, order)
+
+
+@pytest.mark.parametrize("base", _REF_BASES.values(), ids=_REF_BASES.keys())
+def test_a_sums_match_reference(base):
+    tuples = [t for k in (1, 2, 3) for t in itertools.product(_REF_POOL[:6], repeat=k)]
+    for n, params in enumerate(tuples):
+        order = 1 + n % 30
+        assert _data(lambda: vwp.rhs_products(params, order, base)) == \
+            _data(lambda: _ref_rhs_products(params, order, base)), (params, order)
+        assert _data(lambda: vwp.f_consistency_rhs(params, order, base)) == \
+            _data(lambda: _ref_f_consistency(params, order, base)), (params, order)
+
+
+# -- closed forms at a base whose coefficient is not 1 ------------------------------------
+
+_COEFF_BASES = {"wq": ParamValue(OMEGA, 1), "-wq": ParamValue(-OMEGA, 1), "-q": MQ}
+
+
+@pytest.mark.parametrize("base", _COEFF_BASES.values(), ids=_COEFF_BASES.keys())
+@pytest.mark.parametrize("z,y", [(W, M1), (MW, P1), (M1, W), (Q, W), (W, Q)])
+def test_corollary_k2_coefficient_base(z, y, base):
+    assert same(vwp.vwp_single_sum(z, y, 20, base), vwp.corollary_k2(y, z, base, 20), 20)
+
+
+@pytest.mark.parametrize("base", _COEFF_BASES.values(), ids=_COEFF_BASES.keys())
+@pytest.mark.parametrize("x,y,z", [(P1, W, MW), (M1, MW, W), (P1, Q, W), (P1, W, Q)])
+def test_corollary_k3_coefficient_base(x, y, z, base):
+    assert same(vwp.vwp_double_sum(y, z, x, y, 16, base),
+                vwp.corollary_k3(x, y, z, base, 16), 16)
+
+
+@pytest.mark.parametrize("base", _COEFF_BASES.values(), ids=_COEFF_BASES.keys())
+@pytest.mark.parametrize("params", [(M1, W), (P1, Q, W), (M1, W, MW, ParamValue(CycRat(2), 1))],
+                         ids=len)
+def test_identity_coefficient_base(params, base):
+    assert same(vwp.lhs_multisum(params, 18, base), vwp.rhs_products(params, 18, base), 18)
+
+
+@pytest.mark.parametrize("base", _COEFF_BASES.values(), ids=_COEFF_BASES.keys())
+@pytest.mark.parametrize("params", [(M1, W), (M1, W, MW), (W, MW, ParamValue(CycRat(2), 1))],
+                         ids=len)
+def test_f_bilateral_closed_form_coefficient_base(params, base):
+    assert same(vwp.f_bilateral(params, 18, base), vwp.f_consistency_rhs(params, 18, base), 18)
 
 
 # -- bilateral series ------------------------------------------------------------------
