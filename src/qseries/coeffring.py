@@ -80,6 +80,9 @@ class CycRat:
     def __setattr__(self, name, value):
         raise AttributeError("CycRat is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through __init__, since __setattr__ refuses
+        return CycRat, (self.a, self.b)
+
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self):

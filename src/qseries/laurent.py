@@ -99,8 +99,18 @@ class ParamValue:
             raise ValueError("parameter value must be nonzero")
 
     def inv(self) -> "ParamValue":
-        """The reciprocal parameter 1/(c*q^e) = c^{-1} * q^{-e}."""
-        return ParamValue(self.coeff.inverse(), -self.exp)
+        """The reciprocal parameter 1/(c*q^e) = c^{-1} * q^{-e}.
+
+        Computed once per instance: the reciprocal is kept in the instance's
+        ``__dict__``, not in a field, so eq, hash and repr ignore it, and it
+        points back, so ``p.inv().inv() is p``.
+        """
+        inverse = self.__dict__.get("_inverse")
+        if inverse is None:
+            inverse = ParamValue(self.coeff.inverse(), -self.exp)
+            inverse.__dict__["_inverse"] = self
+            self.__dict__["_inverse"] = inverse
+        return inverse
 
     def __str__(self):
         if self.exp == 0:

@@ -8,11 +8,15 @@ The central object is the k-parameter identity
     = (q b_k, q/b_k; q)_inf * prod_{i=1}^{k} (1-b_i)(1-1/b_i)
         * sum_i A_{k,i} / (b_i, 1/b_i; q)_inf,
 
-with M_j = m_1 + ... + m_j and the A_{k,i} defined by a three-branch
-recursion in the scalar helpers
+with M_j = m_1 + ... + m_j, the scalar helpers
 
     C(z,y) = 1/(z + 1/z - y - 1/y),
-    D(z,y) = (1-y)(1-1/y)(1-z)(1-1/z).
+    D(z,y) = (1-y)(1-1/y)(1-z)(1-1/z),
+
+and A_{k,i} = prod_{j != i} C(b_i, b_j).  The paper defines the A_{k,i} by a
+three-branch recursion; in x = b + 1/b, C(b_i, b_j) = 1/(x_i - x_j), so they
+are Lagrange's partial-fraction coefficients of 1/prod_j (x - x_j) and the
+recursion is the divided-difference recurrence that solves to this product.
 
 This module evaluates both sides exactly at specialized monomial parameters
 (roots of unity times powers of q), along with the k=2 and k=3 corollaries,
@@ -37,9 +41,10 @@ binomials (1 - c q^e)^{+-1} and Pochhammer powers (c q^e; base)_inf^k.  It
 is applied to a series in one kernel call that takes the Pochhammer factors
 as multiplications (k > 0) or divisions (k < 0), so no Pochhammer series is
 built or multiplied.  Every closed form is a list of Terms: C(z,y) is two
-divided binomials, D a product of binomials, and the corollary right sides,
-the product side of the identity and the closed form of F_k are Terms
-applied to the constant 1 or to A_{k,i}.
+divided binomials, D a product of binomials, A_{k,i} a product of k - 1 Cs,
+and the corollary right sides, the product side of the identity and the
+closed form of F_k are Terms applied to the constant 1, one Term per A_{k,i}
+in the last two.
 
 Sums are truncated by an exact lower bound on term valuations: the weights
 minus the finite total of negative exponents (the slack) that numerator
@@ -204,16 +209,6 @@ def _merged(*terms: Term) -> Term:
                 sum((t.pochs for t in terms), ()))
 
 
-def _applied_a(terms, params, order: int) -> LaurentSeries:
-    """sum_i terms[i-1] * A_{k,i}(params), trusted below ``order``: one kernel
-    call per i, on A_{k,i} trusted far enough for its term to reach ``order``."""
-    work = order + max(_term_slack(t) for t in terms)
-    table = ACoeffTable()
-    states = [_apply(t, _raw(a_coeff(len(params), i, params, work, table)))
-              for i, t in enumerate(terms, 1)]
-    return _new(*_plus(order, *states))
-
-
 def _first_zero(factors) -> float:
     """Least index M at which some factor (1 - p*step^M) vanishes, or inf."""
     hits = [_zero_factor_index(p, step) for p, step in factors]
@@ -371,17 +366,33 @@ def d_helper(z: ParamValue, y: ParamValue) -> LaurentSeries:
     return _product_sum((_d_term(y, z),), None)
 
 
-# -- A_{k,i} recursion ---------------------------------------------------------------
+# -- A_{k,i} as a product of Cs --------------------------------------------------------
+
+
+def _a_term(params, i: int) -> Term:
+    """A_{k,i}(params) = prod_{j != i} C(b_i, b_j) as one Term: 2(k-1) divided
+    binomials.  DegenerateC when b_i coincides with some b_j or 1/b_j."""
+    b = params[i - 1]
+    return _merged(*(_c_term(b, c) for j, c in enumerate(params, 1) if j != i))
+
+
+def _applied_a(terms, params, order: int) -> LaurentSeries:
+    """sum_i terms[i-1] * A_{k,i}(params), trusted below ``order``: one Term per
+    i, the product of terms[i-1] and A_{k,i}'s Cs, so k kernel calls.  Every C
+    is built before any product is applied, so a coinciding pair raises
+    DegenerateC before any Pochhammer product can raise ZeroFactor."""
+    summands = [_merged(t, _a_term(params, i)) for i, t in enumerate(terms, 1)]
+    return _product_sum(summands, order)
 
 
 class ACoeffTable:
-    """Memo table for A_{k,i} values, keyed by (k, i, parameter subsequence, order).
+    """Memo of ``a_coeff`` results, keyed by (k, i, parameters, order).
 
-    The recursion re-evaluates lower rows at two different parameter lists,
-    so memoization is keyed by the actual subsequence.  Each top-level
-    evaluation (``rhs_products``, ``f_consistency_rhs``, or a bare
-    ``a_coeff`` call) owns one table for its whole recursion and drops it on
-    return, so nothing accumulates across calls.
+    Nothing in the library uses it: each product side builds its A_{k,i}
+    inside its own Terms.  It stays, with ``a_coeff``'s ``table`` parameter,
+    because the benchmark's tracer (``perfbench/tracer.py``) patches
+    ``a_coeff`` and ``ACoeffTable.get_or_compute`` by name.  A table belongs
+    to the caller that passes it; nothing here keeps one.
     """
 
     def __init__(self):
@@ -396,38 +407,40 @@ class ACoeffTable:
 
 def a_coeff(k: int, i: int, params, order: int | None = None,
             table: ACoeffTable | None = None) -> LaurentSeries:
-    """A_{k,i}(b_1,...,b_k) by the three-branch recursion.
+    """A_{k,i}(b_1,...,b_k) = prod_{j != i} C(b_i, b_j), in one kernel call,
+    trusted below ``order``; ``table``, when given, memoizes by (k, i, params, order).
+
+    The paper defines A_{k,i} by the three-branch recursion
 
         A_{1,1} = 1
         A_{k,k}   =  C(b_k,b_{k-1}) * A_{k-1,k-1}(b_1,...,b_{k-2},b_k)
         A_{k,k-1} = -C(b_k,b_{k-1}) * A_{k-1,k-1}(b_1,...,b_{k-1})
         A_{k,i}   =  C(b_k,b_{k-1}) * (A_{k-1,i}(b_1,...,b_{k-2},b_k)
-                                       - A_{k-1,i}(b_1,...,b_{k-1}))    i <= k-2
+                                       - A_{k-1,i}(b_1,...,b_{k-1}))    i <= k-2,
+
+    the divided-difference recurrence in x = b + 1/b, which solves to the
+    product.  The recursion meets C(b_j, b_l) for every pair with j = i or
+    j, l > i, so DegenerateC is raised when any such pair coincides (b_j is
+    b_l or 1/b_l), even where the product itself is finite.
 
     Constant (exact) for root-of-unity parameters; a genuine series when some
-    parameter is a q-power, in which case a finite order is required.
+    parameter is a q-power, in which case a finite order is required: without
+    one, OrderExceeded, unless DegenerateC is raised first.
     """
     params = as_params(params)
     if len(params) != k:
         raise ValueError(f"a_coeff expects exactly k={k} parameters, got {len(params)}")
     if not 1 <= i <= k:
         raise ValueError(f"a_coeff index i={i} outside 1..{k}")
-    if table is None:
-        table = ACoeffTable()
 
     def compute():
-        if k == 1:
-            return LaurentSeries.one(order)
-        c = c_helper(params[k - 1], params[k - 2], order)
-        swapped = params[: k - 2] + (params[k - 1],)
-        if i == k:
-            return c * a_coeff(k - 1, k - 1, swapped, order, table)
-        if i == k - 1:
-            return -(c * a_coeff(k - 1, k - 1, params[: k - 1], order, table))
-        return c * (a_coeff(k - 1, i, swapped, order, table)
-                    - a_coeff(k - 1, i, params[: k - 1], order, table))
+        later = params[i:]
+        for n, z in enumerate(later):
+            for y in later[:n]:
+                _c_term(z, y)  # raises DegenerateC where the recursion divides by zero
+        return _product_sum((_a_term(params, i),), order)
 
-    return table.get_or_compute((k, i, params, order), compute)
+    return compute() if table is None else table.get_or_compute((k, i, params, order), compute)
 
 
 # -- the k-parameter identity, both sides ---------------------------------------------
@@ -458,9 +471,10 @@ def rhs_products(params, order: int, base: ParamValue = Q) -> LaurentSeries:
     (b_i, 1/b_i; base)_inf = (1-b_i)(1-1/b_i)(base*b_i, base/b_i; base)_inf.
     This is the unique form that stays regular when some b_i = 1 (the factors
     then vanish rather than divide by zero), which the x = 1 specializations
-    genuinely need.  Each summand is one Term applied to A_{k,i}; at i = k
-    its Pochhammer powers cancel, but ZeroFactor is still raised, before any
-    A_{k,i} is computed, when (base*b_k, base/b_k; base)_inf vanishes.
+    genuinely need.  Each summand is one Term, its factors times A_{k,i}'s
+    Cs; at i = k its Pochhammer powers cancel, but ZeroFactor is still
+    raised, before any C is built, when (base*b_k, base/b_k; base)_inf
+    vanishes.
     """
     params = as_params(params)
     prefix = _lifted(params[-1], base, 1)
@@ -593,11 +607,12 @@ def f_bilateral(params, order: int, base: ParamValue = Q) -> LaurentSeries:
 def f_consistency_rhs(params, order: int, base: ParamValue = Q) -> LaurentSeries:
     """(base;base)_inf^2 * sum_i A_{k,i} / (b_i, 1/b_i; base)_inf.
 
-    The closed form of F_k implied by the recursion, one Term applied to each
-    A_{k,i}; requires every b_i != 1 (the uncancelled denominators appear as
-    stated).
+    The closed form of F_k implied by the recursion, one Term per A_{k,i};
+    requires every b_i != 1 (the uncancelled denominators appear as stated).
+    InvalidBase for a base without a positive q-power, before any C is built.
     """
     params = as_params(params)
+    _check_base(base)
     euler = _pochs(base, 2, base)
     return _applied_a([_merged(euler, _pochs(base, -1, p, p.inv())) for p in params],
                       params, order)
@@ -628,10 +643,16 @@ def l_finite_n(params, bigN: int, order: int, base: ParamValue = Q) -> LaurentSe
 
 
 def l_infinite(params, order: int, base: ParamValue = Q) -> LaurentSeries:
-    """The bigN -> infinity limit: prod_i (1-b_i)(1-1/b_i) * F_k."""
+    """The bigN -> infinity limit: prod_i (1-b_i)(1-1/b_i) * F_k.
+
+    F_k is summed to the order plus the negative exponents of the pairs, which
+    a q-power parameter b brings down to q^-|b.exp|, so the product reaches
+    ``order``.
+    """
     params = as_params(params)
-    f = f_bilateral(params, order, base)
-    return _new(*_apply(_d_term(*params), _raw(f))).require_order(order)
+    pairs = _d_term(*params)
+    f = f_bilateral(params, order + _term_slack(pairs), base)
+    return _new(*_apply(pairs, _raw(f))).require_order(order)
 
 
 # -- classical evaluations ----------------------------------------------------------

@@ -1,5 +1,9 @@
 """Truncated Laurent arithmetic and q-Pochhammer constructors."""
 
+import copy
+import pickle
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -249,6 +253,32 @@ def test_kernel_matches_one_factor_at_a_time(f, shift, unit, muls, divs, cap):
             cap, shift, None if unit is None else _split(unit)))
 
     assert _outcome(kernel) == _outcome(one_by_one)
+
+
+# -- parameters --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [ParamValue(CycRat(rat(2, 3), rat(-1, 5)), 2), Q,
+                               ParamValue(-OMEGA, -1), ParamValue(CycRat(-1))], ids=str)
+def test_param_inverse_is_kept_and_points_back(p):
+    twin = ParamValue(p.coeff, p.exp)
+    before = (repr(p), hash(p), pickle.dumps(p))
+    inverse = p.inv()
+    assert inverse == ParamValue(p.coeff.inverse(), -p.exp)
+    assert p.inv() is inverse and inverse.inv() is p
+    # the kept inverse is no field: eq, hash and repr ignore it
+    assert p == twin and hash(p) == hash(twin) and {p: 1}[twin] == 1
+    assert (repr(p), hash(p)) == before[:2] and repr(p) == repr(twin)
+    assert twin.inv() == inverse and twin.inv() is not inverse
+    assert replace(p) == p and replace(p).inv() == inverse
+    moved = replace(p, exp=p.exp + 1)
+    assert moved.inv() == ParamValue(p.coeff.inverse(), -p.exp - 1)
+    for data in (before[2], pickle.dumps(p)):  # pickled before and after the inverse is kept
+        back = pickle.loads(data)
+        assert back == p and hash(back) == hash(p) and repr(back) == repr(p)
+        assert back.inv() == inverse and back.inv().inv() is back
+    copied = copy.deepcopy(p)
+    assert copied == p and copied.inv() == inverse and copied.inv().inv() is copied
 
 
 # -- Pochhammer constructors ---------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_d_helper_values():
     assert vwp.d_helper(W, P1).is_zero()
 
 
-# -- A_{k,i} recursion --------------------------------------------------------------
+# -- A_{k,i} ------------------------------------------------------------------------
 
 
 def test_a_coeff_base_cases():
@@ -591,6 +591,124 @@ def test_a_sums_match_reference(base):
             _data(lambda: _ref_f_consistency(params, order, base)), (params, order)
 
 
+# Parameters none of which coincides with another (b_i = b_j or 1/b_j) or is a
+# power of the bases below, by kind.
+_KINDS = {
+    "root-of-unity": (P1, M1, W, MW),
+    "rational": tuple(ParamValue(CycRat(c)) for c in (2, rat(1, 3), rat(-1, 2), 5, rat(-3, 4))),
+    "q-power": (MQ, ParamValue(OMEGA, -1), ParamValue(CycRat(2), 1),
+                ParamValue(CycRat(rat(1, 3)), 2), ParamValue(-OMEGA_BAR, 1)),
+}
+_MIXED = tuple(p for ps in itertools.zip_longest(*_KINDS.values()) for p in ps if p)
+
+
+def _windows(k):
+    """Parameter tuples of length k: each kind alone when it has k members, and
+    windows of the three kinds interleaved."""
+    alone = [ps[:k] for ps in _KINDS.values() if len(ps) >= k]
+    return alone + [_MIXED[n:n + k] for n in range(0, len(_MIXED) - k + 1, 3)]
+
+
+def test_a_coeff_matches_recursion():
+    # the product form against the recursion, stored data or exception type;
+    # the recursion may be trusted further, so it is cut at the order
+    for k in range(1, 8):
+        for params in _windows(k):
+            exact = all(p.exp == 0 for p in params)
+            for i in range(1, k + 1):
+                for order in ([None] if exact else []) + [1 + (k + i) % 5, 9]:
+                    want = _data(lambda: _ref_a(k, i, params, order))
+                    if order is not None and not isinstance(want, type):
+                        want = want.require_order(order)
+                    assert _data(lambda: vwp.a_coeff(k, i, params, order)) == want, \
+                        (params, i, order)
+
+
+@pytest.mark.parametrize("base", _REF_BASES.values(), ids=_REF_BASES.keys())
+def test_a_sums_match_reference_general_k(base):
+    for k in range(4, 8):
+        for n, params in enumerate(_windows(k)):
+            order = 4 + (k + n) % 7
+            assert _data(lambda: vwp.rhs_products(params, order, base)) == \
+                _data(lambda: _ref_rhs_products(params, order, base)), (params, order)
+            assert _data(lambda: vwp.f_consistency_rhs(params, order, base)) == \
+                _data(lambda: _ref_f_consistency(params, order, base)), (params, order)
+
+
+def _coincident(params):
+    """Some b_i = b_j or 1/b_j, or some b = q^(+-1)."""
+    return any(b in (c, c.inv()) for b, c in itertools.combinations(params, 2)) \
+        or any(b in (Q, Q.inv()) for b in params)
+
+
+# k = 2 and 3 in full, every seventh k = 4 tuple
+_COINCIDENT = [t for k in (2, 3, 4)
+               for n, t in enumerate(itertools.product((W, WB, M1, Q, Q.inv()), repeat=k))
+               if _coincident(t) and (k < 4 or n % 7 == 0)]
+
+
+@pytest.mark.parametrize("base", _REF_BASES.values(), ids=_REF_BASES.keys())
+def test_coincident_parameters_raise_as_the_recursion(base):
+    raised = set()
+    for n, params in enumerate(_COINCIDENT):
+        order = 1 + n % 9
+        for got, want in [
+                (lambda: vwp.rhs_products(params, order, base),
+                 lambda: _ref_rhs_products(params, order, base)),
+                (lambda: vwp.f_consistency_rhs(params, order, base),
+                 lambda: _ref_f_consistency(params, order, base)),
+                *[(lambda i=i: vwp.a_coeff(len(params), i, params, order),
+                   lambda i=i: _ref_a(len(params), i, params, order).require_order(order))
+                  for i in range(1, len(params) + 1)]]:
+            outcome = _data(want)
+            assert _data(got) == outcome, (params, order)
+            if isinstance(outcome, type):
+                raised.add(outcome)
+    assert raised == ({vwp.DegenerateC, ZeroFactor} if base == Q else {vwp.DegenerateC})
+
+
+def test_flat_base_is_rejected_before_coincident_parameters():
+    for base in (ParamValue(ONE, 0), ParamValue(ONE, -1)):
+        for params in ((W, W), (W, WB, Q)):
+            with pytest.raises(InvalidBase):
+                vwp.rhs_products(params, 5, base)
+            with pytest.raises(InvalidBase):
+                vwp.f_consistency_rhs(params, 5, base)
+
+
+def test_a_coeff_without_order():
+    # exact constants at roots of unity; a q-power needs an order, but a
+    # coinciding pair the recursion meets raises DegenerateC before that (the
+    # recursion raised whichever of the two it met first)
+    assert vwp.a_coeff(3, 1, (M1, W, MW)).order is None
+    with pytest.raises(OrderExceeded):
+        vwp.a_coeff(3, 1, (M1, W, Q))
+    for params, i in [((P1, P1, Q), 1), ((Q, W, WB), 1), ((W, Q, WB), 1), ((M1, Q, Q), 1)]:
+        with pytest.raises(vwp.DegenerateC):
+            vwp.a_coeff(3, i, params)
+    # no pair the recursion meets coincides: A_{3,3} = C(b_3,b_1) C(b_3,b_2)
+    assert vwp.a_coeff(3, 3, (W, WB, M1), 5) == \
+        (_ref_c(M1, W, 5) * _ref_c(M1, WB, 5)).require_order(5)
+
+
+# -- the identity at general k ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("base", _REF_BASES.values(), ids=_REF_BASES.keys())
+@pytest.mark.parametrize("k", range(4, 9))
+def test_identity_general_k(k, base):
+    # root-of-unity, rational and q-power parameters alone at k = 4 and 5,
+    # the three kinds interleaved above
+    for params in _windows(k)[:2]:
+        assert same(vwp.lhs_multisum(params, 80, base), vwp.rhs_products(params, 80, base), 80)
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_identity_large_k(k):
+    params = _MIXED[1:k + 1]  # without b = 1, whose (1 - b) factors zero k - 1 summands
+    assert same(vwp.lhs_multisum(params, 80), vwp.rhs_products(params, 80), 80)
+
+
 # -- closed forms at a base whose coefficient is not 1 ------------------------------------
 
 _COEFF_BASES = {"wq": ParamValue(OMEGA, 1), "-wq": ParamValue(-OMEGA, 1), "-q": MQ}
@@ -692,6 +810,18 @@ def test_l_finite_stabilizes():
 def test_l_finite_stabilizes_k3():
     limit = vwp.l_infinite((M1, W, MW), 20)
     assert same(vwp.l_finite_n((M1, W, MW), 25, 20), limit, 20)
+
+
+@pytest.mark.parametrize("base", _BASES.values(), ids=_BASES.keys())
+def test_l_infinite_at_q_power_parameters(base):
+    # the pairs (1 - b)(1 - 1/b) of a q-power b lower the order by |b.exp|,
+    # which F_k is summed far enough to make up
+    pool = [(ParamValue(CycRat(2), 1), W), (MQ,), (ParamValue(OMEGA, -1), M1, _HALF),
+            (ParamValue(CycRat(rat(1, 3)), 2), ParamValue(CycRat(-1), -1))]
+    for params in pool:
+        limit = vwp.l_infinite(params, 12, base)
+        assert limit.order == 12
+        assert same(vwp.l_finite_n(params, 40, 12, base), limit, 12), params
 
 
 def _l_finite_term_by_term(params, big_n, order, base):
