@@ -12,22 +12,20 @@ of lambda2 is a multiple of 3 below 3s.  ``a_stats`` splits the count by the
 parity of the number of plain parts (A0/A1) and of all parts (A2/A3); the
 signed counts A' = A0 - A1 and A'' = A3 - A2 have single-sum generating
 functions, the sum sides of catalog entries A1-a and A1-b, which
-``gf_check_Aprime``/``gf_check_Adblprime`` verify against the enumeration,
+``gf_check_Aprime``/``gf_check_Adblprime`` verify against the counts,
 coefficient by coefficient.
 
-The counts come from listing, on purpose: the series engine gets checked
-against objects that can be listed by hand, not against itself, and the
-counting does no series arithmetic.  What is listed are classes of parts as
-plain tuples: D(t, p), the distinct parts >= p summing to t, listed once as
-D(t, 1) and split by smallest part; M(t, s), the distinct multiples of 3
-below 3s summing to t; and, for the plain families, the unrestricted
-partitions of t.  ``a_stats`` and the gf checks list each class once per
-call, tally it by count and parity, and count the components and then the
-pairs of each weight by the product rule instead of building them.  ``enumerate_pairs_A`` still builds every pair as validated
-``Overpartition`` objects and is the reference those counts are tested
-against.  Enumeration is capped at weight 30.  ``count_table`` expands the
-four plain counting families from two Pochhammer products to any order and
-self-validates them against the listed counts below weight 15.
+The counts never touch the series engine, on purpose: each gf check
+compares two independent computations.  ``a_stats`` reads the parity
+statistics off three signed counts, since a pair's sign is the product of
+its parts' signs: each is a sum, over the smallest part, of products of
+binomials (1 +- x^k) on integer lists.  ``enumerate_pairs_A`` builds every
+pair as validated ``Overpartition`` objects and is the reference those
+counts are tested against.  Enumeration is capped at weight 30.
+``count_table`` expands the four plain counting families from two
+Pochhammer products to any order and self-validates them against listed
+counts below weight 15: distinct parts beside distinct parts or
+unrestricted partitions, listed as plain tuples.
 """
 
 from __future__ import annotations
@@ -234,89 +232,59 @@ def enumerate_pairs_A(n: int) -> list[OverpartitionPair]:
     return pairs
 
 
-def _parity_tally(tuples: Iterator[tuple[int, ...]]) -> tuple[int, int]:
-    """(count, how many have an even number of parts) of one listed class."""
-    count = even = 0
-    for t in tuples:
-        count += 1
-        even += len(t) % 2 == 0
-    return count, even
+def _times_binomial(poly: list[int], k: int, sign: int) -> None:
+    """Multiply ``poly`` in place by 1 + sign * x^k, truncated to its length."""
+    for t in range(len(poly) - 1, k - 1, -1):
+        poly[t] += sign * poly[t - k]
 
 
-def _joined(overlined: list[tuple[int, int]],
-            plain: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """Tally of the components whose halves come from paired classes.
+def _signed_counts(n: int, over: int, plain: int) -> list[int]:
+    """Coefficients of x^0..x^n in S = sum_{s>=1} over x^s P_s R_s.
 
-    ``overlined[j]`` and ``plain[j]`` are (count, even) tallies of the classes
-    the overlined and the plain half are chosen from for split j.  Returns
-    (count, how many have an even number of plain parts, how many have an
-    even number of parts), summed over the splits; by the product rule a
-    part count is even when both halves' parities agree.
+    P_s = prod_{k>s} (1 + over x^k)^2 prod_{k>=s} (1 + plain x^k) and
+    R_s = prod_{1<=j<s} (1 + plain x^{3j}).  A pair with smallest part s of
+    lambda1 is the overlined s, lambda1's overlined parts > s and plain
+    parts >= s, lambda2's overlined parts > s and plain parts 3j with j < s;
+    so S counts each pair once with sign over^(overlined parts) *
+    plain^(plain parts).  P_s is built as s falls and R_s as s rises.
     """
-    count = plain_even = parts_even = 0
-    for (co, eo), (cp, ep) in zip(overlined, plain):
-        count += co * cp
-        plain_even += co * ep
-        parts_even += eo * ep + (co - eo) * (cp - ep)
-    return count, plain_even, parts_even
+    prefixes = []  # R_s for s = 1..n, as (exponent, coefficient) up to x^(n - s)
+    prefix = [1] + [0] * n
+    for s in range(1, n + 1):
+        prefixes.append([(e, c) for e, c in enumerate(prefix[:n - s + 1]) if c])
+        _times_binomial(prefix, 3 * s, plain)
+    out = [0] * (n + 1)
+    suffix = [1] + [0] * n
+    for s in range(n, 0, -1):
+        _times_binomial(suffix, s, plain)
+        for e, c in prefixes[s - 1]:
+            lo = s + e
+            out[lo:] = [a + over * c * b for a, b in zip(out[lo:], suffix)]
+        _times_binomial(suffix, s, over)
+        _times_binomial(suffix, s, over)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _a_stats_upto(n: int) -> tuple[AStats, ...]:
-    """``a_stats(m)`` for m = 1..n, listing each class of parts once (cached).
+    """``a_stats(m)`` for m = 1..n from three signed counts (cached).
 
-    D(t, p) holds the tuples of distinct parts >= p summing to t and M(t, s)
-    the distinct multiples of 3 below 3s summing to t.  Each D(t, 1) is
-    listed once and bucketed by smallest part, so the parity tally of D(t, p)
-    is a suffix sum over p; each M(t, s) is listed once and tallied.  A
-    lambda1 of weight s + w is the overlined s, an overlined half from
-    D(j, s + 1) and a plain half from D(w - j, s); a lambda2 of weight w has
-    an overlined half from D(j, s + 1) and a plain half from M(w - j, s).  A
-    pair of weight m splits as s + w1 + w2 with its two components chosen
-    independently, so each split contributes the product of the two classes'
-    counts, and a parity of the pair is even when both components' parities
-    agree.
+    Signs multiply, so each parity statistic is one signed count:
+    A = S_{1,1}, A' = S_{1,-1} (sign of the plain parts) and
+    A'' = -S_{-1,-1} (sign of all parts, odd counted positive).
     """
-    dist = {}
-    for t in range(n + 1):
-        least = [[] for _ in range(n + 2)]  # D(t, 1) by smallest part, () last
-        for parts in _distinct_parts(t, 1):
-            least[parts[-1] if parts else n + 1].append(parts)
-        count = even = 0
-        for p in range(n + 1, 0, -1):  # D(t, p): the tuples whose parts are all >= p
-            c, e = _parity_tally(least[p])
-            count, even = count + c, even + e
-            dist[t, p] = count, even
-    mult3 = {(t, s): _parity_tally(_mult3_below(t, s))
-             for t in range(n + 1) for s in range(1, n + 1)}
-    firsts, seconds = {}, {}
-    for s in range(1, n + 1):
-        for w in range(n - s + 1):
-            overlined = [dist[j, s + 1] for j in range(w + 1)]
-            c1, plain1, parts1 = _joined(overlined, [dist[w - j, s] for j in range(w + 1)])
-            # the overlined s is one more part of lambda1, flipping its parity
-            firsts[s, w] = (c1, plain1, c1 - parts1)
-            seconds[s, w] = _joined(overlined, [mult3[w - j, s] for j in range(w + 1)])
-    out = []
-    for m in range(1, n + 1):
-        a = a0 = a2 = 0
-        for s in range(1, m + 1):
-            for w1 in range(m - s + 1):
-                c1, plain1, parts1 = firsts[s, w1]
-                c2, plain2, parts2 = seconds[s, m - s - w1]
-                a += c1 * c2
-                a0 += plain1 * plain2 + (c1 - plain1) * (c2 - plain2)
-                a2 += parts1 * parts2 + (c1 - parts1) * (c2 - parts2)
-        out.append(AStats(n=m, A=a, A0=a0, A1=a - a0, A2=a2, A3=a - a2,
-                          Aprime=2 * a0 - a, Adblprime=a - 2 * a2))
-    return tuple(out)
+    total = _signed_counts(n, 1, 1)
+    aprime = _signed_counts(n, 1, -1)
+    adbl = [-c for c in _signed_counts(n, -1, -1)]
+    return tuple(AStats(n=m, A=a, A0=(a + ap) // 2, A1=(a - ap) // 2,
+                        A2=(a - ad) // 2, A3=(a + ad) // 2, Aprime=ap, Adblprime=ad)
+                 for m, a, ap, ad in zip(range(1, n + 1), total[1:], aprime[1:], adbl[1:]))
 
 
 def a_stats(n: int) -> AStats:
     """Parity-split counts of the pairs ``enumerate_pairs_A(n)`` lists.
 
-    Each component class is listed once and tallied by parity; pairs are
-    counted by the product rule rather than built.
+    The pairs are counted, not built: see ``_a_stats_upto``.
     """
     _check_weight("a_stats", n)
     return _a_stats_upto(n)[-1]
@@ -343,7 +311,7 @@ def _gf_report(check_id: str, order: int, counted, identity: str) -> VerifyRepor
 
 
 def gf_check_Aprime(order: int) -> VerifyReport:
-    """Enumerated A'(n) against its single-sum series for all n < order.
+    """Counted A'(n) against its single-sum series for all n < order.
 
     The series is sum_{n>=1} q^n (q^n;q)_inf (-q^{n+1};q)_inf^2 (q^3;q^3)_{n-1},
     the sum side of catalog entry A1-a: overlined-part generators carry no
@@ -353,7 +321,7 @@ def gf_check_Aprime(order: int) -> VerifyReport:
 
 
 def gf_check_Adblprime(order: int) -> VerifyReport:
-    """Enumerated A''(n) against its single-sum series for all n < order.
+    """Counted A''(n) against its single-sum series for all n < order.
 
     The series is sum_{n>=1} q^n (q^n;q)_inf (q^{n+1};q)_inf^2 (q^3;q^3)_{n-1},
     the sum side of catalog entry A1-b: every part alternates, so it tracks
@@ -415,8 +383,8 @@ def count_table(order: int) -> dict[str, LaurentSeries]:
             want = _family_count(family, n)
             if series.coeff(n) != CycRat(want):
                 raise RuntimeError(
-                    f"count_series({family!r}): series coefficient at q^{n} is"
-                    f" {series.coeff(n)} but enumeration counts {want}")
+                    f"count_table: {family} series coefficient at q^{n} is"
+                    f" {series.coeff(n)} but the listing counts {want}")
     return table
 
 

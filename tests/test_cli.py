@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qseries import catalog, cli
+from qseries import catalog, cli, combinat
 from qseries.catalog import IdentityEntry
 from qseries.coeffring import DivisionByZero, ONE
 from qseries.laurent import InvalidBase, LaurentSeries, OrderExceeded
@@ -157,6 +157,22 @@ def test_counts_json_at_benchmark_size(capsys):
     assert err == ""
     assert rows == [{"n": n, **{f: want[f][n] for f in want}} for n in range(150)]
     assert rows[149]["pairs"].bit_length() > 64  # beyond any fixed-width integer
+
+
+def test_counts_self_check_failure(capsys, monkeypatch):
+    # a listed count that disagrees with the series makes count_table raise,
+    # and the CLI turns that into one error line and exit status 1
+    listed = combinat._family_count
+    monkeypatch.setattr(combinat, "_family_count",
+                        lambda family, n: listed(family, n) + (family == "pairs" and n == 3))
+    with pytest.raises(RuntimeError, match=r"^count_table: pairs series coefficient at q\^3 is"):
+        combinat.count_table(10)
+    code, out, err = run(capsys, "counts", "--max-n", "9")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("qseries: count_table: pairs ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Overpartition-pair enumeration, statistics, and generating functions."""
 
 import itertools
+import math
 import pathlib
 
 import pytest
@@ -9,11 +10,13 @@ from qseries.coeffring import CycRat
 from qseries.combinat import (
     ENUMERATION_CAP,
     FAMILIES,
+    AStats,
     Overpartition,
     OverpartitionPair,
     _a_stats_upto,
     _component_count,
     _distinct_parts,
+    _mult3_below,
     _partitions,
     a_stats,
     count_series,
@@ -131,6 +134,122 @@ def test_a_stats_golden_to_cap():
     upto = _a_stats_upto(ENUMERATION_CAP)
     assert [(s.n, s.A, s.A0, s.A2) for s in upto] == golden
     assert a_stats(ENUMERATION_CAP) == upto[-1]
+
+
+def _parity_tally(tuples):
+    """(count, how many have an even number of parts) of one listed class."""
+    count = even = 0
+    for t in tuples:
+        count += 1
+        even += len(t) % 2 == 0
+    return count, even
+
+
+def _joined(overlined, plain):
+    """Tally of the components whose halves come from paired classes.
+
+    ``overlined[j]`` and ``plain[j]`` are (count, even) tallies of the classes
+    the overlined and the plain half are chosen from for split j.  Returns
+    (count, how many have an even number of plain parts, how many have an
+    even number of parts), summed over the splits; by the product rule a
+    part count is even when both halves' parities agree.
+    """
+    count = plain_even = parts_even = 0
+    for (co, eo), (cp, ep) in zip(overlined, plain):
+        count += co * cp
+        plain_even += co * ep
+        parts_even += eo * ep + (co - eo) * (cp - ep)
+    return count, plain_even, parts_even
+
+
+def _listed_a_stats(n):
+    """``a_stats(m)`` for m = 1..n from parity tallies of listed classes of parts.
+
+    D(t, p) holds the tuples of distinct parts >= p summing to t and M(t, s)
+    the distinct multiples of 3 below 3s summing to t.  Each D(t, 1) is
+    listed once and bucketed by smallest part, so the parity tally of D(t, p)
+    is a suffix sum over p; each M(t, s) is listed once and tallied.  A
+    lambda1 of weight s + w is the overlined s, an overlined half from
+    D(j, s + 1) and a plain half from D(w - j, s); a lambda2 of weight w has
+    an overlined half from D(j, s + 1) and a plain half from M(w - j, s).  A
+    pair of weight m splits as s + w1 + w2 with its two components chosen
+    independently, so each split contributes the product of the two classes'
+    counts, and a parity of the pair is even when both components' parities
+    agree.
+    """
+    dist = {}
+    for t in range(n + 1):
+        least = [[] for _ in range(n + 2)]  # D(t, 1) by smallest part, () last
+        for parts in _distinct_parts(t, 1):
+            least[parts[-1] if parts else n + 1].append(parts)
+        count = even = 0
+        for p in range(n + 1, 0, -1):  # D(t, p): the tuples whose parts are all >= p
+            c, e = _parity_tally(least[p])
+            count, even = count + c, even + e
+            dist[t, p] = count, even
+    mult3 = {(t, s): _parity_tally(_mult3_below(t, s))
+             for t in range(n + 1) for s in range(1, n + 1)}
+    firsts, seconds = {}, {}
+    for s in range(1, n + 1):
+        for w in range(n - s + 1):
+            overlined = [dist[j, s + 1] for j in range(w + 1)]
+            c1, plain1, parts1 = _joined(overlined, [dist[w - j, s] for j in range(w + 1)])
+            # the overlined s is one more part of lambda1, flipping its parity
+            firsts[s, w] = (c1, plain1, c1 - parts1)
+            seconds[s, w] = _joined(overlined, [mult3[w - j, s] for j in range(w + 1)])
+    out = []
+    for m in range(1, n + 1):
+        a = a0 = a2 = 0
+        for s in range(1, m + 1):
+            for w1 in range(m - s + 1):
+                c1, plain1, parts1 = firsts[s, w1]
+                c2, plain2, parts2 = seconds[s, m - s - w1]
+                a += c1 * c2
+                a0 += plain1 * plain2 + (c1 - plain1) * (c2 - plain2)
+                a2 += parts1 * parts2 + (c1 - parts1) * (c2 - parts2)
+        out.append(AStats(n=m, A=a, A0=a0, A1=a - a0, A2=a2, A3=a - a2,
+                          Aprime=2 * a0 - a, Adblprime=a - 2 * a2))
+    return tuple(out)
+
+
+def test_signed_counts_match_class_listing_to_60():
+    # the parity tallies of listed classes are the reference for the signed products
+    assert _a_stats_upto(60) == _listed_a_stats(60)
+
+
+def _triangular(n):
+    """j if n = j(j + 1)/2, else None."""
+    j = (math.isqrt(8 * n + 1) - 1) // 2
+    return j if j * (j + 1) // 2 == n else None
+
+
+def _euler_q3(n):
+    """Coefficient of q^n in (q^3;q^3)_inf = sum_{k in Z} (-1)^k q^(3k(3k-1)/2)."""
+    if n % 3:
+        return 0
+    m = n // 3
+    for k in range(-m - 1, m + 2):
+        if k * (3 * k - 1) // 2 == m:
+            return (-1) ** (k % 2)
+    return 0
+
+
+def _jacobi_cube(n):
+    """Coefficient of q^n in (q;q)_inf^3 = sum_{j>=0} (-1)^j (2j + 1) q^(j(j+1)/2)."""
+    j = _triangular(n)
+    return 0 if j is None else (-1) ** (j % 2) * (2 * j + 1)
+
+
+def test_signed_counts_match_closed_forms_to_200():
+    # A1-a's product side by Gauss and Euler, A1-b's by Euler and Jacobi;
+    # these share no code with the counts or the series engine
+    stats = _a_stats_upto(200)
+    assert [s.n for s in stats] == list(range(1, 201))
+    for s in stats:
+        assert s.Aprime == (_triangular(s.n) is not None) - _euler_q3(s.n), s.n
+        assert 3 * s.Adblprime == _euler_q3(s.n) - _jacobi_cube(s.n), s.n
+    assert [_euler_q3(n) for n in range(16)] == [1, 0, 0, -1, 0, 0, -1, 0, 0, 0, 0, 0,
+                                                 0, 0, 0, 1]
 
 
 @pytest.mark.parametrize("n", range(1, 13))
