@@ -114,8 +114,7 @@ def _cmd_derivation(args, out) -> int:
 def _cmd_counts(args, out) -> int:
     order = args.max_n + 1
     try:
-        table = {family: [int(series.coeff(n).a) for n in range(order)]
-                 for family, series in combinat.count_table(order).items()}
+        table = combinat.count_table(order)
     except RuntimeError as exc:
         print(f"qseries: {exc}", file=sys.stderr)
         return 1

@@ -21,11 +21,13 @@ statistics off three signed counts, since a pair's sign is the product of
 its parts' signs: each is a sum, over the smallest part, of products of
 binomials (1 +- x^k) on integer lists.  ``enumerate_pairs_A`` builds every
 pair as validated ``Overpartition`` objects and is the reference those
-counts are tested against.  Enumeration is capped at weight 30.
-``count_table`` expands the four plain counting families from two
-Pochhammer products to any order and self-validates them against listed
-counts below weight 15: distinct parts beside distinct parts or
-unrestricted partitions, listed as plain tuples.
+counts are tested against.  Listing pairs is capped at weight 30
+(``ENUMERATION_CAP``), counting them at weight 200 (``STATS_CAP``).
+``count_table`` expands the four plain counting families on integer lists
+too: (-q;q)_inf from binomial passes, a division by (q;q)_inf, and three
+squares.  It self-validates them against listed counts below weight 15:
+distinct parts beside distinct parts or unrestricted partitions, listed as
+plain tuples.
 """
 
 from __future__ import annotations
@@ -35,21 +37,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .coeffring import CycRat, ONE
-from .laurent import (
-    LaurentSeries,
-    ParamValue,
-    Q,
-    poch_infinite,
-    poch_infinite_inv,
-)
+from .coeffring import CycRat
+from .laurent import LaurentSeries, _new
 from .catalog import FirstMismatch, VerifyReport, registry
 
-ENUMERATION_CAP = 30
+ENUMERATION_CAP = 30  # weight cap of enumerate_pairs_A, which builds every pair
+STATS_CAP = 200  # weight cap of a_stats and the gf checks, which count pairs
 
 FAMILIES = ("overpartitions", "overpartitions_distinct", "pairs", "pairs_distinct")
-
-_MQ = ParamValue(CycRat(-1), 1)
 
 
 Part = tuple[int, bool]  # (value, overlined)
@@ -187,12 +182,12 @@ def _mult3_below(total: int, s: int) -> Iterator[tuple[int, ...]]:
 # -- the A family ------------------------------------------------------------------------
 
 
-def _check_weight(caller: str, n: int) -> None:
+def _check_weight(caller: str, n: int, cap: int) -> None:
     if n < 1:
         raise ValueError(f"{caller} needs n >= 1, got {n}")
-    if n > ENUMERATION_CAP:
+    if n > cap:
         raise ValueError(
-            f"{caller}: enumeration is capped at n <= {ENUMERATION_CAP} (got {n});"
+            f"{caller}: weight is capped at n <= {cap} (got {n});"
             " use the series coefficients beyond that")
 
 
@@ -222,7 +217,7 @@ def enumerate_pairs_A(n: int) -> list[OverpartitionPair]:
     lambda1 is overlined; lambda2's overlined parts are > s and its plain
     parts are multiples of 3 below 3s.
     """
-    _check_weight("enumerate_pairs_A", n)
+    _check_weight("enumerate_pairs_A", n, ENUMERATION_CAP)
     pairs: list[OverpartitionPair] = []
     for s in range(1, n + 1):
         for w1 in range(n - s + 1):
@@ -286,7 +281,7 @@ def a_stats(n: int) -> AStats:
 
     The pairs are counted, not built: see ``_a_stats_upto``.
     """
-    _check_weight("a_stats", n)
+    _check_weight("a_stats", n, STATS_CAP)
     return _a_stats_upto(n)[-1]
 
 
@@ -294,10 +289,10 @@ def _gf_report(check_id: str, order: int, counted, identity: str) -> VerifyRepor
     """Counts ``counted(AStats)`` against registry entry ``identity``'s sum side below order."""
     if order < 2:
         raise ValueError(f"{check_id} needs order >= 2, got {order}")
-    if order - 1 > ENUMERATION_CAP:
+    if order - 1 > STATS_CAP:
         raise ValueError(
-            f"{check_id}: enumeration is capped at n <= {ENUMERATION_CAP},"
-            f" so order must be <= {ENUMERATION_CAP + 1} (got {order})")
+            f"{check_id}: counts are capped at n <= {STATS_CAP},"
+            f" so order must be <= {STATS_CAP + 1} (got {order})")
     start = time.perf_counter()
     series = registry()[identity].lhs(order)
     enum = LaurentSeries.from_terms(
@@ -338,16 +333,21 @@ def _size(tuples: Iterator[tuple[int, ...]]) -> int:
 
 
 @lru_cache(maxsize=None)
+def _listed(m: int, distinct: bool) -> int:
+    """How many partitions of m there are, in distinct parts if ``distinct``; listed."""
+    return _size((_distinct_parts if distinct else _partitions)(m, 1))
+
+
+@lru_cache(maxsize=None)
 def _component_count(n: int, distinct: bool) -> int:
     """Overpartitions of n, with distinct plain parts if ``distinct``.
 
     An overpartition is a tuple of distinct overlined parts from D(j, 1)
     beside a tuple of plain parts of n - j: any partition, or one in
-    distinct parts when ``distinct`` is set.  Both halves are listed.
+    distinct parts when ``distinct`` is set.  Both halves are listed, once
+    per size.
     """
-    plain = _distinct_parts if distinct else _partitions
-    return sum(_size(_distinct_parts(j, 1)) * _size(plain(n - j, 1))
-               for j in range(n + 1))
+    return sum(_listed(j, True) * _listed(n - j, distinct) for j in range(n + 1))
 
 
 def _family_count(family: str, n: int) -> int:
@@ -360,38 +360,65 @@ def _family_count(family: str, n: int) -> int:
                for k in range(n + 1))
 
 
-def count_table(order: int) -> dict[str, LaurentSeries]:
-    """The counting generating function of every family, expanded below order.
+def _over_one_minus(poly: list[int], k: int) -> None:
+    """Divide ``poly`` in place by 1 - x^k, truncated to its length."""
+    for t in range(k, len(poly)):
+        poly[t] += poly[t - k]
+
+
+def _square(poly: list[int]) -> list[int]:
+    """``poly`` squared, truncated to its length; every entry must be >= 0.
+
+    Kronecker substitution: the entries are packed as bytes into one integer,
+    little end first, in slots wide enough for any entry of the square, so
+    one big-integer product does the whole convolution.
+    """
+    size = len(poly)
+    width = (2 * max(poly).bit_length() + size.bit_length()) // 8 + 1
+    packed = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in poly), "little")
+    square = (packed * packed).to_bytes(2 * size * width, "little")
+    return [int.from_bytes(square[i:i + width], "little")
+            for i in range(0, size * width, width)]
+
+
+def count_table(order: int) -> dict[str, list[int]]:
+    """Coefficients of q^0..q^(order-1) of every family's counting series.
 
     overpartitions: (-q;q)_inf/(q;q)_inf; overpartitions_distinct:
-    (-q;q)_inf^2; pairs and pairs_distinct square those.  Each Pochhammer
-    product is built once.  Coefficients below min(order, 15) are checked
-    against the listed counts before returning, so a wrong series cannot
-    come back quietly.
+    (-q;q)_inf^2; pairs and pairs_distinct square those.  (-q;q)_inf is
+    built by binomial passes (1 + x^k) and divided by (1 - x^k) for
+    overpartitions, all on integer lists.  Coefficients below min(order, 15)
+    are checked against the listed counts before returning, so a wrong table
+    cannot come back quietly.
     """
     if order < 1:
         raise ValueError(f"count_table needs order >= 1, got {order}")
-    m = poch_infinite(_MQ, Q, order)
-    single = m * poch_infinite_inv(ParamValue(ONE, 1), Q, order)
-    single_distinct = m * m
+    distinct = [1] + [0] * (order - 1)  # (-q;q)_inf
+    for k in range(1, order):
+        _times_binomial(distinct, k, 1)
+    single = list(distinct)
+    for k in range(1, order):
+        _over_one_minus(single, k)
+    single_distinct = _square(distinct)
     table = {"overpartitions": single,
              "overpartitions_distinct": single_distinct,
-             "pairs": single * single,
-             "pairs_distinct": single_distinct * single_distinct}
-    for family, series in table.items():
+             "pairs": _square(single),
+             "pairs_distinct": _square(single_distinct)}
+    for family, counts in table.items():
         for n in range(min(order, 15)):
             want = _family_count(family, n)
-            if series.coeff(n) != CycRat(want):
+            if counts[n] != want:
                 raise RuntimeError(
                     f"count_table: {family} series coefficient at q^{n} is"
-                    f" {series.coeff(n)} but the listing counts {want}")
+                    f" {counts[n]} but the listing counts {want}")
     return table
 
 
 def count_series(family: str, order: int) -> LaurentSeries:
-    """``count_table(order)[family]``: one family's counting series below order."""
+    """One family's counting series below order: ``count_table(order)[family]`` as a series."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if order < 1:
         raise ValueError(f"count_series needs order >= 1, got {order}")
-    return count_table(order)[family]
+    counts = count_table(order)[family]
+    return _new(0, counts, [0] * order, 1, order)

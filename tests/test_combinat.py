@@ -6,10 +6,11 @@ import pathlib
 
 import pytest
 
-from qseries.coeffring import CycRat
+from qseries.coeffring import ONE, CycRat
 from qseries.combinat import (
     ENUMERATION_CAP,
     FAMILIES,
+    STATS_CAP,
     AStats,
     Overpartition,
     OverpartitionPair,
@@ -18,6 +19,7 @@ from qseries.combinat import (
     _distinct_parts,
     _mult3_below,
     _partitions,
+    _square,
     a_stats,
     count_series,
     count_table,
@@ -25,6 +27,7 @@ from qseries.combinat import (
     gf_check_Adblprime,
     gf_check_Aprime,
 )
+from qseries.laurent import Q, ParamValue, _raw, poch_infinite, poch_infinite_inv
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -85,8 +88,10 @@ def test_enumerate_bounds():
         enumerate_pairs_A(ENUMERATION_CAP + 1)
 
 
-@pytest.mark.parametrize("func", [enumerate_pairs_A, a_stats])
-@pytest.mark.parametrize("n", [0, ENUMERATION_CAP + 1])
+@pytest.mark.parametrize("func, n", [
+    pytest.param(func, n, id=f"{n}-{func.__name__}")
+    for func, cap in ((enumerate_pairs_A, ENUMERATION_CAP), (a_stats, STATS_CAP))
+    for n in (0, cap + 1)])
 def test_bounds_error_names_the_caller(func, n):
     with pytest.raises(ValueError, match=rf"^{func.__name__}\b"):
         func(n)
@@ -245,6 +250,7 @@ def test_signed_counts_match_closed_forms_to_200():
     # these share no code with the counts or the series engine
     stats = _a_stats_upto(200)
     assert [s.n for s in stats] == list(range(1, 201))
+    assert a_stats(STATS_CAP) == stats[-1]
     for s in stats:
         assert s.Aprime == (_triangular(s.n) is not None) - _euler_q3(s.n), s.n
         assert 3 * s.Adblprime == _euler_q3(s.n) - _jacobi_cube(s.n), s.n
@@ -274,19 +280,19 @@ def test_enumeration_satisfies_definition(n):
 # -- generating functions --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("order", [15, ENUMERATION_CAP + 1])
+@pytest.mark.parametrize("order", [15, ENUMERATION_CAP + 1, STATS_CAP + 1])
 def test_gf_check_Aprime(order):
     report = gf_check_Aprime(order)
     assert report.status == "equal"
 
 
-@pytest.mark.parametrize("order", [15, ENUMERATION_CAP + 1])
+@pytest.mark.parametrize("order", [15, ENUMERATION_CAP + 1, STATS_CAP + 1])
 def test_gf_check_Adblprime(order):
     report = gf_check_Adblprime(order)
     assert report.status == "equal"
 
 
-@pytest.mark.parametrize("order", [1, ENUMERATION_CAP + 2])
+@pytest.mark.parametrize("order", [1, STATS_CAP + 2])
 def test_gf_check_order_bounds(order):
     with pytest.raises(ValueError):
         gf_check_Aprime(order)
@@ -334,6 +340,94 @@ def test_component_count_matches_listing(n, distinct):
             if not distinct or p.has_distinct_parts()}
     assert renders == want
     assert _component_count(n, distinct) == len(listed)
+
+
+def _series_table(order):
+    """The counting series as Pochhammer products multiplied in the series engine."""
+    minus_q = poch_infinite(ParamValue(CycRat(-1), 1), Q, order)
+    single = minus_q * poch_infinite_inv(ParamValue(ONE, 1), Q, order)
+    single_distinct = minus_q * minus_q
+    return {"overpartitions": single,
+            "overpartitions_distinct": single_distinct,
+            "pairs": single * single,
+            "pairs_distinct": single_distinct * single_distinct}
+
+
+def test_count_table_matches_series_products():
+    # the series-built table is the reference for the integer passes
+    table = count_table(150)
+    reference = _series_table(150)
+    assert list(table) == list(FAMILIES)
+    for family, series in reference.items():
+        assert table[family] == [int(series.coeff(n).a) for n in range(150)], family
+        assert all(series.coeff(n) == CycRat(series.coeff(n).a) for n in range(150))
+
+
+@pytest.mark.parametrize("order", [1, 2, 15, 61])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_count_series_matches_series_products(family, order):
+    series = count_series(family, order)
+    reference = _series_table(order)[family]
+    assert series == reference
+    assert _raw(series) == _raw(reference)  # the same stored data
+
+
+@pytest.mark.parametrize("bits", [0, 1, 8, 9, 64])
+@pytest.mark.parametrize("size", [1, 2, 300])
+def test_square_matches_convolution(size, bits):
+    # every entry at the widest value of its bit length, so every slot of
+    # the packed square is as full as it can get
+    poly = [(1 << bits) - 1] * size
+    want = [sum(poly[i] * poly[n - i] for i in range(n + 1)) for n in range(size)]
+    assert _square(poly) == want
+
+
+def _times(dense, sparse):
+    """``dense`` times the {exponent: coefficient} series ``sparse``, truncated."""
+    out = [0] * len(dense)
+    for e, c in sparse.items():
+        for n in range(e, len(dense)):
+            out[n] += c * dense[n - e]
+    return out
+
+
+def _gauss(order):
+    """(q;q)_inf/(-q;q)_inf = sum_{k in Z} (-1)^k q^(k^2), below order."""
+    return {k * k: 2 * (-1) ** k if k else 1 for k in range(math.isqrt(order - 1) + 1)}
+
+
+def _euler(order, step):
+    """(q^step;q^step)_inf = sum_{k in Z} (-1)^k q^(step k(3k-1)/2), below order."""
+    terms = {}
+    k = 0
+    while step * k * (3 * k - 1) // 2 < order:
+        for j in {k, -k}:
+            if step * j * (3 * j - 1) // 2 < order:
+                terms[step * j * (3 * j - 1) // 2] = (-1) ** (k % 2)
+        k += 1
+    return terms
+
+
+def test_count_table_matches_closed_forms_to_400():
+    # Gauss: overpartitions * (q;q)/(-q;q) = 1.  Euler at q and q^2, with
+    # (-q;q)_inf = (q^2;q^2)_inf/(q;q)_inf: overpartitions_distinct * (q;q)^2
+    # = (q^2;q^2)^2.  The pair families are the squares.  These share no code
+    # with combinat or the series engine.
+    order = 400
+    table = count_table(order)
+    one = [1] + [0] * (order - 1)
+    gauss, euler, euler2 = _gauss(order), _euler(order, 1), _euler(order, 2)
+    assert _times(table["overpartitions"], gauss) == one
+    assert _times(_times(table["pairs"], gauss), gauss) == one
+    distinct_rhs = _times(_times(one, euler2), euler2)
+    assert _times(_times(table["overpartitions_distinct"], euler), euler) == distinct_rhs
+    pairs_lhs = table["pairs_distinct"]
+    for _ in range(4):
+        pairs_lhs = _times(pairs_lhs, euler)
+    assert pairs_lhs == _times(_times(distinct_rhs, euler2), euler2)
+    assert [euler.get(n, 0) for n in range(16)] == [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0,
+                                                   -1, 0, 0, -1]
+    assert [gauss.get(n, 0) for n in range(10)] == [1, -2, 0, 0, 2, 0, 0, 0, 0, -2]
 
 
 def test_count_series_overpartitions():
