@@ -45,8 +45,6 @@ from .laurent import (
     ParamValue,
     Q,
     ZeroFactor,
-    _new,
-    _raw,
 )
 from . import vwp
 from .vwp import DegenerateC, Level, Term, _apply, _chain_sum, _product_sum, _term_slack
@@ -552,7 +550,7 @@ def _derived(sp: Specialization, order: int) -> LaurentSeries:
         x, y, z = sp.params
         rest = (vwp.corollary_k3(x, y, z, sp.base, work)
                 - vwp.corollary_k2(y, z, sp.base, work))
-    return _new(*_apply(sp.prefactor, _raw(rest))).require_order(order)
+    return _apply(sp.prefactor, rest).require_order(order)
 
 
 def derivation_check(identity_id: str, order: int = DEFAULT_ORDER) -> VerifyReport:

@@ -27,6 +27,7 @@ reading coefficients out of a series).
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 
 try:
     from gmpy2 import mpq as _mpq
@@ -53,14 +54,15 @@ _RAT = type(RAT_ONE)
 
 
 def _as_rat(value):
-    """Coerce an int / Fraction / backend rational to the active backend."""
+    """Coerce an exact rational (int, Fraction, gmpy2's mpz or mpq, any
+    ``numbers.Rational``) to the active backend; TypeError for anything else."""
     if type(value) is _RAT:
         return value
     if isinstance(value, int):
         return rat(value)
-    if isinstance(value, Fraction):
-        return rat(value.numerator, value.denominator)
-    return value
+    if isinstance(value, (Fraction, Rational)):  # Fraction first: the ABC check is slower
+        return rat(int(value.numerator), int(value.denominator))
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
 
 
 class CycRat:

@@ -32,14 +32,13 @@ plain tuples.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from .coeffring import CycRat
 from .laurent import LaurentSeries, _new
-from .catalog import FirstMismatch, VerifyReport, registry
+from .catalog import VerifyReport, _compare, registry
 
 ENUMERATION_CAP = 30  # weight cap of enumerate_pairs_A, which builds every pair
 STATS_CAP = 200  # weight cap of a_stats and the gf checks, which count pairs
@@ -260,9 +259,24 @@ def _signed_counts(n: int, over: int, plain: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+_A_STATS: tuple[AStats, ...] = ()  # a_stats(m) for m = 1, 2, ..., the one table kept
+
+
 def _a_stats_upto(n: int) -> tuple[AStats, ...]:
-    """``a_stats(m)`` for m = 1..n from three signed counts (cached).
+    """``a_stats(m)`` for m = 1..n, read off the one table kept.
+
+    A table shorter than n is rebuilt to twice its length, at most
+    ``STATS_CAP`` rows, or to n rows if that is more; calls for n = 1, 2, ...
+    in turn then rebuild it about log2(n) times instead of n times.
+    """
+    global _A_STATS
+    if n > len(_A_STATS):
+        _A_STATS = _a_stats_table(max(n, min(2 * len(_A_STATS), STATS_CAP)))
+    return _A_STATS[:n]
+
+
+def _a_stats_table(n: int) -> tuple[AStats, ...]:
+    """``a_stats(m)`` for m = 1..n from three signed counts.
 
     Signs multiply, so each parity statistic is one signed count:
     A = S_{1,1}, A' = S_{1,-1} (sign of the plain parts) and
@@ -279,30 +293,28 @@ def _a_stats_upto(n: int) -> tuple[AStats, ...]:
 def a_stats(n: int) -> AStats:
     """Parity-split counts of the pairs ``enumerate_pairs_A(n)`` lists.
 
-    The pairs are counted, not built: see ``_a_stats_upto``.
+    The pairs are counted, not built: see ``_a_stats_table``.
     """
     _check_weight("a_stats", n, STATS_CAP)
     return _a_stats_upto(n)[-1]
 
 
 def _gf_report(check_id: str, order: int, counted, identity: str) -> VerifyReport:
-    """Counts ``counted(AStats)`` against registry entry ``identity``'s sum side below order."""
+    """Counts ``counted(AStats)`` against registry entry ``identity``'s sum side below
+    order, reported by ``catalog._compare``: a library exception while expanding
+    the sum side is an error report, as in every catalog check."""
     if order < 2:
         raise ValueError(f"{check_id} needs order >= 2, got {order}")
     if order - 1 > STATS_CAP:
         raise ValueError(
             f"{check_id}: counts are capped at n <= {STATS_CAP},"
             f" so order must be <= {STATS_CAP + 1} (got {order})")
-    start = time.perf_counter()
-    series = registry()[identity].lhs(order)
-    enum = LaurentSeries.from_terms(
-        {s.n: CycRat(counted(s)) for s in _a_stats_upto(order - 1)}, order)
-    exp = enum.agrees_below(series, order)
-    elapsed = time.perf_counter() - start
-    if exp is None:
-        return VerifyReport(check_id, order, "equal", None, elapsed)
-    fm = FirstMismatch(exp, enum.coeff(exp), series.coeff(exp))
-    return VerifyReport(check_id, order, "mismatch", fm, elapsed)
+
+    def sides():
+        counts = {s.n: CycRat(counted(s)) for s in _a_stats_upto(order - 1)}
+        return LaurentSeries.from_terms(counts, order), registry()[identity].lhs(order)
+
+    return _compare(check_id, order, sides)
 
 
 def gf_check_Aprime(order: int) -> VerifyReport:

@@ -35,10 +35,10 @@ trust coefficients that depend on truncated ones.
 
 The binomials (1 - c*q^e) do the heavy lifting for Pochhammer symbols and
 chained sums, and one private kernel, ``_binomials``, is their only
-implementation.  It takes a raw state, the tuple (offset, a, b, den, order)
-of a series' fields, and applies a shift, a scalar and any number of
-multiplications and divisions by binomials whose c arrives already split
-into integers, normalizing once at the end:
+implementation.  It takes a series and applies a shift, a scalar and any
+number of multiplications and divisions by binomials whose c arrives already
+split into integers, working on the integer lists and building one
+normalized series at the end:
 
     multiplying by (1 - c*q^e) is one pass over the data;
     dividing by it is the forward recurrence g[j] = f[j] + c*g[j-e],
@@ -48,8 +48,8 @@ into integers, normalizing once at the end:
 every Pochhammer builder: (a; q)_n, (a; q)_infinity and their inverses split
 their factors once and normalize once, at O(n * order) instead of the
 O(order^2) of repeated general multiplication.  The chained-sum driver in
-``vwp`` steps raw states through the kernel on pre-split factors without
-building a series per factor.
+``vwp`` steps its partial sums through the kernel on pre-split factors, one
+series per kernel call rather than one per factor.
 """
 
 from __future__ import annotations
@@ -60,9 +60,6 @@ from math import gcd, lcm
 from operator import mul
 
 from .coeffring import ZERO, ONE, CycRat, DivisionByZero, rat
-
-_INF = float("inf")  # internal stand-in so min() works on mixed orders
-
 
 class OrderExceeded(Exception):
     """A coefficient beyond the trusted truncation order was requested."""
@@ -123,12 +120,9 @@ class ParamValue:
 Q = ParamValue(ONE, 1)
 
 
-def _norm_order(order):
-    return _INF if order is None else order
-
-
-def _denorm_order(order):
-    return None if order == _INF else int(order)
+def _lowest(*orders: int | None) -> int | None:
+    """The lowest of the finite ``orders``; None (exact) when every one is None."""
+    return min((o for o in orders if o is not None), default=None)
 
 
 # -- integer Z[w] helpers --------------------------------------------------------------
@@ -208,9 +202,28 @@ class LaurentSeries:
                     den, order)
 
     def _store(self, offset: int, a: list, b: list, den: int, order: int | None):
-        """Normalize numerators ``a``, ``b`` over ``den`` into the invariant."""
-        self.offset, self._a, self._b, self._den, self.order = _normal(
-            offset, a, b, den, order)
+        """Normalize numerators ``a``, ``b`` over ``den`` into the invariant:
+        truncated at the order, trimmed of zero pairs, reduced."""
+        if order is not None and order - offset < len(a):
+            keep = max(order - offset, 0)
+            a, b = a[:keep], b[:keep]
+        lo, hi = 0, len(a)
+        while lo < hi and not a[lo] and not b[lo]:
+            lo += 1
+        while hi > lo and not a[hi - 1] and not b[hi - 1]:
+            hi -= 1
+        if hi == lo:
+            offset, a, b, den = 0, [], [], 1
+        else:
+            if lo or hi < len(a):
+                offset, a, b = offset + lo, a[lo:hi], b[lo:hi]
+            if den != 1:
+                g = gcd(den, *a, *b)
+                if g != 1:
+                    den //= g
+                    a = [x // g for x in a]
+                    b = [y // g for y in b]
+        self.offset, self._a, self._b, self._den, self.order = offset, a, b, den, order
 
     # -- constructors ---------------------------------------------------------
 
@@ -275,8 +288,7 @@ class LaurentSeries:
 
     def truncate(self, order: int) -> "LaurentSeries":
         """Restrict to coefficients below ``order`` (order can only shrink)."""
-        new_order = order if self.order is None else min(self.order, order)
-        return _new(self.offset, self._a, self._b, self._den, new_order)
+        return _new(self.offset, self._a, self._b, self._den, _lowest(self.order, order))
 
     def require_order(self, order: int) -> "LaurentSeries":
         """Assert the series is trusted through ``order`` and truncate to it."""
@@ -291,7 +303,7 @@ class LaurentSeries:
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return _new(*_plus(None, _raw(self), _raw(other)))
+        return _plus(None, self, other)
 
     def __neg__(self):
         return _new(self.offset, [-x for x in self._a], [-y for y in self._b],
@@ -320,7 +332,7 @@ class LaurentSeries:
     def __mul__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        order = _denorm_order(_product_order(self, other))
+        order = _product_order(self, other)
         offset = self.offset + other.offset
         fa, fb, ga, gb = self._a, self._b, other._a, other._b
         if len(fa) > len(ga):
@@ -343,7 +355,7 @@ class LaurentSeries:
 
     def mul_one_minus(self, c: CycRat, e: int) -> "LaurentSeries":
         """Multiply by the exact binomial (1 - c*q^e) in one pass."""
-        return _new(*_binomials(_raw(self), muls=((*_split(c), e),)))
+        return _binomials(self, muls=((*_split(c), e),))
 
     def div_one_minus(self, c: CycRat, e: int, order: int | None = None) -> "LaurentSeries":
         """Divide by (1 - c*q^e) via the forward recurrence g[j] = f[j] + c*g[j-e].
@@ -353,7 +365,7 @@ class LaurentSeries:
         The result needs a finite order: pass one, or the receiver must
         already carry one.
         """
-        return _new(*_binomials(_raw(self), divs=((*_split(c), e),), cap=order))
+        return _binomials(self, divs=((*_split(c), e),), cap=order)
 
     def inverse(self, order: int | None = None) -> "LaurentSeries":
         """Multiplicative inverse by forward substitution.
@@ -372,17 +384,14 @@ class LaurentSeries:
         if not self._a:
             raise DivisionByZero("inverse of the zero series")
         v = self.offset
-        my_order = _norm_order(self.order) - 2 * v
-        target = min(my_order, _norm_order(order))
-        if target == _INF:
+        target = _lowest(None if self.order is None else self.order - 2 * v, order)
+        if target is None:
             if len(self._a) != 1:
                 raise OrderExceeded(
                     "inverse of a non-monomial polynomial is an infinite series; "
                     "a finite order is required"
                 )
-            target = None
         else:
-            target = int(target)
             length = target + v  # result exponents run from -v up to target-1
             if length <= 0:
                 return _new(0, [], [], 1, target)
@@ -480,68 +489,37 @@ def _new(offset: int, a: list, b: list, den: int, order: int | None) -> LaurentS
 
 
 # -- the binomial kernel ------------------------------------------------------------------
-#
-# A raw state (offset, a, b, den, order) is a series' fields as a plain tuple.
-# Chained sums step and add raw states without building a LaurentSeries for
-# every factor; the public binomial methods are one kernel call each.
 
 
-def _raw(s: LaurentSeries) -> tuple:
-    """The raw state of a series (its lists are shared, and never mutated)."""
-    return s.offset, s._a, s._b, s._den, s.order
-
-
-def _normal(offset: int, a: list, b: list, den: int, order: int | None) -> tuple:
-    """A raw state in the series invariant: truncated, trimmed, reduced."""
-    if order is not None and order - offset < len(a):
-        keep = max(order - offset, 0)
-        a, b = a[:keep], b[:keep]
-    lo, hi = 0, len(a)
-    while lo < hi and not a[lo] and not b[lo]:
-        lo += 1
-    while hi > lo and not a[hi - 1] and not b[hi - 1]:
-        hi -= 1
-    if hi == lo:
-        return 0, [], [], 1, order
-    if lo or hi < len(a):
-        offset, a, b = offset + lo, a[lo:hi], b[lo:hi]
-    if den != 1:
-        g = gcd(den, *a, *b)
-        if g != 1:
-            den //= g
-            a = [x // g for x in a]
-            b = [y // g for y in b]
-    return offset, a, b, den, order
-
-
-def _plus(cap: int | None, *states) -> tuple:
-    """The sum of raw states, trusted below the lowest of their orders and ``cap``."""
-    order = min((o for o in (cap, *(s[4] for s in states)) if o is not None), default=None)
-    parts = [s for s in states if s[1] and (order is None or s[0] < order)]
+def _plus(cap: int | None, *terms: LaurentSeries) -> LaurentSeries:
+    """The sum of ``terms``, trusted below the lowest of their orders and ``cap``."""
+    order = _lowest(cap, *(s.order for s in terms))
+    parts = [s for s in terms if s._a and (order is None or s.offset < order)]
     if not parts:
-        return 0, [], [], 1, order
-    lo = min(s[0] for s in parts)
-    hi = max(s[0] + len(s[1]) for s in parts)
+        return _new(0, [], [], 1, order)
+    lo = min(s.offset for s in parts)
+    hi = max(s.offset + len(s._a) for s in parts)
     if order is not None:
         hi = min(hi, order)
-    den = lcm(*(s[3] for s in parts))
+    den = lcm(*(s._den for s in parts))
     a, b = [0] * (hi - lo), [0] * (hi - lo)
-    for offset, xs, ys, d, _ in parts:
-        m, i = den // d, offset - lo
-        j = min(i + len(xs), hi - lo)
-        a[i:j] = [s + m * x for s, x in zip(a[i:j], xs)]
-        b[i:j] = [s + m * y for s, y in zip(b[i:j], ys)]
-    return _normal(lo, a, b, den, order)
+    for s in parts:
+        m, i = den // s._den, s.offset - lo
+        j = min(i + len(s._a), hi - lo)
+        a[i:j] = [t + m * x for t, x in zip(a[i:j], s._a)]
+        b[i:j] = [t + m * y for t, y in zip(b[i:j], s._b)]
+    return _new(lo, a, b, den, order)
 
 
-def _binomials(state: tuple, muls=(), divs=(), cap: int | None = None,
-               shift: int = 0, unit: tuple | None = None) -> tuple:
-    """The raw state q^shift * unit * state * prod_muls (1 - c q^e) / prod_divs (1 - c q^e).
+def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
+               shift: int = 0, unit: tuple | None = None) -> LaurentSeries:
+    """The series q^shift * unit * f * prod_muls (1 - c q^e) / prod_divs (1 - c q^e).
 
     Every factor comes split as (ca, cb, cd, e) with c = (ca + cb*w)/cd, and
     ``unit``, when given, as (ua, ub, ud).  The factors apply in turn, the
     multiplications first; a factor with c = 0 is 1.  The numerators stay
-    over one growing denominator, and the result is normalized once.
+    over one growing denominator, and the result is normalized once, when
+    the series is built.
 
     Multiplying by (1 - c q^e) with e > 0 truncates at the order; with e < 0
     it lowers the valuation and the order by -e; with e = 0 it scales by
@@ -556,7 +534,7 @@ def _binomials(state: tuple, muls=(), divs=(), cap: int | None = None,
     With e < 0 it first factors (1 - c q^e) = (-c q^e) * (1 - c^{-1} q^{-e}),
     which raises the valuation and the order by -e before the cap applies.
     """
-    offset, a, b, den, order = state
+    offset, a, b, den, order = f.offset, f._a, f._b, f._den, f.order
     if shift:
         offset += shift
         if order is not None:
@@ -650,15 +628,16 @@ def _binomials(state: tuple, muls=(), divs=(), cap: int | None = None,
             a = [powers[top - j // e] * x for j, x in enumerate(a)]
             b = [powers[top - j // e] * y for j, y in enumerate(b)]
             den *= powers[top]
-    return _normal(offset, a, b, den, order)
+    return _new(offset, a, b, den, order)
 
 
-def _product_order(f: LaurentSeries, g: LaurentSeries):
+def _product_order(f: LaurentSeries, g: LaurentSeries) -> int | None:
     """Trusted order of f*g, accounting for valuations (see module docstring);
     a zero operand counts as valuation 0."""
     vf = 0 if f.is_zero() else f.offset
     vg = 0 if g.is_zero() else g.offset
-    return min(_norm_order(f.order) + vg, _norm_order(g.order) + vf)
+    return _lowest(None if f.order is None else f.order + vg,
+                   None if g.order is None else g.order + vf)
 
 
 # -- q-Pochhammer products -----------------------------------------------------------
@@ -730,15 +709,15 @@ def _poch(a: ParamValue, base: ParamValue, n: int | None, order: int | None,
     if order is None:
         if invert:
             raise OrderExceeded("an inverse Pochhammer product needs a finite truncation order")
-        return _new(*_binomials(_raw(LaurentSeries.one()), muls=_factors(a, base, n)))
+        return _binomials(LaurentSeries.one(), muls=_factors(a, base, n))
     slack = _negative_slack(a, base, n)
     if invert:
-        state = _binomials(_raw(LaurentSeries.one(order)),
-                           divs=_factors(a, base, n, order - slack), cap=order)
+        product = _binomials(LaurentSeries.one(order),
+                             divs=_factors(a, base, n, order - slack), cap=order)
     else:
-        state = _binomials(_raw(LaurentSeries.one(order + slack)),
-                           muls=_factors(a, base, n, order + slack))
-    return _new(*state).truncate(order)
+        product = _binomials(LaurentSeries.one(order + slack),
+                             muls=_factors(a, base, n, order + slack))
+    return product.truncate(order)
 
 
 def poch_finite(a: ParamValue, base: ParamValue, n: int,

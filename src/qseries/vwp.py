@@ -72,9 +72,7 @@ from .laurent import (
     _check_base,
     _factors,
     _negative_slack,
-    _new,
     _plus,
-    _raw,
     _split,
     _zero_factor_index,
 )
@@ -115,7 +113,7 @@ class Term:
     infinite Pochhammer powers as (c, e, s, k) with k != 0, in the style of
     Garvan's etaq, where s is the base: the step q^s for an int, or any
     ParamValue.  Coefficients c are ints or CycRat.  ``_apply`` multiplies a
-    raw state by a Term in one binomial-kernel call.
+    series by a Term in one binomial-kernel call.
     """
 
     scalar: int | CycRat = 1
@@ -166,8 +164,8 @@ def _powers(t: Term):
         yield p, base, k
 
 
-def _apply(t: Term, state: tuple) -> tuple:
-    """The raw state t * state, in one call of the binomial kernel.
+def _apply(t: Term, f: LaurentSeries) -> LaurentSeries:
+    """The series t * f, in one call of the binomial kernel.
 
     The scalar is the kernel's unit and the shift its shift; the Term's
     binomials and, repeated |k| times, the factors of each (c q^e; base)_inf^k
@@ -176,17 +174,17 @@ def _apply(t: Term, state: tuple) -> tuple:
     A factor (1 - c q^e) left out changes the product only at exponents of
     at least e plus the valuation of everything else.  The shift and the
     factors with e < 0 move that valuation and the trusted order alike, so
-    of a state trusted below a finite N only factors with e below N minus
-    the state's valuation can touch a trusted coefficient, and only those
-    are applied.  The result is trusted at least below N + t.shift minus
-    the negative exponents of the multiplications.  An exact state (order
-    None) takes a Term without Pochhammer powers exactly.
+    of f trusted below a finite N only factors with e below N minus f's
+    valuation can touch a trusted coefficient, and only those are applied.
+    The result is trusted at least below N + t.shift minus the negative
+    exponents of the multiplications.  An exact f (order None) takes a Term
+    without Pochhammer powers exactly.
     """
     muls = [(*_split(c), e) for c, e in t.muls]
     divs = [(*_split(c), e) for c, e in t.divs]
     for p, base, k in _powers(t):
-        (muls if k > 0 else divs).extend(_factors(p, base, below=state[4] - state[0]) * abs(k))
-    return _binomials(state, muls, divs, shift=t.shift, unit=_split(t.scalar))
+        (muls if k > 0 else divs).extend(_factors(p, base, below=f.order - f.offset) * abs(k))
+    return _binomials(f, muls, divs, shift=t.shift, unit=_split(t.scalar))
 
 
 def _product_sum(terms, order: int | None) -> LaurentSeries:
@@ -194,10 +192,9 @@ def _product_sum(terms, order: int | None) -> LaurentSeries:
     each on the constant 1 trusted far enough for the Term to reach ``order``.
     With order None the Terms must be Laurent polynomials, summed exactly."""
     slacks = [_term_slack(t) for t in terms]  # every base is checked before any product
-    states = [_apply(t, _raw(LaurentSeries.one(None if order is None
-                                               else order + slack - t.shift)))
-              for t, slack in zip(terms, slacks)]
-    return _new(*_plus(order, *states))
+    summands = [_apply(t, LaurentSeries.one(None if order is None else order + slack - t.shift))
+                for t, slack in zip(terms, slacks)]
+    return _plus(order, *summands)
 
 
 def _merged(*terms: Term) -> Term:
@@ -294,7 +291,7 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
             tail.append(left)
             left -= sum(-e for *_, e in muls if e < 0)
         tails.append(tail + [left])
-    one = _raw(LaurentSeries.one())
+    one = LaurentSeries.one()
     above = [None] * len(levels)  # above[j]: U_j at the index above m
     for m in range(tops[-1], -1, -1):
         inner, unit, shift, muls, divs, held = one, (1, 0, 1), 0, (), (), 0
@@ -312,7 +309,7 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
             else:
                 inner = _plus(cap, inner)
             above[j] = inner
-    return _new(*_apply(first, above[0])).require_order(order)
+    return _apply(first, above[0]).require_order(order)
 
 
 def _vwp_level(nums, dens, base: ParamValue, weight: ParamValue | None = None) -> Level:
@@ -652,7 +649,7 @@ def l_infinite(params, order: int, base: ParamValue = Q) -> LaurentSeries:
     params = as_params(params)
     pairs = _d_term(*params)
     f = f_bilateral(params, order + _term_slack(pairs), base)
-    return _new(*_apply(pairs, _raw(f))).require_order(order)
+    return _apply(pairs, f).require_order(order)
 
 
 # -- classical evaluations ----------------------------------------------------------

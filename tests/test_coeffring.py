@@ -11,9 +11,11 @@ from qseries.coeffring import (
     OMEGA,
     OMEGA_BAR,
     ONE,
+    RAT_ONE,
     ZERO,
     rat,
 )
+from qseries.laurent import LaurentSeries, ParamValue
 
 rationals = st.builds(rat, st.integers(-30, 30), st.integers(1, 12))
 cycrats = st.builds(CycRat, rationals, rationals)
@@ -63,6 +65,23 @@ def test_rational_embedding_and_coercion():
     assert 1 + x == CycRat(6)
     assert 2 * OMEGA == OMEGA + OMEGA
     assert CycRat(Fraction(1, 2)) + CycRat(rat(1, 2)) == ONE
+    for value in (True, 7, Fraction(-2, 3)):
+        assert type(CycRat(value).a) is type(RAT_ONE)  # the backend, whatever came in
+
+
+@pytest.mark.parametrize("value", [0.5, 0.1, "1/3", None, 1j], ids=repr)
+def test_inexact_scalars_are_refused(value):
+    # no float or string may slip into a coefficient, at any entry point
+    for build in (CycRat, lambda v: CycRat(1, v), ParamValue, lambda v: LaurentSeries(0, [v])):
+        with pytest.raises(TypeError):
+            build(value)
+
+
+def test_gmpy2_rationals_enter():
+    gmpy2 = pytest.importorskip("gmpy2")
+    x = CycRat(gmpy2.mpz(3), gmpy2.mpq(-1, 2))
+    assert x == CycRat(3, Fraction(-1, 2))
+    assert type(x.a) is type(x.b) is type(RAT_ONE)
 
 
 @given(cycrats, cycrats, cycrats)

@@ -1,11 +1,13 @@
 """Overpartition-pair enumeration, statistics, and generating functions."""
 
+import dataclasses
 import itertools
 import math
 import pathlib
 
 import pytest
 
+from qseries import catalog, combinat
 from qseries.coeffring import ONE, CycRat
 from qseries.combinat import (
     ENUMERATION_CAP,
@@ -14,6 +16,7 @@ from qseries.combinat import (
     AStats,
     Overpartition,
     OverpartitionPair,
+    _a_stats_table,
     _a_stats_upto,
     _component_count,
     _distinct_parts,
@@ -27,7 +30,7 @@ from qseries.combinat import (
     gf_check_Adblprime,
     gf_check_Aprime,
 )
-from qseries.laurent import Q, ParamValue, _raw, poch_infinite, poch_infinite_inv
+from qseries.laurent import Q, ParamValue, ZeroFactor, poch_infinite, poch_infinite_inv
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -298,6 +301,52 @@ def test_gf_check_order_bounds(order):
         gf_check_Aprime(order)
 
 
+def test_gf_check_reports_a_library_exception(monkeypatch):
+    # like every catalog check, an expansion that raises is an error report
+    def vanishing(order):
+        raise ZeroFactor("a factor vanishes")
+
+    entry = catalog.registry()["A1-a"]
+    monkeypatch.setitem(catalog._REGISTRY, "A1-a", dataclasses.replace(entry, lhs=vanishing))
+    report = gf_check_Aprime(15)
+    assert (report.id, report.order, report.status) == ("gen-Aprime", 15, "error")
+    assert report.first_mismatch is None
+    assert report.message == "ZeroFactor: a factor vanishes"
+
+
+def _counting_signed_counts(monkeypatch):
+    """Start from no table; the returned list gets n of every _signed_counts(n, ...)."""
+    calls, signed_counts = [], combinat._signed_counts
+
+    def counted(n, over, plain):
+        calls.append(n)
+        return signed_counts(n, over, plain)
+
+    monkeypatch.setattr(combinat, "_signed_counts", counted)
+    monkeypatch.setattr(combinat, "_A_STATS", ())
+    return calls
+
+
+def test_a_stats_share_one_table(monkeypatch):
+    reference = _a_stats_table(STATS_CAP)
+    calls = _counting_signed_counts(monkeypatch)
+    rows = [a_stats(n) for n in range(1, STATS_CAP + 1)]
+    # one table, doubled up to the cap: three signed counts per rebuild
+    assert calls == [n for n in (1, 2, 4, 8, 16, 32, 64, 128, STATS_CAP) for _ in range(3)]
+    assert tuple(rows) == reference
+    assert _a_stats_upto(STATS_CAP) == reference and len(calls) == 27
+
+
+def test_gf_check_counts_only_the_rows_it_reads(monkeypatch):
+    reference = _a_stats_table(30)[-1]
+    calls = _counting_signed_counts(monkeypatch)
+    assert gf_check_Aprime(26).status == "equal"
+    assert gf_check_Adblprime(26).status == "equal"
+    assert calls == [25] * 3  # the second check reuses the first one's rows
+    assert a_stats(30) == reference
+    assert calls == [25] * 3 + [50] * 3  # doubled, not grown to 30
+
+
 # -- counting series --------------------------------------------------------------------
 
 
@@ -369,7 +418,8 @@ def test_count_series_matches_series_products(family, order):
     series = count_series(family, order)
     reference = _series_table(order)[family]
     assert series == reference
-    assert _raw(series) == _raw(reference)  # the same stored data
+    stored = [(s.offset, s.order, s._den, s._a, s._b) for s in (series, reference)]
+    assert stored[0] == stored[1]  # the same stored data
 
 
 @pytest.mark.parametrize("bits", [0, 1, 8, 9, 64])

@@ -16,8 +16,6 @@ from qseries.laurent import (
     Q,
     ZeroFactor,
     _binomials,
-    _new,
-    _raw,
     _split,
     poch_finite,
     poch_finite_inv,
@@ -122,6 +120,36 @@ def test_inverse_errors():
     exact_poly = LaurentSeries.from_terms({0: ONE, 1: ONE})
     with pytest.raises(OrderExceeded):
         exact_poly.inverse()  # infinite expansion needs an explicit order
+
+
+def test_division_examples():
+    # 1 / (q^-1 - 1) = q / (1 - q): the divisor's valuation -1 moves the quotient up
+    g = LaurentSeries.from_terms({-1: ONE, 0: CycRat(-1)}, 10)
+    h = LaurentSeries.one(10) / g
+    assert h == LaurentSeries.from_terms({n: ONE for n in range(1, 11)}, 11)
+    # an exact monomial divisor keeps an exact quotient
+    assert LaurentSeries.one() / mono(OMEGA, -2) == mono(OMEGA_BAR, 2)
+
+
+def test_division_errors():
+    f = LaurentSeries.from_terms({0: ONE, 2: OMEGA}, 10)
+    for zero in (LaurentSeries.zero(10), LaurentSeries.zero()):
+        with pytest.raises(DivisionByZero):
+            f / zero
+    exact_poly = LaurentSeries.from_terms({0: ONE, 1: ONE})
+    with pytest.raises(OrderExceeded):
+        LaurentSeries.one() / exact_poly  # an exact quotient would be infinite
+    assert same(f / exact_poly * exact_poly, f, 10)  # a finite dividend caps it
+
+
+@settings(max_examples=200)
+@given(f=series_st, g=negative_valuation_st)
+def test_division_undoes_multiplication(f, g):
+    back = f / g * g
+    assert back.order <= f.order
+    if not f.is_zero():
+        assert back.order > f.valuation()  # something is compared
+    assert back.agrees_below(f, back.order) is None
 
 
 # -- randomized ring structure ------------------------------------------------------------
@@ -248,9 +276,9 @@ def test_kernel_matches_one_factor_at_a_time(f, shift, unit, muls, divs, cap):
         return g
 
     def kernel():
-        return _new(*_binomials(
-            _raw(f), [(*_split(c), e) for c, e in muls], [(*_split(c), e) for c, e in divs],
-            cap, shift, None if unit is None else _split(unit)))
+        return _binomials(
+            f, [(*_split(c), e) for c, e in muls], [(*_split(c), e) for c, e in divs],
+            cap, shift, None if unit is None else _split(unit))
 
     assert _outcome(kernel) == _outcome(one_by_one)
 
@@ -355,7 +383,7 @@ def test_triple_product(z):
         power = ONE
         for _ in range(abs(n)):
             power = power * (z if n > 0 else zinv)
-        terms.append((CycRat((-1) ** n) * power, n * (n - 1) // 2))
+        terms.append((CycRat((-1) ** (n % 2)) * power, n * (n - 1) // 2))
     got = (poch_infinite(ParamValue(z, 0), Q, order)
            * poch_infinite(ParamValue(zinv, 1), Q, order)
            * poch_infinite(Q, Q, order))
