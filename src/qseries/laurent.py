@@ -44,6 +44,13 @@ normalized series at the end:
     dividing by it is the forward recurrence g[j] = f[j] + c*g[j-e],
     run entry by entry, also linear time.
 
+The kernel works on the numerator lists it needs: the 1-parts alone while
+the series, the scalar and every factor so far are rational (the catalog's
+eta quotients have only +-1 parameters), both lists from the first factor
+with a w-part on; the stored series always has both.  A factor that touches
+nothing below the order is skipped, and the kernel can add a second series
+to its result before normalizing, which is how the chained sums add.
+
 ``mul_one_minus`` and ``div_one_minus`` are one kernel call each, and so is
 every Pochhammer builder: (a; q)_n, (a; q)_infinity and their inverses split
 their factors once and normalize once, at O(n * order) instead of the
@@ -57,7 +64,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .coeffring import ZERO, ONE, CycRat, DivisionByZero, rat
 
@@ -147,13 +154,20 @@ def _scaled(m: int, xs: list) -> list:
     return xs if m == 1 else [m * x for x in xs]
 
 
-def _times(ca: int, cb: int, xs: list, ys: list) -> tuple[list, list]:
-    """Numerators of (ca + cb*w) * (x + y*w), entry by entry."""
+def _times(ca: int, cb: int, parts: list) -> list:
+    """Numerator lists of (ca + cb*w) * (x + y*w), entry by entry.
+
+    ``parts`` is [xs] for a rational operand (every y is 0) or [xs, ys]; the
+    result is one list only when both the operand and the scalar are rational.
+    """
     if not cb:
-        return _scaled(ca, xs), _scaled(ca, ys)
+        return parts if ca == 1 else [[ca * x for x in xs] for xs in parts]
+    xs = parts[0]
+    if len(parts) == 1:
+        return [_scaled(ca, xs), _scaled(cb, xs)]
     cab = ca - cb
-    return ([ca * x - cb * y for x, y in zip(xs, ys)],
-            [cb * x + cab * y for x, y in zip(xs, ys)])
+    return [[ca * x - cb * y for x, y in zip(xs, parts[1])],
+            [cb * x + cab * y for x, y in zip(xs, parts[1])]]
 
 
 class _Coeffs(Sequence):
@@ -319,7 +333,7 @@ class LaurentSeries:
         ca, cb, cd = _split(c)
         if not ca and not cb:
             return _new(0, [], [], 1, self.order)
-        a, b = _times(ca, cb, self._a, self._b)
+        a, b = _times(ca, cb, [self._a, self._b])
         return _new(self.offset, a, b, self._den * cd, self.order)
 
     def shift(self, e: int) -> "LaurentSeries":
@@ -491,35 +505,61 @@ def _new(offset: int, a: list, b: list, den: int, order: int | None) -> LaurentS
 # -- the binomial kernel ------------------------------------------------------------------
 
 
-def _plus(cap: int | None, *terms: LaurentSeries) -> LaurentSeries:
-    """The sum of ``terms``, trusted below the lowest of their orders and ``cap``."""
-    order = _lowest(cap, *(s.order for s in terms))
-    parts = [s for s in terms if s._a and (order is None or s.offset < order)]
-    if not parts:
+def _parts(s: LaurentSeries) -> list:
+    """The numerator lists the kernel works on: [a] for a rational series, else [a, b]."""
+    return [s._a, s._b] if any(s._b) else [s._a]
+
+
+def _built(offset: int, parts: list, den: int, order: int | None) -> LaurentSeries:
+    """The normalized series with numerator lists ``parts`` over ``den``."""
+    a = parts[0]
+    return _new(offset, a, parts[1] if len(parts) > 1 else [0] * len(a), den, order)
+
+
+def _sum(order: int | None, pieces) -> LaurentSeries:
+    """The sum of ``pieces`` (offset, parts, den) below ``order``, on one list when
+    every piece is rational."""
+    lo = hi = None
+    den, width, kept = 1, 1, []
+    for offset, parts, d in pieces:
+        if parts[0] and (order is None or offset < order):
+            end = offset + len(parts[0])
+            lo, hi = (offset, end) if lo is None else (min(lo, offset), max(hi, end))
+            den, width = lcm(den, d), max(width, len(parts))
+            kept.append((offset, parts, d))
+    if lo is None:
         return _new(0, [], [], 1, order)
-    lo = min(s.offset for s in parts)
-    hi = max(s.offset + len(s._a) for s in parts)
     if order is not None:
         hi = min(hi, order)
-    den = lcm(*(s._den for s in parts))
-    a, b = [0] * (hi - lo), [0] * (hi - lo)
-    for s in parts:
-        m, i = den // s._den, s.offset - lo
-        j = min(i + len(s._a), hi - lo)
-        a[i:j] = [t + m * x for t, x in zip(a[i:j], s._a)]
-        b[i:j] = [t + m * y for t, y in zip(b[i:j], s._b)]
-    return _new(lo, a, b, den, order)
+    out = [[0] * (hi - lo) for _ in range(width)]
+    for offset, parts, d in kept:
+        m, i = den // d, offset - lo
+        j = min(i + len(parts[0]), hi - lo)
+        for acc, xs in zip(out, parts):
+            acc[i:j] = map(add, acc[i:j], _scaled(m, xs))
+    return _built(lo, out, den, order)
+
+
+def _plus(cap: int | None, *terms: LaurentSeries) -> LaurentSeries:
+    """The sum of ``terms``, trusted below the lowest of their orders and ``cap``.
+    It adds the 1-parts alone when every term is rational."""
+    return _sum(_lowest(cap, *(s.order for s in terms)),
+                [(s.offset, _parts(s), s._den) for s in terms])
 
 
 def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
-               shift: int = 0, unit: tuple | None = None) -> LaurentSeries:
-    """The series q^shift * unit * f * prod_muls (1 - c q^e) / prod_divs (1 - c q^e).
+               shift: int = 0, unit: tuple | None = None,
+               plus: LaurentSeries | None = None) -> LaurentSeries:
+    """The series q^shift * unit * f * prod_muls (1 - c q^e) / prod_divs (1 - c q^e),
+    plus the series ``plus`` when given.
 
     Every factor comes split as (ca, cb, cd, e) with c = (ca + cb*w)/cd, and
     ``unit``, when given, as (ua, ub, ud).  The factors apply in turn, the
     multiplications first; a factor with c = 0 is 1.  The numerators stay
     over one growing denominator, and the result is normalized once, when
-    the series is built.
+    the series is built.  They are one list, the 1-parts, while f, the unit
+    and the factors so far are rational; the first factor with a w-part
+    adds the list of w-parts.
 
     Multiplying by (1 - c q^e) with e > 0 truncates at the order; with e < 0
     it lowers the valuation and the order by -e; with e = 0 it scales by
@@ -533,56 +573,63 @@ def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
 
     With e < 0 it first factors (1 - c q^e) = (-c q^e) * (1 - c^{-1} q^{-e}),
     which raises the valuation and the order by -e before the cap applies.
+    A factor that changes no coefficient below the order is skipped without
+    copying a list: a multiplication with e >= order - offset, and a division
+    whose e (positive once factored) is at least the length below the order.
+
+    With ``plus`` the result is _plus(cap, plus, the product), summed before
+    the product is normalized, so the pair is normalized once.
     """
-    offset, a, b, den, order = f.offset, f._a, f._b, f._den, f.order
+    offset, den, order = f.offset, f._den, f.order
+    parts = _parts(f)
     if shift:
         offset += shift
         if order is not None:
             order += shift
     if unit is not None:
         ua, ub, ud = unit
-        a, b = _times(ua, ub, a, b) if ua or ub else ([], [])
+        parts = _times(ua, ub, parts) if ua or ub else [[]]
         den *= ud
     for ca, cb, cd, e in muls:
         if not ca and not cb:
             continue
         if e == 0:  # the scalar (1 - c) = (cd - ca - cb*w) / cd
             ua, ub = cd - ca, -cb
-            a, b = _times(ua, ub, a, b) if ua or ub else ([], [])
+            parts = _times(ua, ub, parts) if ua or ub else [[]]
             den *= cd
             continue
         if e < 0 and order is not None:
             order += e  # the unknown tail times c*q^e reaches q^(order+e)
-        if not a:
-            continue
-        n = len(a)
-        fa, fb = _scaled(cd, a), _scaled(cd, b)  # f - c*q^e*f over den*cd
+        n = len(parts[0])
+        if not n or (order is not None and e >= order - offset):
+            continue  # every entry of c*q^e*f lies at or above the order
+        # c*f: added when c = -1, else scaled (promoting a rational f) and subtracted
+        terms, op = (parts, add) if ca == -1 and not cb else (_times(ca, cb, parts), sub)
+        if len(terms) > len(parts):
+            parts = [parts[0], [0] * n]
         if e > 0:
-            size = n + e
-            if order is not None:
-                size = min(size, order - offset)
-            k = size - e  # entries of c*q^e*f below the order
-            na, nb = fa + [0] * (size - n), fb + [0] * (size - n)
-            if k > 0:
-                ta, tb = _times(ca, cb, a[:k], b[:k])
-                na[e:] = [s - t for s, t in zip(na[e:], ta)]
-                nb[e:] = [s - t for s, t in zip(nb[e:], tb)]
-        else:
-            ta, tb = _times(ca, cb, a, b)
-            na, nb = [0] * (-e) + fa, [0] * (-e) + fb
-            na[:n] = [s - t for s, t in zip(na, ta)]
-            nb[:n] = [s - t for s, t in zip(nb, tb)]
-            offset += e
-            if order is not None and order - offset < len(na):
-                na, nb = na[:order - offset], nb[:order - offset]
-        a, b = na, nb
+            pad = [0] * ((n + e if order is None else min(n + e, order - offset)) - n)
+        new = []
+        for xs, ts in zip(parts, terms):  # f - c*q^e*f over den*cd
+            if e > 0:
+                ys = _scaled(cd, xs) + pad
+                ys[e:] = map(op, ys[e:], ts)
+            else:
+                ys = [0] * -e + _scaled(cd, xs)
+                ys[:n] = map(op, ys, ts)
+            new.append(ys)
+        parts = new
         den *= cd
+        if e < 0:
+            offset += e
+            if order is not None and order - offset < len(new[0]):
+                parts = [ys[:order - offset] for ys in new]
     for ca, cb, cd, e in divs:
         if e == 0:  # the scalar cd / (x + y*w) = cd * (x - y - y*w) / norm
             x, y = cd - ca, -cb
             if not x and not y:
                 raise DivisionByZero("division by the zero binomial (1 - 1)")
-            a, b = _times(cd * (x - y), -cd * y, a, b)
+            parts = _times(cd * (x - y), -cd * y, parts)
             den *= x * x - x * y + y * y
             continue
         if not ca and not cb:
@@ -591,7 +638,7 @@ def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
             # multiply by -1/c = -cd * (ca - cb - cb*w) / norm(c), then step by 1/c
             norm = ca * ca - ca * cb + cb * cb
             ca, cb, cd, e = cd * (ca - cb), -cd * cb, norm, -e
-            a, b = _times(-ca, -cb, a, b)
+            parts = _times(-ca, -cb, parts)
             den *= cd
             offset += e
             if order is not None:
@@ -603,32 +650,41 @@ def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
                 "dividing by (1 - c*q^e) yields an infinite series; a finite order is required"
             )
         length = order - offset
-        if not a or length <= 0:
-            a, b = [], []
+        n = len(parts[0])
+        if not n or length <= 0:
+            parts = [[]]
             continue
-        pad = [0] * (length - len(a))
-        a, b = a[:length] + pad, b[:length] + pad
-        cab = ca - cb
-        if cd == 1 and not cb:
-            for j in range(e, length):
-                a[j] += ca * a[j - e]
-                b[j] += ca * b[j - e]
-        elif cd == 1:
+        if e >= length:
+            continue  # g[j] = f[j] for every j below the order
+        if cb and len(parts) == 1:
+            parts = [parts[0], [0] * n]
+        if cd != 1:
+            top = (length - 1) // e
+            powers = [cd ** k for k in range(top + 1)]
+        pad, new = [0] * (length - n), []
+        for xs in parts:
+            xs = xs[:length] + pad
+            if cd != 1:  # the cd^(j // e) * F_j of the recurrence
+                xs = [powers[j // e] * x for j, x in enumerate(xs)]
+            if not cb:  # a rational c steps each list on its own
+                for j in range(e, length):
+                    xs[j] += ca * xs[j - e]
+            new.append(xs)
+        if cb:
+            a, b = new
+            cab = ca - cb
             for j in range(e, length):
                 x, y = a[j - e], b[j - e]
                 a[j] += ca * x - cb * y
                 b[j] += cb * x + cab * y
-        else:
-            top = (length - 1) // e
-            powers = [cd ** k for k in range(top + 1)]
-            for j in range(e, length):
-                x, y, p = a[j - e], b[j - e], powers[j // e]
-                a[j] = p * a[j] + ca * x - cb * y
-                b[j] = p * b[j] + cb * x + cab * y
-            a = [powers[top - j // e] * x for j, x in enumerate(a)]
-            b = [powers[top - j // e] * y for j, y in enumerate(b)]
+        parts = new
+        if cd != 1:
+            parts = [[powers[top - j // e] * x for j, x in enumerate(xs)] for xs in new]
             den *= powers[top]
-    return _new(offset, a, b, den, order)
+    if plus is None:
+        return _built(offset, parts, den, order)
+    return _sum(_lowest(cap, plus.order, order),
+                [(plus.offset, _parts(plus), plus._den), (offset, parts, den)])
 
 
 def _product_order(f: LaurentSeries, g: LaurentSeries) -> int | None:

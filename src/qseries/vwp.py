@@ -71,6 +71,7 @@ from .laurent import (
     _binomials,
     _check_base,
     _factors,
+    _lowest,
     _negative_slack,
     _plus,
     _split,
@@ -206,10 +207,9 @@ def _merged(*terms: Term) -> Term:
                 sum((t.pochs for t in terms), ()))
 
 
-def _first_zero(factors) -> float:
-    """Least index M at which some factor (1 - p*step^M) vanishes, or inf."""
-    hits = [_zero_factor_index(p, step) for p, step in factors]
-    return min((h for h in hits if h is not None), default=math.inf)
+def _first_zero(factors) -> int | None:
+    """Least index M at which some factor (1 - p*step^M) vanishes; None when none does."""
+    return _lowest(*(_zero_factor_index(p, step) for p, step in factors))
 
 
 def _split_steps(level: Level, count: int) -> list:
@@ -232,9 +232,11 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
 
     where rho_j(m) = prod_{i>=j} R_i(m+1)/R_i(m).  m runs from the top index
     down to 0, the deepest level first, and each (j, m) below level j's top
-    is one kernel call on U_j(m+1) with the weights, shifts and binomials of
-    levels j..L at m, each level split once per index.  The first term then
-    applies to U_1(0) in one more kernel call.
+    is one kernel call: it multiplies U_j(m+1) by the weights, shifts and
+    binomials of levels j..L at m, each level split once per index, and adds
+    U_{j+1}(m) before the result is normalized.  The first term then applies
+    to U_1(0) in one more kernel call.  A level with no vanishing numerator
+    factor never ends (``_first_zero`` is None); only the order stops it.
 
     Caps.  A term's valuation is at least floor = first.shift - slack plus
     the q-powers weight_j*M_j + growth_j*M_j(M_j-1)/2 of every level j; the
@@ -271,16 +273,16 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
     def rise(j: int, m: int) -> int:
         return rest[j] * m + grow[j] * (m * (m - 1) // 2)
 
-    ends = [_first_zero(lv.num) for lv in levels]
+    ends = [_first_zero(lv.num) for lv in levels]  # None: the level never ends
     for j, lv in enumerate(levels):
         m = _first_zero(lv.den)
-        if m < ends[j] and floor + rise(j, m) < order:
+        if m is not None and (ends[j] is None or m < ends[j]) and floor + rise(j, m) < order:
             raise ZeroFactor(
                 f"chained sum: a denominator factor of level {j + 1} vanishes at index {m}")
     tops = []  # tops[j] <= tops[j+1]: rise(j, m) falls and min(ends[j:]) rises with j
     for j in range(len(levels)):
-        end, m = min(ends[j:]), 0
-        while m < end and floor + rise(j, m + 1) < order:
+        end, m = _lowest(*ends[j:]), 0
+        while (end is None or m < end) and floor + rise(j, m + 1) < order:
             m += 1
         tops.append(m)
     splits = [_split_steps(lv, top) for lv, top in zip(levels, tops)]
@@ -305,7 +307,7 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
                 va, vb, vd = unit  # the merged weight, (ua + ub*w)(va + vb*w) / (ud*vd)
                 unit = ua * va - ub * vb, ua * vb + ub * va - ub * vb, ud * vd
                 shift, muls, divs = shift + s, mu + muls, dv + divs
-                inner = _plus(cap, inner, _binomials(above[j], muls, divs, cap, shift, unit))
+                inner = _binomials(above[j], muls, divs, cap, shift, unit, plus=inner)
             else:
                 inner = _plus(cap, inner)
             above[j] = inner

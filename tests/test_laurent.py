@@ -16,6 +16,7 @@ from qseries.laurent import (
     Q,
     ZeroFactor,
     _binomials,
+    _plus,
     _split,
     poch_finite,
     poch_finite_inv,
@@ -30,10 +31,18 @@ coeffs_st = st.one_of(
     st.builds(CycRat, st.integers(-9, 9), st.integers(-9, 9)),
     st.builds(CycRat, rats_st, rats_st),  # non-integral: a common denominator
 )
+rational_coeffs_st = st.one_of(  # no w-part: the kernel keeps these on one list
+    st.builds(CycRat, st.integers(-9, 9)),
+    st.builds(CycRat, rats_st),
+)
 series_st = st.dictionaries(st.integers(-4, 8), coeffs_st, max_size=8).map(
     lambda d: LaurentSeries.from_terms(d, ORDER))
 nonzero_series_st = series_st.filter(lambda f: not f.is_zero())
 negative_valuation_st = nonzero_series_st.filter(lambda f: f.valuation() < 0)
+rational_negative_valuation_st = st.dictionaries(
+    st.integers(-4, 8), rational_coeffs_st, min_size=1, max_size=8).map(
+    lambda d: LaurentSeries.from_terms(d, ORDER)).filter(
+    lambda f: not f.is_zero() and f.valuation() < 0)
 
 
 def same(f, g, order):
@@ -207,12 +216,14 @@ def test_product_matches_convolution(f, g):
 
 
 _BINOMIAL_CS = [CycRat(rat(1, 2)), ONE - OMEGA, CycRat(2) + OMEGA, OMEGA]
+_RATIONAL_CS = [ONE, CycRat(-1), CycRat(rat(1, 2)), CycRat(-3), CycRat(rat(-2, 3))]
 
 
 @pytest.mark.parametrize("e", range(-2, 4))
-@pytest.mark.parametrize("c", _BINOMIAL_CS, ids=str)
+@pytest.mark.parametrize("c", _BINOMIAL_CS + [c for c in _RATIONAL_CS if c not in _BINOMIAL_CS],
+                         ids=str)
 @settings(max_examples=25)
-@given(f=negative_valuation_st)
+@given(f=st.one_of(negative_valuation_st, rational_negative_valuation_st))
 def test_binomials_match_reference(f, c, e):
     # f * (1 - c q^e): h(n) = f(n) - c f(n - e)
     h = f.mul_one_minus(c, e)
@@ -220,6 +231,10 @@ def test_binomials_match_reference(f, c, e):
     lo = f.valuation() + min(e, 0)
     for n in range(lo, h.order):
         assert h.coeff(n) == f.coeff(n) - c * f.coeff(n - e)
+    if c == ONE and e == 0:  # dividing by the scalar 1 - c = 0
+        with pytest.raises(DivisionByZero):
+            f.div_one_minus(c, e)
+        return
 
     # f / (1 - c q^e): g(n) - c g(n - e) = f(n), solved upward from the valuation
     g = f.div_one_minus(c, e)
@@ -259,12 +274,8 @@ operand_st = st.one_of(
 )
 
 
-@settings(max_examples=300)
-@given(f=operand_st, shift=st.integers(-3, 3), unit=st.none() | coeffs_st,
-       muls=st.lists(binomial_st, max_size=3), divs=st.lists(binomial_st, max_size=3),
-       cap=st.none() | st.integers(-6, ORDER + 6))
-def test_kernel_matches_one_factor_at_a_time(f, shift, unit, muls, divs, cap):
-    # one kernel call with mixed factors == the public methods applied in turn
+def _check_kernel(f, shift, unit, muls, divs, cap):
+    """One kernel call with mixed factors == the public methods applied in turn."""
     def one_by_one():
         g = f.shift(shift)
         if unit is not None:
@@ -280,7 +291,133 @@ def test_kernel_matches_one_factor_at_a_time(f, shift, unit, muls, divs, cap):
             f, [(*_split(c), e) for c, e in muls], [(*_split(c), e) for c, e in divs],
             cap, shift, None if unit is None else _split(unit))
 
-    assert _outcome(kernel) == _outcome(one_by_one)
+    got = _outcome(kernel)
+    assert got == _outcome(one_by_one)
+    return got
+
+
+@settings(max_examples=300)
+@given(f=operand_st, shift=st.integers(-3, 3), unit=st.none() | coeffs_st,
+       muls=st.lists(binomial_st, max_size=3), divs=st.lists(binomial_st, max_size=3),
+       cap=st.none() | st.integers(-6, ORDER + 6))
+def test_kernel_matches_one_factor_at_a_time(f, shift, unit, muls, divs, cap):
+    _check_kernel(f, shift, unit, muls, divs, cap)
+
+
+rational_binomial_st = st.tuples(st.sampled_from(_RATIONAL_CS), st.integers(-2, 3))
+rational_operand_st = st.builds(  # short orders, so factors at or past the order are common
+    LaurentSeries.from_terms,
+    st.dictionaries(st.integers(-4, 8), rational_coeffs_st, max_size=6),
+    st.none() | st.integers(-2, 12))
+
+
+@settings(max_examples=300)
+@given(f=rational_operand_st, shift=st.integers(-3, 3), unit=st.none() | rational_coeffs_st,
+       muls=st.lists(rational_binomial_st, max_size=4),
+       divs=st.lists(rational_binomial_st, max_size=4),
+       cap=st.none() | st.integers(-6, 16),
+       late=st.none() | st.tuples(st.sampled_from([ONE - OMEGA, OMEGA]), st.integers(-2, 3),
+                                  st.booleans()))
+def test_kernel_on_rational_draws(f, shift, unit, muls, divs, cap, late):
+    # rational operands, units and factors run on one numerator list; a late
+    # factor with a w-part, after the rational ones, adds the w-list mid-call
+    if late is not None:
+        c, e, divide = late
+        (divs if divide else muls).append((c, e))
+    got = _check_kernel(f, shift, unit, muls, divs, cap)
+    if late is None and isinstance(got, LaurentSeries):
+        assert not any(got._b)
+
+
+# -- the fused addend and the skipped factors ----------------------------------------------
+
+
+def _stored(s):
+    return s.offset, s.order, s._den, s._a, s._b
+
+
+addend_st = st.builds(
+    LaurentSeries.from_terms,
+    st.dictionaries(st.integers(-5, 40), st.one_of(coeffs_st, rational_coeffs_st), max_size=6),
+    st.none() | st.integers(-3, 40))
+
+
+@settings(max_examples=300)
+@given(f=st.one_of(rational_operand_st, operand_st), g=addend_st, shift=st.integers(-3, 3),
+       unit=st.none() | st.one_of(coeffs_st, rational_coeffs_st),
+       muls=st.lists(st.one_of(rational_binomial_st, binomial_st), max_size=3),
+       divs=st.lists(st.one_of(rational_binomial_st, binomial_st), max_size=3),
+       cap=st.none() | st.integers(-6, 36))
+def test_fused_addend_matches_two_calls(f, g, shift, unit, muls, divs, cap):
+    # _binomials(f, ..., plus=g) stores what _plus(cap, g, _binomials(f, ...)) does
+    args = ([(*_split(c), e) for c, e in muls], [(*_split(c), e) for c, e in divs],
+            cap, shift, None if unit is None else _split(unit))
+    two = _outcome(lambda: _plus(cap, g, _binomials(f, *args)))
+    fused = _outcome(lambda: _binomials(f, *args, plus=g))
+    if not isinstance(two, LaurentSeries):
+        assert fused == two
+        return
+    assert _stored(fused) == _stored(two)
+    product = _binomials(f, *args)  # the sum, coefficient by coefficient in CycRat
+    if fused.order is not None:
+        for n in range(min(_low(g), _low(product)), fused.order):
+            assert fused.coeff(n) == g.coeff(n) + product.coeff(n)
+
+
+_HALF = (1, 0, 2)  # the scalar 1/2, split
+
+
+@pytest.mark.parametrize("g, f, kernel_args", [
+    # g at the cap and beyond it: only the product is kept
+    (mono(OMEGA, 12, 20), LaurentSeries.from_terms({-2: ONE, 3: CycRat(2)}, 20),
+     ([(1, 0, 1, 1)], [(-1, 0, 1, 2)], 12, 0, None)),
+    (mono(ONE, 30), LaurentSeries.from_terms({0: ONE}, 20), ([], [(1, 0, 1, 1)], 12, 0, None)),
+    # a zero product: the unit 0, and a zero operand
+    (LaurentSeries.from_terms({-3: ONE, 1: OMEGA}, 15), LaurentSeries.one(10),
+     ([(1, 0, 1, 1)], [], None, 0, (0, 0, 1))),
+    (LaurentSeries.from_terms({0: CycRat(rat(1, 3))}, 15), LaurentSeries.zero(),
+     ([], [(1, 0, 1, 1)], 9, 0, None)),
+    # an exact g; an exact product, and the sum stays exact
+    (LaurentSeries.from_terms({-1: CycRat(rat(1, 2)), 4: ONE}), LaurentSeries.one(12),
+     ([(-1, 0, 1, 3)], [(1, 0, 1, 1)], None, 0, None)),
+    (LaurentSeries.from_terms({-1: CycRat(rat(1, 2)), 4: ONE}),
+     LaurentSeries.from_terms({-2: CycRat(rat(3, 4))}), ([(1, 1, 2, 2)], [], None, -1, None)),
+    # den != 1 on either side and both, negative offsets
+    (LaurentSeries.from_terms({-4: CycRat(rat(1, 6)), 0: OMEGA}, 14),
+     LaurentSeries.from_terms({-3: ONE, 2: CycRat(-1)}, 16), ([], [(1, 0, 1, 2)], 14, -1, None)),
+    (LaurentSeries.from_terms({-4: ONE, 0: CycRat(3)}, 14),
+     LaurentSeries.from_terms({-3: ONE, 2: CycRat(-1)}, 16), ([(1, 0, 3, -1)], [], 14, 0, _HALF)),
+    (LaurentSeries.from_terms({-4: CycRat(rat(5, 2))}, 14),
+     LaurentSeries.from_terms({-3: CycRat(rat(1, 4))}, 16), ([], [(2, 0, 3, 1)], 11, 0, _HALF)),
+    # the product cancels g below the cap
+    (LaurentSeries.from_terms({0: CycRat(-1), 1: ONE}, 10), LaurentSeries.one(10),
+     ([(1, 0, 1, 1)], [], None, 0, None)),
+])
+def test_fused_addend_examples(g, f, kernel_args):
+    two = _plus(kernel_args[2], g, _binomials(f, *kernel_args))
+    assert _stored(_binomials(f, *kernel_args, plus=g)) == _stored(two)
+
+
+@pytest.mark.parametrize("c", [ONE, CycRat(-1), CycRat(rat(1, 2)), OMEGA], ids=str)
+@pytest.mark.parametrize("step", [-1, 0, 1, 2])  # e minus the length below the order
+def test_factors_at_the_order_store_the_applied_data(c, step):
+    # a factor skipped at e >= order - offset (multiplication) or e >= the
+    # length below the order (division) stores what applying it stores, here
+    # through __mul__ by the binomial and by the binomial's inverse
+    f = LaurentSeries.from_terms({-2: CycRat(rat(1, 3)), 1: OMEGA, 5: CycRat(-2)}, 9)
+    binomial = lambda e: LaurentSeries.from_terms({0: ONE, e: -c})
+    for length in (f.order - f.offset, 7):  # the divisions at f's order, or capped below it
+        e = length + step
+        if e < 1:
+            continue
+        assert f.mul_one_minus(c, e) == f * binomial(e)
+        cap = f.offset + length
+        quotient = f.div_one_minus(c, e, cap)
+        assert quotient == (f * binomial(e).inverse(min(cap, f.order) - f.offset))
+        assert quotient == f.truncate(cap) or step < 0
+    # and inside one call, after and before applied factors
+    assert (_binomials(f, [(*_split(c), 20), (*_split(c), 1)], [(*_split(c), 15)], 30)
+            == f.mul_one_minus(c, 1))
 
 
 # -- parameters --------------------------------------------------------------------------

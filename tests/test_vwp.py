@@ -339,6 +339,18 @@ def test_zero_factor_boundary():
         assert same(vwp._chain_sum([ends_first], order), exact, order)
 
 
+def test_level_without_a_vanishing_factor_never_ends():
+    # None, not a float stand-in, marks "no factor vanishes"; the least index wins
+    assert vwp._first_zero(()) is None
+    assert vwp._first_zero(((W, Q), (MQ, Q), (ParamValue(ONE, 2), Q2))) is None
+    assert vwp._first_zero(((W, Q), (ParamValue(ONE, -4), Q2), (ParamValue(ONE, -3), Q))) == 2
+    # sum_M q^M / (q; q)_M = 1 / (q; q)_inf (Euler): the level runs to the order
+    euler = vwp.Level(Q, (), ((Q, Q),))
+    assert vwp._first_zero(euler.num) is None and vwp._first_zero(euler.den) is None
+    for order in (1, 2, 17, 40):
+        assert vwp._chain_sum([euler], order) == poch_infinite_inv(Q, Q, order)
+
+
 # -- product terms against a factor-by-factor build ----------------------------------------
 
 
