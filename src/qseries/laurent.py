@@ -45,11 +45,23 @@ normalized series at the end:
     run entry by entry, also linear time.
 
 The kernel works on the numerator lists it needs: the 1-parts alone while
-the series, the scalar and every factor so far are rational (the catalog's
-eta quotients have only +-1 parameters), both lists from the first factor
-with a w-part on; the stored series always has both.  A factor that touches
+the series and every binomial step so far are rational (the catalog's eta
+quotients have only +-1 parameters), both lists from the first step with a
+w-part on; the stored series always has both.  The scalars (the unit and
+every factor with e = 0) fold into one and apply last, so scalars that are
+rational in total keep a rational series on one list.  A factor that touches
 nothing below the order is skipped, and the kernel can add a second series
 to its result before normalizing, which is how the chained sums add.
+
+The parameters of the paper's products come with their reciprocals, and at
+a root of unity c the reciprocal is the conjugate, so w-factors meet their
+conjugates at the same exponent.  ``_paired`` turns such a pair into
+rational factors,
+
+    (1 - c x)(1 - conj(c) x) = (1 - s x^3) / (1 - s x),   s = -(c + conj(c)),
+
+once per product term or summation step, before the kernel sees it; the
+kernel does no pairing of its own.
 
 ``mul_one_minus`` and ``div_one_minus`` are one kernel call each, and so is
 every Pochhammer builder: (a; q)_n, (a; q)_infinity and their inverses split
@@ -64,7 +76,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from .coeffring import ZERO, ONE, CycRat, DivisionByZero, rat
 
@@ -152,6 +164,11 @@ def _cyc(x: int, y: int, den: int) -> CycRat:
 def _scaled(m: int, xs: list) -> list:
     """The list m*xs (xs itself when m is 1; lists are never mutated once stored)."""
     return xs if m == 1 else [m * x for x in xs]
+
+
+def _zw(x: int, y: int, u: int, v: int) -> tuple[int, int]:
+    """The product (x + y*w)(u + v*w) in Z[w], as its two integer parts."""
+    return x * u - y * v, x * v + y * u - y * v
 
 
 def _times(ca: int, cb: int, parts: list) -> list:
@@ -554,28 +571,35 @@ def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
     plus the series ``plus`` when given.
 
     Every factor comes split as (ca, cb, cd, e) with c = (ca + cb*w)/cd, and
-    ``unit``, when given, as (ua, ub, ud).  The factors apply in turn, the
-    multiplications first; a factor with c = 0 is 1.  The numerators stay
+    ``unit``, when given, as (ua, ub, ud).  The binomial steps (e != 0) apply
+    in turn, the multiplications first; a factor with c = 0 is 1.  The
+    scalars (the unit and every factor with e = 0) fold into one Z[w]
+    numerator over an integer denominator that multiplies the series after
+    the steps, so a product of scalars that is rational in total (the C and
+    D helpers of vwp) never gives the series a w-part.  The numerators stay
     over one growing denominator, and the result is normalized once, when
-    the series is built.  They are one list, the 1-parts, while f, the unit
-    and the factors so far are rational; the first factor with a w-part
-    adds the list of w-parts.
+    the series is built.  They are one list, the 1-parts, while f and the
+    steps so far are rational; the first step with a w-part adds the list of
+    w-parts, and so does a scalar with one.
 
     Multiplying by (1 - c q^e) with e > 0 truncates at the order; with e < 0
     it lowers the valuation and the order by -e; with e = 0 it scales by
-    1 - c.  Dividing by it with e = 0 scales by 1/(1 - c), DivisionByZero
-    when c = 1.  Otherwise the quotient is trusted below the lower of the
-    order and ``cap``, and OrderExceeded is raised when both are None.  With
-    e > 0 the recurrence g[j] = f[j] + c*g[j-e] runs entry by entry; with
+    1 - c, and a zero scalar makes the series 0 at once.  Dividing by it
+    with e = 0 scales by 1/(1 - c), DivisionByZero when c = 1, raised where
+    the factor stands among the divisions.  Otherwise the quotient is
+    trusted below the lower of the order and ``cap``, and OrderExceeded is
+    raised when both are None.  With e > 0 the recurrence
+    g[j] = f[j] + c*g[j-e] runs entry by entry; with
     G_j = den * cd^(j // e) * g_j every step stays in Z[w]:
 
         G_j = cd^(j // e) * F_j + (ca + cb*w) * G_{j-e}.
 
     With e < 0 it first factors (1 - c q^e) = (-c q^e) * (1 - c^{-1} q^{-e}),
-    which raises the valuation and the order by -e before the cap applies.
-    A factor that changes no coefficient below the order is skipped without
-    copying a list: a multiplication with e >= order - offset, and a division
-    whose e (positive once factored) is at least the length below the order.
+    which raises the valuation and the order by -e before the cap applies;
+    the scalar takes the -1/c.  A factor that changes no coefficient below the
+    order is skipped without copying a list: a multiplication with
+    e >= order - offset, and a division whose e (positive once factored) is
+    at least the length below the order.
 
     With ``plus`` the result is _plus(cap, plus, the product), summed before
     the product is normalized, so the pair is normalized once.
@@ -586,17 +610,17 @@ def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
         offset += shift
         if order is not None:
             order += shift
-    if unit is not None:
-        ua, ub, ud = unit
-        parts = _times(ua, ub, parts) if ua or ub else [[]]
-        den *= ud
+    sa, sb, sd = (1, 0, 1) if unit is None else unit  # the scalar (sa + sb*w) / sd
+    if not sa and not sb:
+        parts = [[]]
     for ca, cb, cd, e in muls:
         if not ca and not cb:
             continue
         if e == 0:  # the scalar (1 - c) = (cd - ca - cb*w) / cd
-            ua, ub = cd - ca, -cb
-            parts = _times(ua, ub, parts) if ua or ub else [[]]
-            den *= cd
+            if ca == cd and not cb:
+                parts = [[]]
+            sa, sb = _zw(sa, sb, cd - ca, -cb)
+            sd *= cd
             continue
         if e < 0 and order is not None:
             order += e  # the unknown tail times c*q^e reaches q^(order+e)
@@ -629,17 +653,17 @@ def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
             x, y = cd - ca, -cb
             if not x and not y:
                 raise DivisionByZero("division by the zero binomial (1 - 1)")
-            parts = _times(cd * (x - y), -cd * y, parts)
-            den *= x * x - x * y + y * y
+            sa, sb = _zw(sa, sb, cd * (x - y), -cd * y)
+            sd *= x * x - x * y + y * y
             continue
         if not ca and not cb:
             continue
         if e < 0:
-            # multiply by -1/c = -cd * (ca - cb - cb*w) / norm(c), then step by 1/c
+            # the scalar -1/c = -cd * (ca - cb - cb*w) / norm(c), then step by 1/c
             norm = ca * ca - ca * cb + cb * cb
             ca, cb, cd, e = cd * (ca - cb), -cd * cb, norm, -e
-            parts = _times(-ca, -cb, parts)
-            den *= cd
+            sa, sb = _zw(sa, sb, -ca, -cb)
+            sd *= cd
             offset += e
             if order is not None:
                 order += e
@@ -681,10 +705,59 @@ def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
         if cd != 1:
             parts = [[powers[top - j // e] * x for j, x in enumerate(xs)] for xs in new]
             den *= powers[top]
+    parts = _times(sa, sb, parts)
+    den *= sd
     if plus is None:
         return _built(offset, parts, den, order)
     return _sum(_lowest(cap, plus.order, order),
                 [(plus.offset, _parts(plus), plus._den), (offset, parts, den)])
+
+
+#: The four roots c = w, w^2, -w, -w^2, split as (ca, cb, cd), each mapped to
+#: its conjugate, split alike, and the sign s = -(c + conj(c)).
+_CONJUGATES = {(0, 1, 1): ((-1, -1, 1), 1), (-1, -1, 1): ((0, 1, 1), 1),
+               (0, -1, 1): ((1, 1, 1), -1), (1, 1, 1): ((0, -1, 1), -1)}
+
+
+def _paired(muls, divs) -> tuple[list, list]:
+    """Kernel factors ``muls`` and ``divs`` with each pair of conjugate roots of
+    unity at the same exponent e != 0 made rational by
+
+        (1 - c q^e)(1 - conj(c) q^e) = (1 - s q^(3e)) / (1 - s q^e):
+
+    a pair of multiplications becomes the multiplication by (1 - s q^(3e))
+    and the division by (1 - s q^e), a pair of divisions the reverse.  The
+    first factor of a pair makes way for the factor at 3e, which keeps the
+    place of the first division with e != 0, where the kernel raises
+    OrderExceeded.  At e = 0 the pair is the scalar 3 or 1 and the quotient
+    0/0, so those factors stay as they are; the kernel folds them into its
+    scalar.
+
+    The kernel takes the result to the same series below the same order
+    when the operand has a finite order; its cap then applies also where
+    only multiplications were paired.  An exact operand may take paired
+    divisions only: a paired multiplication divides, which needs an order.
+    """
+    if not any(map(itemgetter(1), muls)) and not any(map(itemgetter(1), divs)):
+        return muls, divs  # rational factors, the catalog's eta quotients
+    new = ([], [])
+    for kind, factors in enumerate((muls, divs)):
+        same, other, waiting = new[kind], new[1 - kind], {}
+        for factor in factors:
+            conj = _CONJUGATES.get(factor[:3]) if factor[1] and factor[3] else None
+            if conj is None:
+                same.append(factor)
+                continue
+            partner, s = conj
+            e = factor[3]
+            open_ = waiting.get((partner, e))
+            if open_:
+                same[open_.pop()] = (s, 0, 1, 3 * e)
+                other.append((s, 0, 1, e))
+            else:
+                waiting.setdefault((factor[:3], e), []).append(len(same))
+                same.append(factor)
+    return new
 
 
 def _product_order(f: LaurentSeries, g: LaurentSeries) -> int | None:

@@ -46,6 +46,13 @@ and the corollary right sides, the product side of the identity and the
 closed form of F_k are Terms applied to the constant 1, one Term per A_{k,i}
 in the last two.
 
+Every parameter b comes with 1/b, and at a root of unity 1/b is the
+conjugate, so the w-factors of a Term or of a level's step come in
+conjugate pairs at one q-power.  Each such pair is rational, and is paired
+(``laurent._paired``) once per Term and once per step before the kernel
+runs; with the scalars of C and D, rational in total, the root-of-unity
+closed forms and sums then run on the kernel's one-list path.
+
 Sums are truncated by an exact lower bound on term valuations: the weights
 minus the finite total of negative exponents (the slack) that numerator
 factors can contribute.  The bound gives each level its top index and each
@@ -73,9 +80,11 @@ from .laurent import (
     _factors,
     _lowest,
     _negative_slack,
+    _paired,
     _plus,
     _split,
     _zero_factor_index,
+    _zw,
 )
 
 
@@ -180,11 +189,21 @@ def _apply(t: Term, f: LaurentSeries) -> LaurentSeries:
     The result is trusted at least below N + t.shift minus the negative
     exponents of the multiplications.  An exact f (order None) takes a Term
     without Pochhammer powers exactly.
+
+    Of f with a finite order, the factors are paired once (``_paired``):
+    each root of unity c at q^e, e != 0, with its conjugate at the same e,
+    as in (c q^e; base)_inf (conj(c) q^e; base)_inf or C's two binomials,
+    becomes rational factors, so a product of such pairs and of scalars
+    rational in total stays on one numerator list.  e = 0 is left to the
+    kernel's scalar, where a pair is 3 or 1 and the quotient 0/0.  An exact
+    f is not paired: a paired multiplication divides, which needs an order.
     """
     muls = [(*_split(c), e) for c, e in t.muls]
     divs = [(*_split(c), e) for c, e in t.divs]
     for p, base, k in _powers(t):
         (muls if k > 0 else divs).extend(_factors(p, base, below=f.order - f.offset) * abs(k))
+    if f.order is not None:
+        muls, divs = _paired(muls, divs)
     return _binomials(f, muls, divs, shift=t.shift, unit=_split(t.scalar))
 
 
@@ -212,14 +231,33 @@ def _first_zero(factors) -> int | None:
     return _lowest(*(_zero_factor_index(p, step) for p, step in factors))
 
 
-def _split_steps(level: Level, count: int) -> list:
-    """Level's ratio at M = 0 .. count-1, split for the binomial kernel: the
-    weight as a unit (ua, ub, ud) and a shift, and the numerator and
-    denominator factors as tuples of (ca, cb, cd, e)."""
+def _split_steps(level: Level, count: int) -> tuple[list, list]:
+    """Level's ratio at M = 0 .. count-1, split for the binomial kernel, and
+    the slack its numerators hold at indices >= M, for M = 0 .. count.
+
+    A row is the weight as a unit (ua, ub, ud) and a shift, and the
+    numerator and denominator factors as tuples of (ca, cb, cd, e).  In a
+    level with a w-coefficient each row's factors are paired (``_paired``):
+    a root of unity at q^e, e != 0, with its conjugate at the same e, as the
+    numerators (1 - b q^M)(1 - q^M/b) of a level at b = w or -w, becomes
+    rational factors.  The chained sum caps every step, so the paired
+    multiplications, which divide, change no trusted order; e = 0 is left to
+    the kernel's scalar, where a pair is 3 or 1 and the quotient 0/0.  The
+    slack is counted on the factors as written, before pairing.
+    """
     pairs = ((level.weight, level.growth),) + level.num + level.den
     k = len(level.num) + 1
-    return [(row[0][:3], row[0][3], row[1:k], row[k:])
-            for row in zip(*(_factors(p, step, count) for p, step in pairs))]
+    pair = any(p.coeff.b or step.coeff.b for p, step in level.num + level.den)
+    left = sum(_negative_slack(p, step) for p, step in level.num)
+    rows, tail = [], []
+    for row in zip(*(_factors(p, step, count) for p, step in pairs)):
+        muls, divs = row[1:k], row[k:]
+        tail.append(left)
+        left -= sum(-e for *_, e in muls if e < 0)
+        if pair:
+            muls, divs = map(tuple, _paired(muls, divs))
+        rows.append((row[0][:3], row[0][3], muls, divs))
+    return rows, tail + [left]
 
 
 def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
@@ -285,14 +323,8 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
         while (end is None or m < end) and floor + rise(j, m + 1) < order:
             m += 1
         tops.append(m)
-    splits = [_split_steps(lv, top) for lv, top in zip(levels, tops)]
-    tails = []  # tails[j][m]: the slack level j's numerators hold at indices >= m
-    for lv, rows in zip(levels, splits):
-        left, tail = sum(_negative_slack(p, step) for p, step in lv.num), []
-        for _, _, muls, _ in rows:
-            tail.append(left)
-            left -= sum(-e for *_, e in muls if e < 0)
-        tails.append(tail + [left])
+    # splits[j][m]: level j's ratio at m; tails[j][m]: the slack its numerators hold at >= m
+    splits, tails = zip(*(_split_steps(lv, top) for lv, top in zip(levels, tops)))
     one = LaurentSeries.one()
     above = [None] * len(levels)  # above[j]: U_j at the index above m
     for m in range(tops[-1], -1, -1):
@@ -305,7 +337,7 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
             if m < tops[j]:
                 (ua, ub, ud), s, mu, dv = splits[j][m]
                 va, vb, vd = unit  # the merged weight, (ua + ub*w)(va + vb*w) / (ud*vd)
-                unit = ua * va - ub * vb, ua * vb + ub * va - ub * vb, ud * vd
+                unit = (*_zw(ua, ub, va, vb), ud * vd)
                 shift, muls, divs = shift + s, mu + muls, dv + divs
                 inner = _binomials(above[j], muls, divs, cap, shift, unit, plus=inner)
             else:
@@ -329,11 +361,20 @@ def _vwp_level(nums, dens, base: ParamValue, weight: ParamValue | None = None) -
 
 def _c_term(z: ParamValue, y: ParamValue) -> Term:
     """C(z,y) = z^-1 / ((1 - y/z)(1 - 1/(yz))), as (z - y)(1 - 1/(yz)) = z + 1/z - y - 1/y.
-    DegenerateC when z is y or 1/y, where the denominator vanishes identically."""
+    DegenerateC when z is y or 1/y, where the denominator vanishes identically.
+
+    The two binomials carry y/z and 1/(yz), at one q-power exactly when y
+    has none.  So when z has no q-power and y has one, the Term is built as
+    -C(y,z), which is C(z,y).  Then, with y a root of unity and z = +-q^a,
+    the two coefficients are conjugates at one exponent, which ``_apply``
+    pairs into rational factors."""
     if z == y or z == y.inv():
         raise DegenerateC(f"C({z}, {y}) undefined: z coincides with y or 1/y")
+    flip = not z.exp and y.exp
+    if flip:
+        z, y = y, z
     zi = z.inv()
-    return Term(zi.coeff, zi.exp,
+    return Term(-zi.coeff if flip else zi.coeff, zi.exp,
                 divs=tuple((p.coeff, p.exp) for p in (_param_mul(y, zi), _param_mul(y.inv(), zi))))
 
 

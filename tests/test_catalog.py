@@ -2,7 +2,7 @@
 
 import pytest
 
-from qseries import catalog
+from qseries import catalog, laurent, vwp
 from qseries.catalog import (
     FirstMismatch,
     IdentityEntry,
@@ -173,3 +173,34 @@ def test_truncation_is_consistent(identity_id):
 def test_statements_mention_resolved_reading():
     # DS4-d's displayed middle term is recorded with its quotient resolution
     assert "quotient" in registry()["DS4-d"].statement
+
+
+# -- conjugate roots of unity reach the kernel paired ------------------------------------
+
+
+def _catalog_reports():
+    """Every entry at order 24, and every derivation, closed form included, at order 14."""
+    return verify_all(24) + [derivation_check(i, 14)
+                             for i, e in registry().items() if e.specialization]
+
+
+def test_no_root_of_unity_steps_through_the_kernel(monkeypatch):
+    # every w-factor at e != 0 meets its conjugate and is paired into rational
+    # factors, so what reaches the kernel with a w-part is a scalar (e = 0)
+    kernel, w_steps = vwp._binomials, []
+
+    def spy(f, muls=(), divs=(), *args, **kwargs):
+        w_steps.extend(c for c in (*muls, *divs) if c[1] and c[3])
+        return kernel(f, muls, divs, *args, **kwargs)
+
+    monkeypatch.setattr(vwp, "_binomials", spy)
+    assert {r.status for r in _catalog_reports()} == {"equal"}
+    assert w_steps == []
+
+
+def test_a_wrong_conjugate_table_is_caught(monkeypatch):
+    # w with w^2 paired as -w with -w^2 (1 - x + x^2 in place of 1 + x + x^2), and
+    # the reverse: some entry must see it
+    table = {c: (partner, -s) for c, (partner, s) in laurent._CONJUGATES.items()}
+    monkeypatch.setattr(laurent, "_CONJUGATES", table)
+    assert {r.status for r in _catalog_reports()} != {"equal"}

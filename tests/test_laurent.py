@@ -16,6 +16,7 @@ from qseries.laurent import (
     Q,
     ZeroFactor,
     _binomials,
+    _paired,
     _plus,
     _split,
     poch_finite,
@@ -329,6 +330,18 @@ def test_kernel_on_rational_draws(f, shift, unit, muls, divs, cap, late):
         assert not any(got._b)
 
 
+def test_kernel_raises_at_the_first_failing_division():
+    # the scalars apply last, but a zero scalar division still raises where it stands
+    zero, step = (1, 0, 1, 0), (-1, 0, 1, 1)  # 1 - 1 at q^0, and 1 + q
+    for f in (LaurentSeries.one(), LaurentSeries.one(8)):
+        with pytest.raises(DivisionByZero):
+            _binomials(f, [], [zero, step])
+    with pytest.raises(OrderExceeded):
+        _binomials(LaurentSeries.one(), [(1, 0, 1, 0)], [step, zero])
+    with pytest.raises(DivisionByZero):
+        _binomials(LaurentSeries.one(8), [(1, 0, 1, 0)], [step, zero])
+
+
 # -- the fused addend and the skipped factors ----------------------------------------------
 
 
@@ -418,6 +431,64 @@ def test_factors_at_the_order_store_the_applied_data(c, step):
     # and inside one call, after and before applied factors
     assert (_binomials(f, [(*_split(c), 20), (*_split(c), 1)], [(*_split(c), 15)], 30)
             == f.mul_one_minus(c, 1))
+
+
+# -- conjugate roots of unity paired into rational factors ---------------------------------
+
+
+_ROOTS = [OMEGA, OMEGA_BAR, -OMEGA, -OMEGA_BAR]
+conjugate_pairs_st = st.lists(  # (c, e), (conj(c), e) at one e != 0
+    st.tuples(st.sampled_from(_ROOTS), st.integers(-3, 3).filter(bool)), max_size=2).map(
+    lambda pairs: [f for c, e in pairs for f in ((c, e), (c.conjugate(), e))])
+paired_factors_st = st.tuples(
+    st.lists(st.one_of(binomial_st, rational_binomial_st), max_size=2), conjugate_pairs_st
+).flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+
+
+def _pieces(factors):
+    return [(*_split(c), e) for c, e in factors]
+
+
+@settings(max_examples=300)
+@given(f=st.one_of(operand_st, rational_operand_st), shift=st.integers(-3, 3),
+       unit=st.none() | st.one_of(coeffs_st, rational_coeffs_st),
+       muls=paired_factors_st, divs=paired_factors_st,
+       cap=st.none() | st.integers(-6, ORDER + 6))
+def test_paired_factors_match_unpaired(f, shift, unit, muls, divs, cap):
+    args = (cap, shift, None if unit is None else _split(unit))
+    want = _outcome(lambda: _binomials(f, _pieces(muls), _pieces(divs), *args))
+    if f.order is None:  # an exact operand takes paired divisions only
+        more, paired_divs = _paired([], _pieces(divs))
+        got = _outcome(lambda: _binomials(f, _pieces(muls) + more, paired_divs, *args))
+    else:
+        paired = _paired(_pieces(muls), _pieces(divs))
+        got = _outcome(lambda: _binomials(f, *paired, *args))
+        if (cap is not None and isinstance(want, LaurentSeries)
+                and not any(c and e for c, e in divs) and any(e for *_, e in paired[1])):
+            want = want.truncate(cap)  # a paired multiplication divides, and takes the cap
+    assert got == want
+
+
+def test_paired_factor_examples():
+    w, wb, mw, mwb = (_split(c) for c in _ROOTS)
+    # (1 - w q)(1 - w^2 q) = (1 - q^3)/(1 - q), (1 + w q^-2)(1 + w^2 q^-2) = (1 + q^-6)/(1 + q^-2)
+    assert _paired([(*w, 1), (1, 0, 1, 1), (*wb, 1)], [(*mwb, -2), (*mw, -2)]) == (
+        [(1, 0, 1, 3), (1, 0, 1, 1), (-1, 0, 1, -2)], [(1, 0, 1, 1), (-1, 0, 1, -6)])
+    # e = 0, no partner, a partner at another exponent, a non-integral c: as they are
+    alone = [(*w, 0), (*wb, 0), (*mw, 1), (*w, 2), (*wb, 3), (0, 2, 2, 1), (-1, -1, 1, 1)]
+    assert _paired(alone, []) == (alone, [])
+    # rational factors only: the lists themselves
+    muls, divs = [(1, 0, 1, 1)], [(-1, 0, 2, 3)]
+    assert _paired(muls, divs) == (muls, divs)
+    # a paired multiplication divides: an exact operand would need an order
+    exact = LaurentSeries.one()
+    pair = [(*w, 1), (*wb, 1)]
+    assert _binomials(exact, pair) == LaurentSeries.from_terms({0: ONE, 1: ONE, 2: ONE})
+    with pytest.raises(OrderExceeded):
+        _binomials(exact, *_paired(pair, []))
+    # scalars rational in total: C(w, -1) = w^2 / (1 + w^2)^2 = 1 times (1 - w)(1 - w^2) = 3
+    g = _binomials(LaurentSeries.one(9), [(*w, 0), (*wb, 0)], [(*mwb, 0)] * 2, unit=wb)
+    assert g == LaurentSeries.monomial(CycRat(3), 0, 9)
 
 
 # -- parameters --------------------------------------------------------------------------

@@ -66,6 +66,28 @@ def test_c_helper_q_parameter():
     assert same(c2 * poly, LaurentSeries.monomial(ONE, 1, 12), 10)
 
 
+def test_c_is_odd_and_stays_rational():
+    # C(z, y) = -C(y, z); with z a root of unity and y a q-power the Term is built
+    # as -C(y, z), whose two binomials pair into rational factors
+    pool = [W, WB, MW, MWB, P1, M1, Q, ParamValue(ONE, -1), MQ, Q2]
+    for z, y in itertools.permutations(pool, 2):
+        got, flipped = (_data(lambda: vwp.c_helper(a, b, 30)) for a, b in ((z, y), (y, z)))
+        assert got == (-flipped if isinstance(flipped, LaurentSeries) else flipped), (z, y)
+    # C(w, q) = 1/(-1 - q - 1/q) = -q(1 - q)/(1 - q^3), coefficient by coefficient
+    c = vwp.c_helper(W, Q, 30)
+    assert c == LaurentSeries.from_terms(
+        {n: CycRat(-1) if n % 3 == 1 else ONE for n in range(1, 30) if n % 3}, 30)
+    assert not any(coeff.b for coeff in c.coeffs)
+
+
+def test_exact_operand_keeps_its_conjugate_multiplications():
+    # (1 - w q)(1 - w^2 q) = 1 + q + q^2 exactly: paired, it would divide by 1 - q
+    t = vwp.Term(muls=((OMEGA, 1), (OMEGA_BAR, 1)))
+    assert vwp._apply(t, LaurentSeries.one()) == LaurentSeries.from_terms({0: ONE, 1: ONE, 2: ONE})
+    assert vwp._apply(t, LaurentSeries.one(5)) == LaurentSeries.from_terms(
+        {0: ONE, 1: ONE, 2: ONE}, 5)
+
+
 def test_c_helper_degenerate():
     with pytest.raises(vwp.DegenerateC):
         vwp.c_helper(W, W)
@@ -232,6 +254,9 @@ _LEVEL_CASES = {
     "rational": ((_HALF,), (ParamValue(CycRat(rat(-1, 3)), 1),)),
     "root-of-unity": ((W, M1), (ParamValue(OMEGA_BAR, 1), MQ)),
     "q-power": ((ParamValue(CycRat(2), -1), Q), (Q2,)),
+    # conjugates at one q-power, negative in the numerators, paired per step
+    "conjugate": ((ParamValue(OMEGA, -1), ParamValue(OMEGA_BAR, -1)),
+                  (ParamValue(-OMEGA, 1), ParamValue(-OMEGA_BAR, 1))),
 }
 _BASES = {"q": Q, "q^2": Q2, "wq": ParamValue(OMEGA, 1)}
 
