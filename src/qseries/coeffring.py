@@ -1,32 +1,41 @@
 """Exact arithmetic in the field Q(w), where w is a primitive cube root of unity.
 
 Every coefficient that appears anywhere in this package lives in Q(w) with
-w^2 + w + 1 = 0.  Elements are stored on the basis {1, w}:
+w^2 + w + 1 = 0.  An element is stored as three Python ints, integer Z[w]
+numerators over one denominator:
 
-    x = a + b*w,   a, b rational.
+    (x + y*w) / d,   d > 0,   gcd(x, y, d) = 1,
 
-Since w^2 = -1 - w, the product rule on this basis is
+so equal elements store equal triples (zero is (0, 0, 1)).  This is the
+format the series kernels in ``laurent`` work in, which read the triple as
+it is.  Since w^2 = -1 - w, the product rule is
 
-    (a + b*w)(c + d*w) = (ac - bd) + (ad + bc - bd)*w,
+    (x + y*w)(u + v*w) = (xu - yv) + (xv + yu - yv)*w,
 
-which we evaluate with three big-rational multiplications instead of four
-(Karatsuba style: ad + bc = (a+b)(c+d) - ac - bd).
+four int products over the product of the denominators, with no rational
+arithmetic in between; a sum goes over the product too, or over the shared
+denominator when the two agree.  Every result is reduced by one gcd of the
+three ints, skipped when its denominator is 1.
 
-The complex conjugate swaps w and w^2, i.e. conj(a + b*w) = (a - b) - b*w,
-and the norm x * conj(x) = a^2 - a*b + b^2 is rational, which gives exact
-inversion.  No floating point is used anywhere.
+The complex conjugate swaps w and w^2, i.e. conj(x + y*w) = (x - y) - y*w,
+and the norm x * conj(x) = (x^2 - xy + y^2) / d^2 is rational and positive
+off zero, which gives exact inversion:
+
+    1 / ((x + y*w)/d) = d * ((x - y) - y*w) / (x^2 - xy + y^2).
+
+No floating point is used anywhere.
 
 Rationals are gmpy2.mpq when available and fractions.Fraction otherwise; both
 share the numerator/denominator protocol so everything downstream is agnostic.
-CycRat is the scalar type at the API edge only: the series kernels in
-``laurent`` run on integer Z[w] numerators and never touch these rationals,
-so the backend matters only for scalar work (parameters, term-ratio tests,
-reading coefficients out of a series).
+The arithmetic above is on ints alone, so the backend shows only where a
+rational is handed out: ``CycRat.a``, ``CycRat.b`` and ``norm()``, built on
+read, and ``rat`` itself.  The constructor takes any exact rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from numbers import Rational
 
 try:
@@ -53,31 +62,40 @@ class DivisionByZero(ZeroDivisionError):
 _RAT = type(RAT_ONE)
 
 
-def _as_rat(value):
-    """Coerce an exact rational (int, Fraction, gmpy2's mpz or mpq, any
-    ``numbers.Rational``) to the active backend; TypeError for anything else."""
-    if type(value) is _RAT:
-        return value
+def _num_den(value) -> tuple[int, int]:
+    """Numerator and denominator, as ints, of an exact rational (int, Fraction,
+    gmpy2's mpz or mpq, any ``numbers.Rational``); TypeError for anything else."""
     if isinstance(value, int):
-        return rat(value)
-    if isinstance(value, (Fraction, Rational)):  # Fraction first: the ABC check is slower
-        return rat(int(value.numerator), int(value.denominator))
+        return int(value), 1  # int() drops bool and other int subclasses
+    if type(value) is _RAT or isinstance(value, (Fraction, Rational)):  # the ABC check is slowest
+        return int(value.numerator), int(value.denominator)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
 
 
 class CycRat:
     """An element a + b*w of Q(w), with a and b exact rationals.
 
-    Instances are immutable in practice (nothing mutates .a / .b after
-    construction) and hashable, so they can key caches and sit in frozen
-    dataclasses.
+    Stored as the reduced triple (x, y, d) of ints with a = x/d and b = y/d
+    (see the module docstring), in the one slot ``_xyd``, which the kernels
+    in ``laurent`` read directly.  ``a`` and ``b`` are read-only views that
+    build the backend's rationals.  Instances are immutable and hashable, so
+    they can key caches and sit in frozen dataclasses; a rational element
+    hashes as the rational it equals.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_xyd",)
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", _as_rat(a))
-        object.__setattr__(self, "b", _as_rat(b))
+        an, ad = _num_den(a)
+        bn, bd = _num_den(b)
+        if ad == bd:
+            x, y, d = an, bn, ad
+        else:
+            x, y, d = an * bd, bn * ad, ad * bd
+        g = gcd(x, y, d)
+        if d < 0:  # a numbers.Rational need not keep its denominator positive
+            g = -g
+        _set(self, (x // g, y // g, d // g))
 
     def __setattr__(self, name, value):
         raise AttributeError("CycRat is immutable")
@@ -85,14 +103,27 @@ class CycRat:
     def __reduce__(self):  # pickle and copy rebuild through __init__, since __setattr__ refuses
         return CycRat, (self.a, self.b)
 
+    @property
+    def a(self):
+        """The rational part, in the active backend."""
+        x, _, d = self._xyd
+        return rat(x, d)
+
+    @property
+    def b(self):
+        """The coefficient of w, in the active backend."""
+        _, y, d = self._xyd
+        return rat(y, d)
+
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        x, y, _ = self._xyd
+        return bool(x or y)
 
     def is_rational(self):
         """True when the w-component vanishes."""
-        return not self.b
+        return not self._xyd[1]
 
     # -- ring operations ----------------------------------------------------
 
@@ -100,7 +131,11 @@ class CycRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycRat(self.a + other.a, self.b + other.b)
+        x, y, d = self._xyd
+        u, v, e = other._xyd
+        if d == e:
+            return _reduced(x + u, y + v, d)
+        return _reduced(x * e + u * d, y * e + v * d, d * e)
 
     __radd__ = __add__
 
@@ -108,35 +143,36 @@ class CycRat:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycRat(self.a - other.a, self.b - other.b)
+        x, y, d = self._xyd
+        u, v, e = other._xyd
+        if d == e:
+            return _reduced(x - u, y - v, d)
+        return _reduced(x * e - u * d, y * e - v * d, d * e)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycRat(other.a - self.a, other.b - self.b)
+        return other - self
 
     def __neg__(self):
-        return CycRat(-self.a, -self.b)
+        x, y, d = self._xyd
+        return _reduced(-x, -y, d)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.a, self.b
-        c, d = other.a, other.b
-        # Fast paths: purely rational factors dominate in the series code.
-        if not b:
-            if not a:
-                return ZERO
-            return CycRat(a * c, a * d)
-        if not d:
-            if not c:
-                return ZERO
-            return CycRat(a * c, b * c)
-        ac = a * c
-        bd = b * d
-        return CycRat(ac - bd, (a + b) * (c + d) - ac - 2 * bd)
+        x, y, d = self._xyd
+        u, v, e = other._xyd
+        if not y:
+            if not v:  # rational factors dominate in the series code
+                return _reduced(x * u, 0, d * e)
+            return _reduced(x * u, x * v, d * e)
+        if not v:
+            return _reduced(x * u, y * u, d * e)
+        yv = y * v
+        return _reduced(x * u - yv, x * v + y * u - yv, d * e)
 
     __rmul__ = __mul__
 
@@ -154,29 +190,36 @@ class CycRat:
 
     def conjugate(self):
         """Swap the two primitive cube roots: w -> w^2 = -1 - w."""
-        return CycRat(self.a - self.b, -self.b)
+        x, y, d = self._xyd
+        return _reduced(x - y, -y, d)
 
     def norm(self):
         """x * conj(x) = a^2 - a*b + b^2, an exact rational (>= 0)."""
-        return self.a * (self.a - self.b) + self.b * self.b
+        x, y, d = self._xyd
+        return rat(x * (x - y) + y * y, d * d)
 
     def inverse(self):
         """Exact multiplicative inverse; DivisionByZero on zero."""
-        n = self.norm()
+        x, y, d = self._xyd
+        n = x * (x - y) + y * y
         if not n:
             raise DivisionByZero("inverse of 0 in Q(w)")
-        return CycRat((self.a - self.b) / n, -self.b / n)
+        return _reduced(d * (x - y), -d * y, n)
 
     # -- comparison / hashing / rendering ------------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
+        if type(other) is not CycRat:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._xyd == other._xyd
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        x, y, d = self._xyd
+        if y:
+            return hash(self._xyd)
+        return hash(x) if d == 1 else hash(rat(x, d))  # as the int or rational it equals
 
     def __str__(self):
         a, b = self.a, self.b
@@ -197,9 +240,26 @@ class CycRat:
         return f"CycRat({self.a!r}, {self.b!r})"
 
 
+_set = CycRat._xyd.__set__  # the slot's own setter, past the refusing __setattr__
+_new = object.__new__
+
+
+def _reduced(x: int, y: int, d: int) -> CycRat:
+    """The CycRat (x + y*w)/d for ints with d > 0, reduced."""
+    if d != 1:
+        g = gcd(x, y, d)
+        if g != 1:
+            x, y, d = x // g, y // g, d // g
+    c = _new(CycRat)
+    _set(c, (x, y, d))
+    return c
+
+
 def _coerce(value):
     if isinstance(value, CycRat):
         return value
+    if type(value) is int:
+        return _reduced(value, 0, 1)
     if isinstance(value, (int, Fraction)) or type(value) is _RAT:
         return CycRat(value)
     return NotImplemented
@@ -211,4 +271,3 @@ ZERO = CycRat(0, 0)
 ONE = CycRat(1, 0)
 OMEGA = CycRat(0, 1)
 OMEGA_BAR = CycRat(-1, -1)
-

@@ -16,11 +16,12 @@ The series kernels run in Z[w] on those integer lists, with the product rule
 
     (x + y*w)(u + v*w) = (xu - yv) + (xv + yu - yv)*w,
 
-and touch no rational arithmetic.  A scalar c in Q(w) enters a kernel once,
-split into integers (ca + cb*w) / cd.  ``CycRat`` (coeffring) stays the scalar
-type at the API edge: the constructor, ``from_terms`` and ``monomial`` take
-CycRat values, and ``coeff``, ``terms`` and the read-only ``coeffs`` view hand
-them out, built from the backend's rationals on read.
+and touch no rational arithmetic.  A scalar c in Q(w) enters a kernel as
+the integers (ca + cb*w) / cd that ``CycRat`` (coeffring) stores, read off
+as they are.  CycRat stays the scalar type at the API edge: the
+constructor, ``from_terms`` and ``monomial`` take CycRat values, and
+``coeff``, ``terms`` and the read-only ``coeffs`` view hand them out, each
+built from a numerator pair and the denominator on read.
 
 Order bookkeeping under multiplication accounts for operand valuations:
 a product coefficient at exponent e needs f up to e - val(g) and g up to
@@ -78,7 +79,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
 
-from .coeffring import ZERO, ONE, CycRat, DivisionByZero, rat
+from .coeffring import ZERO, ONE, CycRat, DivisionByZero, _reduced
 
 class OrderExceeded(Exception):
     """A coefficient beyond the trusted truncation order was requested."""
@@ -148,17 +149,9 @@ def _lowest(*orders: int | None) -> int | None:
 
 
 def _split(c) -> tuple[int, int, int]:
-    """Integers (ca, cb, cd) with c = (ca + cb*w) / cd and cd > 0."""
-    if not isinstance(c, CycRat):
-        c = CycRat(c)
-    da, db = int(c.a.denominator), int(c.b.denominator)
-    cd = lcm(da, db)
-    return int(c.a.numerator) * (cd // da), int(c.b.numerator) * (cd // db), cd
-
-
-def _cyc(x: int, y: int, den: int) -> CycRat:
-    """The scalar (x + y*w) / den."""
-    return CycRat(rat(x, den), rat(y, den))
+    """Integers (ca, cb, cd) with c = (ca + cb*w) / cd, cd > 0 and gcd 1:
+    the triple CycRat stores."""
+    return (c if isinstance(c, CycRat) else CycRat(c))._xyd
 
 
 def _scaled(m: int, xs: list) -> list:
@@ -203,12 +196,12 @@ class _Coeffs(Sequence):
 
     def __getitem__(self, i: int) -> CycRat:
         s = self._series
-        return _cyc(s._a[i], s._b[i], s._den)
+        return _reduced(s._a[i], s._b[i], s._den)
 
     def __iter__(self):
         s = self._series
         for x, y in zip(s._a, s._b):
-            yield _cyc(x, y, s._den)
+            yield _reduced(x, y, s._den)
 
 
 class LaurentSeries:
@@ -306,14 +299,14 @@ class LaurentSeries:
             )
         i = exp - self.offset
         if 0 <= i < len(self._a):
-            return _cyc(self._a[i], self._b[i], self._den)
+            return _reduced(self._a[i], self._b[i], self._den)
         return ZERO
 
     def terms(self):
         """Iterate (exponent, coefficient) over nonzero stored terms."""
         for i, (x, y) in enumerate(zip(self._a, self._b)):
             if x or y:
-                yield self.offset + i, _cyc(x, y, self._den)
+                yield self.offset + i, _reduced(x, y, self._den)
 
     # -- order management -------------------------------------------------------
 

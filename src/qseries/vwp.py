@@ -247,7 +247,8 @@ def _split_steps(level: Level, count: int) -> tuple[list, list]:
     """
     pairs = ((level.weight, level.growth),) + level.num + level.den
     k = len(level.num) + 1
-    pair = any(p.coeff.b or step.coeff.b for p, step in level.num + level.den)
+    pair = not all(p.coeff.is_rational() and step.coeff.is_rational()
+                   for p, step in level.num + level.den)
     left = sum(_negative_slack(p, step) for p, step in level.num)
     rows, tail = [], []
     for row in zip(*(_factors(p, step, count) for p, step in pairs)):
