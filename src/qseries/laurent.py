@@ -65,11 +65,19 @@ once per product term or summation step, before the kernel sees it; the
 kernel does no pairing of its own.
 
 ``mul_one_minus`` and ``div_one_minus`` are one kernel call each, and so is
-every Pochhammer builder: (a; q)_n, (a; q)_infinity and their inverses split
-their factors once and normalize once, at O(n * order) instead of the
-O(order^2) of repeated general multiplication.  The chained-sum driver in
-``vwp`` steps its partial sums through the kernel on pre-split factors, one
-series per kernel call rather than one per factor.
+every Pochhammer builder: (a; q)_n, (a; q)_infinity and their inverses are
+thin wrappers over one checked builder, ``_poch``, which runs the base, range,
+order and zero-factor checks once, splits the factors once and normalizes
+once, at O(n * order) instead of the O(order^2) of repeated general
+multiplication.  The facts about a family (1 - a*base^j) that the checks and
+the order rule need, its vanishing factor and the slack of its negative
+exponents, are read off the same split factors (``_factors``).  The
+chained-sum driver in ``vwp`` steps its partial sums through the kernel on
+pre-split factors, one series per kernel call rather than one per factor.
+
+``inverse`` divides by a general series with plain forward substitution on
+CycRat values.  The library divides only by binomials, so ``inverse`` is the
+reference the tests hold the kernel's divisions to.
 """
 
 from __future__ import annotations
@@ -77,7 +85,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, sub
 
 from .coeffring import ZERO, ONE, CycRat, DivisionByZero, _reduced
 
@@ -392,57 +400,36 @@ class LaurentSeries:
         return _binomials(self, divs=((*_split(c), e),), cap=order)
 
     def inverse(self, order: int | None = None) -> "LaurentSeries":
-        """Multiplicative inverse by forward substitution.
+        """Multiplicative inverse by forward substitution in Q(w).
 
-        If f = c*q^v*(1 + h) with h of positive valuation, the inverse is
-        c^{-1} q^{-v} (1 + h)^{-1}.  Trusted range: order(f) - 2v (each side
-        of the convolution shifts by the valuation).
+        With f = q^v * sum_i F_i q^i and F_0 != 0, the inverse is
+        q^(-v) * sum_j H_j q^j, where
 
-        With F = den*f = sum F_i q^(v+i) and N = F_0*conj(F_0), the norm of
-        the leading numerator, H_j = N^(j+1) * [q^(j-v)] F^{-1} satisfies
+            H_0 = 1/F_0,  H_j = -H_0 * sum_{i>=1} F_i H_{j-i}.
 
-            H_0 = conj(F_0),  H_j = -conj(F_0) * sum_{i>=1} F_i N^(i-1) H_{j-i},
+        Trusted range: order(f) - 2v (each side of the convolution shifts by
+        the valuation), or ``order`` when that is lower.  A monomial has an
+        exact inverse; any other exact series needs a finite order.
 
-        all in Z[w]; the inverse is den * H_j / N^(j+1).
+        The recurrence runs on CycRat values and skips the zero F_i.  It is a
+        plain reference: the library divides only by binomials, in the kernel.
         """
         if not self._a:
             raise DivisionByZero("inverse of the zero series")
         v = self.offset
         target = _lowest(None if self.order is None else self.order - 2 * v, order)
-        if target is None:
-            if len(self._a) != 1:
-                raise OrderExceeded(
-                    "inverse of a non-monomial polynomial is an infinite series; "
-                    "a finite order is required"
-                )
-        else:
-            length = target + v  # result exponents run from -v up to target-1
-            if length <= 0:
-                return _new(0, [], [], 1, target)
-        x0, y0 = self._a[0], self._b[0]
-        norm = x0 * x0 - x0 * y0 + y0 * y0
-        if len(self._a) == 1:  # (den / F_0) q^(-v), F_0^{-1} = (x0 - y0 - y0*w) / norm
-            return _new(-v, [self._den * (x0 - y0)], [-self._den * y0], norm, target)
-        pa, pb = y0 - x0, y0  # -conj(F_0)
-        fa, fb = self._a[1:length], self._b[1:length]
-        if norm != 1:
-            powers = [norm ** i for i in range(len(fa))]
-            fa = [p * x for p, x in zip(powers, fa)]
-            fb = [p * y for p, y in zip(powers, fb)]
-        ha, hb = [x0 - y0], [-y0]
-        for j in range(1, length):
-            ra, rb = ha[j - 1::-1], hb[j - 1::-1]
-            yv = sum(map(mul, fb, rb))
-            sa = sum(map(mul, fa, ra)) - yv
-            sb = sum(map(mul, fa, rb)) + sum(map(mul, fb, ra)) - yv
-            ha.append(pa * sa - pb * sb)
-            hb.append(pb * sa + (pa - pb) * sb)
-        den = self._den
-        if norm != 1:
-            powers = [norm ** (length - 1 - j) for j in range(length)]
-            ha = [p * x for p, x in zip(powers, ha)]
-            hb = [p * y for p, y in zip(powers, hb)]
-        return _new(-v, _scaled(den, ha), _scaled(den, hb), norm ** length, target)
+        if target is None and len(self._a) != 1:
+            raise OrderExceeded(
+                "inverse of a non-monomial polynomial is an infinite series; "
+                "a finite order is required"
+            )
+        n = 1 if target is None else target + v  # result exponents -v .. target-1
+        f = list(self.coeffs)[:max(n, 1)]
+        h = [f[0].inverse()]
+        for j in range(1, n):
+            s = sum((x * y for x, y in zip(f[1:j + 1], reversed(h)) if x), ZERO)
+            h.append(-h[0] * s)
+        return LaurentSeries(-v, h, target)
 
     def __truediv__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -770,39 +757,6 @@ def _check_base(base: ParamValue):
         raise InvalidBase(f"Pochhammer base must have positive q-exponent, got {base}")
 
 
-def _zero_factor_index(a: ParamValue, base: ParamValue) -> int | None:
-    """Index j >= 0 with a*base^j = 1 (the zero factor), or None.
-
-    The factor exponent a.exp + j*base.exp must vanish, which pins down the
-    only candidate j; then the accumulated coefficient must equal 1.
-    """
-    if a.exp > 0 or (-a.exp) % base.exp != 0:
-        return None
-    j = (-a.exp) // base.exp
-    c = a.coeff
-    if base.coeff != ONE:
-        for _ in range(j):
-            c = c * base.coeff
-    return j if c == ONE else None
-
-
-def _negative_slack(a: ParamValue, base: ParamValue, n: int | None = None) -> int:
-    """Total of the negative exponents over the factors (1 - a*base^j), 0 <= j < n.
-
-    All j >= 0 when n is None.  InvalidBase when base has no positive q-power:
-    the family never leaves the negative exponents then.
-    """
-    _check_base(base)
-    slack = 0
-    e = a.exp
-    j = 0
-    while e < 0 and (n is None or j < n):
-        slack -= e
-        e += base.exp
-        j += 1
-    return slack
-
-
 def _factors(a: ParamValue, base: ParamValue, count: int | None = None,
              below: int | None = None) -> list:
     """The factors (1 - a*base^j), j = 0, 1, ..., split for the kernel as
@@ -821,13 +775,52 @@ def _factors(a: ParamValue, base: ParamValue, count: int | None = None,
     return out
 
 
+def _zero_factor_index(a: ParamValue, base: ParamValue) -> int | None:
+    """Index j >= 0 with a*base^j = 1 (the zero factor), or None.
+
+    Only a factor at q^0 can vanish, and the factors with e <= 0 come first.
+    Listing them needs a base with a positive q-power: InvalidBase otherwise.
+    """
+    if a.exp > 0:
+        return None
+    _check_base(base)
+    return next((j for j, factor in enumerate(_factors(a, base, below=0))
+                 if factor == (1, 0, 1, 0)), None)
+
+
+def _negative_slack(a: ParamValue, base: ParamValue, n: int | None = None) -> int:
+    """Total of the negative exponents over the factors (1 - a*base^j), 0 <= j < n.
+
+    All j >= 0 when n is None.  InvalidBase when base has no positive q-power:
+    the family never leaves the negative exponents then.
+    """
+    _check_base(base)
+    if a.exp >= 0:
+        return 0
+    return -sum(e for *_, e in _factors(a, base, n, below=0))
+
+
 def _poch(a: ParamValue, base: ParamValue, n: int | None, order: int | None,
           invert: bool) -> LaurentSeries:
     """(a; base)_n, or its inverse, in one kernel call; n None is the infinite
-    product.  Only factors that touch exponents below ``order`` are applied:
-    the leading factors with e < 0 move the valuation by the slack s, to -s
-    for the product and to s for the inverse, and a later factor with e > 0
+    product.  The checks run in turn: InvalidBase for the base, ValueError
+    for n < 0, OrderExceeded for an infinite product without an order,
+    ZeroFactor for a factor (1 - 1) among the n, OrderExceeded for an
+    inverse without an order.
+
+    Only factors that touch exponents below ``order`` are applied: the
+    leading factors with e < 0 move the valuation by the slack s, to -s for
+    the product and to s for the inverse, and a later factor with e > 0
     changes nothing below e + valuation."""
+    _check_base(base)
+    if n is not None and n < 0:
+        raise ValueError(f"a finite Pochhammer product needs n >= 0, got n={n}")
+    if order is None and n is None and not invert:
+        raise OrderExceeded("an infinite Pochhammer product needs a finite truncation order")
+    j0 = _zero_factor_index(a, base)
+    if j0 is not None and (n is None or j0 < n):
+        raise ZeroFactor(f"{'1/' if invert else ''}({a}; {base})_{'inf' if n is None else n}:"
+                         f" factor j={j0} is (1 - 1)")
     if order is None:
         if invert:
             raise OrderExceeded("an inverse Pochhammer product needs a finite truncation order")
@@ -849,12 +842,6 @@ def poch_finite(a: ParamValue, base: ParamValue, n: int,
     Exact (order=None) unless an order is requested.  Raises ZeroFactor if
     some factor vanishes identically, i.e. a*base^j = 1 for some 0 <= j < n.
     """
-    _check_base(base)
-    if n < 0:
-        raise ValueError("poch_finite needs n >= 0; negative ranges are handled upstream")
-    j0 = _zero_factor_index(a, base)
-    if j0 is not None and j0 < n:
-        raise ZeroFactor(f"({a}; {base})_{n}: factor j={j0} is (1 - 1)")
     return _poch(a, base, n, order, invert=False)
 
 
@@ -864,12 +851,6 @@ def poch_finite_inv(a: ParamValue, base: ParamValue, n: int, order: int) -> Laur
     Raises ZeroFactor on a factor (1 - a*base^j) = 0 within range; factors
     with negative exponents are fine (they just shift the valuation).
     """
-    _check_base(base)
-    if n < 0:
-        raise ValueError("poch_finite_inv needs n >= 0")
-    j0 = _zero_factor_index(a, base)
-    if j0 is not None and j0 < n:
-        raise ZeroFactor(f"1/(({a}; {base})_{n}): factor j={j0} is (1 - 1)")
     return _poch(a, base, n, order, invert=True)
 
 
@@ -880,17 +861,9 @@ def poch_infinite(a: ParamValue, base: ParamValue, order: int) -> LaurentSeries:
     with base exponent >= 1 that is finitely many.  Raises ZeroFactor when
     a*base^j = 1 for some j >= 0 (the product is then identically zero).
     """
-    _check_base(base)
-    if order is None:
-        raise OrderExceeded("poch_infinite requires a finite truncation order")
-    if _zero_factor_index(a, base) is not None:
-        raise ZeroFactor(f"({a}; {base})_inf vanishes identically")
     return _poch(a, base, None, order, invert=False)
 
 
 def poch_infinite_inv(a: ParamValue, base: ParamValue, order: int) -> LaurentSeries:
     """1 / (a; base)_infinity, truncated below ``order``."""
-    _check_base(base)
-    if _zero_factor_index(a, base) is not None:
-        raise ZeroFactor(f"1/(({a}; {base})_inf) divides by an identically zero factor")
     return _poch(a, base, None, order, invert=True)

@@ -72,6 +72,7 @@ from .coeffring import ONE, CycRat
 from .laurent import (
     InvalidBase,
     LaurentSeries,
+    OrderExceeded,
     ParamValue,
     Q,
     ZeroFactor,
@@ -188,7 +189,8 @@ def _apply(t: Term, f: LaurentSeries) -> LaurentSeries:
     valuation can touch a trusted coefficient, and only those are applied.
     The result is trusted at least below N + t.shift minus the negative
     exponents of the multiplications.  An exact f (order None) takes a Term
-    without Pochhammer powers exactly.
+    without Pochhammer powers exactly; a Pochhammer power raises
+    OrderExceeded, as an infinite product needs an order.
 
     Of f with a finite order, the factors are paired once (``_paired``):
     each root of unity c at q^e, e != 0, with its conjugate at the same e,
@@ -201,6 +203,9 @@ def _apply(t: Term, f: LaurentSeries) -> LaurentSeries:
     muls = [(*_split(c), e) for c, e in t.muls]
     divs = [(*_split(c), e) for c, e in t.divs]
     for p, base, k in _powers(t):
+        if f.order is None:
+            raise OrderExceeded("a Pochhammer power is an infinite product; "
+                                "a finite order is required")
         (muls if k > 0 else divs).extend(_factors(p, base, below=f.order - f.offset) * abs(k))
     if f.order is not None:
         muls, divs = _paired(muls, divs)
@@ -275,7 +280,8 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
     binomials of levels j..L at m, each level split once per index, and adds
     U_{j+1}(m) before the result is normalized.  The first term then applies
     to U_1(0) in one more kernel call.  A level with no vanishing numerator
-    factor never ends (``_first_zero`` is None); only the order stops it.
+    factor never ends (``_first_zero`` is None); only the order stops it, so
+    order None raises OrderExceeded once the bases are checked.
 
     Caps.  A term's valuation is at least floor = first.shift - slack plus
     the q-powers weight_j*M_j + growth_j*M_j(M_j-1)/2 of every level j; the
@@ -305,6 +311,8 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
         return _product_sum((first,), order)
     slack = _term_slack(first) + sum(
         _negative_slack(p, step) for lv in levels for p, step in lv.num)
+    if order is None:
+        raise OrderExceeded("a chained sum is an infinite series; a finite order is required")
     floor = first.shift - slack
     rest = [sum(lv.weight.exp for lv in levels[j:]) for j in range(len(levels))]
     grow = [sum(lv.growth.exp for lv in levels[j:]) for j in range(len(levels))]
@@ -342,7 +350,7 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
                 shift, muls, divs = shift + s, mu + muls, dv + divs
                 inner = _binomials(above[j], muls, divs, cap, shift, unit, plus=inner)
             else:
-                inner = _plus(cap, inner)
+                inner = inner.truncate(cap)
             above[j] = inner
     return _apply(first, above[0]).require_order(order)
 
@@ -691,6 +699,8 @@ def l_infinite(params, order: int, base: ParamValue = Q) -> LaurentSeries:
     ``order``.
     """
     params = as_params(params)
+    if order is None:
+        raise OrderExceeded("l_infinite is an infinite series; a finite order is required")
     pairs = _d_term(*params)
     f = f_bilateral(params, order + _term_slack(pairs), base)
     return _apply(pairs, f).require_order(order)

@@ -1,5 +1,8 @@
 """Identity registry: canonical contents, verification, derivation checks."""
 
+from dataclasses import replace
+from functools import partial
+
 import pytest
 
 from qseries import catalog, laurent, vwp
@@ -15,7 +18,8 @@ from qseries.catalog import (
     verify_all,
 )
 from qseries.coeffring import CycRat, DivisionByZero, ONE
-from qseries.laurent import InvalidBase, LaurentSeries, OrderExceeded, ZeroFactor
+from qseries.laurent import InvalidBase, LaurentSeries, OrderExceeded, ParamValue, ZeroFactor
+from qseries.vwp import Term
 
 EXPECTED_IDS = [
     "Cor-a", "Cor-b",
@@ -204,3 +208,84 @@ def test_a_wrong_conjugate_table_is_caught(monkeypatch):
     table = {c: (partner, -s) for c, (partner, s) in laurent._CONJUGATES.items()}
     monkeypatch.setattr(laurent, "_CONJUGATES", table)
     assert {r.status for r in _catalog_reports()} != {"equal"}
+
+
+# -- every one-edit mutant of the catalog's data is seen ---------------------------------
+
+
+def _replaced(items: tuple, i: int, *new) -> tuple:
+    """``items`` with entry i replaced by ``new`` (dropped when ``new`` is empty)."""
+    return items[:i] + new + items[i + 1:]
+
+
+def _term_mutants(t: Term):
+    """Negate or shift a Term; raise one of its Pochhammer powers or negate that
+    power's coefficient; negate or drop one of its binomials."""
+    yield replace(t, scalar=-t.scalar)
+    yield replace(t, shift=t.shift + 1)
+    for j, (c, e, s, k) in enumerate(t.pochs):
+        for poch in ((c, e, s, k + (1 if k > 0 else -1)), (-c, e, s, k)):
+            yield replace(t, pochs=_replaced(t.pochs, j, poch))
+    for field in ("muls", "divs"):
+        bins = getattr(t, field)
+        for j, (c, e) in enumerate(bins):
+            for new in ((), ((-c, e),)):
+                yield replace(t, **{field: _replaced(bins, j, *new)})
+
+
+def _product_mutants(terms: tuple):
+    """Drop a Term, or change it by one edit."""
+    for i, t in enumerate(terms):
+        yield _replaced(terms, i)
+        for mutant in _term_mutants(t):
+            yield _replaced(terms, i, mutant)
+
+
+def _sum_mutants(levels: tuple, first: Term):
+    """Change the first term by one edit; add 1 to a level's weight; negate or
+    drop a level binomial."""
+    for mutant in _term_mutants(first):
+        yield levels, mutant
+    for j, lv in enumerate(levels):
+        weight = ParamValue(lv.weight.coeff, lv.weight.exp + 1)
+        yield _replaced(levels, j, replace(lv, weight=weight)), first
+        for field in ("num", "den"):
+            bins = getattr(lv, field)
+            for i, (p, step) in enumerate(bins):
+                for new in ((), ((ParamValue(-p.coeff, p.exp), step),)):
+                    mutant = replace(lv, **{field: _replaced(bins, i, *new)})
+                    yield _replaced(levels, j, mutant), first
+
+
+def _mutant_sides(side):
+    """Builders of every one-edit mutant of a side written as data; none for a
+    side built by a vwp function."""
+    if getattr(side, "func", None) is vwp._product_sum:
+        return [partial(vwp._product_sum, terms) for terms in _product_mutants(side.args[0])]
+    if getattr(side, "func", None) is vwp._chain_sum:
+        return [partial(vwp._chain_sum, levels, first=first)
+                for levels, first in _sum_mutants(side.args[0], side.keywords["first"])]
+    return []
+
+
+def test_every_one_edit_mutant_of_the_data_is_seen():
+    # each side written as data, under each one-edit change to it, must
+    # differ from the other side at order 24 or raise: an entry whose sides
+    # cannot see such a change checks less than it claims
+    order, probed, survivors = 24, 0, []
+    for identity_id, entry in registry().items():
+        for side, other in ((entry.lhs, entry.rhs), (entry.rhs, entry.lhs)):
+            mutants = _mutant_sides(side)
+            if not mutants:
+                continue
+            want = other(order)
+            for n, mutant in enumerate(mutants):
+                try:
+                    seen = mutant(order).agrees_below(want, order) is not None
+                except catalog._EXPANSION_ERRORS:
+                    seen = True
+                if not seen:
+                    survivors.append((identity_id, side is entry.lhs, n))
+            probed += len(mutants)
+    assert survivors == []
+    assert probed == 1191  # on 28 sum sides and 29 product sides

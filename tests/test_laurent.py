@@ -491,6 +491,36 @@ def test_paired_factor_examples():
     assert g == LaurentSeries.monomial(CycRat(3), 0, 9)
 
 
+# -- the kernel's divisions against the plain inverse ---------------------------------------
+
+
+_DIVISOR_CS = _ROOTS + [ONE, CycRat(-1), CycRat(2), CycRat(rat(1, 3)),
+                        CycRat(rat(1, 2), rat(-2, 3))]
+_DIVISOR_ES = st.sampled_from([-3, -2, -1, 1, 2, 3])
+divisor_st = st.tuples(st.sampled_from(_DIVISOR_CS), _DIVISOR_ES)
+divisors_st = st.one_of(  # up to three binomials; or a conjugate pair and one more
+    st.lists(divisor_st, max_size=3),
+    st.tuples(divisor_st, st.sampled_from(_ROOTS), _DIVISOR_ES).flatmap(
+        lambda t: st.permutations([t[0], (t[1], t[2]), (t[1].conjugate(), t[2])])),
+)
+
+
+@settings(max_examples=200)
+@given(factors=divisors_st, order=st.integers(1, 24))
+def test_kernel_divisions_match_the_inverse(factors, order):
+    # 1 / prod (1 - c q^e) by the kernel's recurrences, with conjugate roots
+    # paired or not, and by forward substitution on the exact product's values
+    product = LaurentSeries.one()
+    for c, e in factors:
+        product = product * LaurentSeries.from_terms({0: ONE, e: -c})
+    reference = LaurentSeries.one(order) * product.inverse(order)
+    for muls, divs in (([], _pieces(factors)), _paired([], _pieces(factors))):
+        quotient = _binomials(LaurentSeries.one(order), muls, divs)
+        low = min(quotient.order, reference.order)
+        assert low >= order
+        assert quotient.truncate(low) == reference.truncate(low)
+
+
 # -- parameters --------------------------------------------------------------------------
 
 
@@ -544,6 +574,32 @@ def test_invalid_base():
         poch_finite(Q, ParamValue(ONE, 0), 1)
     with pytest.raises(InvalidBase):
         poch_infinite(Q, ParamValue(ONE, -2), 10)
+
+
+_FLAT = ParamValue(ONE, 0)  # the base q^0
+_ONE = ParamValue(ONE, 0)  # a = 1: the factor j = 0 is (1 - 1)
+
+
+@pytest.mark.parametrize("build,error", [
+    # the base first, then n >= 0
+    (lambda: poch_finite(Q, _FLAT, -1), InvalidBase),
+    (lambda: poch_finite_inv(_ONE, _FLAT, -1, None), InvalidBase),
+    (lambda: poch_infinite(_ONE, _FLAT, None), InvalidBase),
+    (lambda: poch_infinite_inv(_ONE, _FLAT, None), InvalidBase),
+    (lambda: poch_finite_inv(_ONE, Q, -1, None), ValueError),
+    # an infinite product's order before its zero factor, an inverse's after
+    (lambda: poch_infinite(_ONE, Q, None), OrderExceeded),
+    (lambda: poch_infinite_inv(_ONE, Q, None), ZeroFactor),
+    (lambda: poch_finite_inv(_ONE, Q, 1, None), ZeroFactor),
+    (lambda: poch_finite_inv(Q, Q, 0, None), OrderExceeded),
+    (lambda: poch_finite(_ONE, Q, 1), ZeroFactor),
+    # a zero factor out of range: q^-2 * q^2 = 1 at j = 2
+    (lambda: poch_finite_inv(ParamValue(ONE, -2), Q, 2, None), OrderExceeded),
+    (lambda: poch_finite(ParamValue(ONE, -2), Q, 3, 5), ZeroFactor),
+])
+def test_pochhammer_checks_run_in_turn(build, error):
+    with pytest.raises(error):
+        build()
 
 
 # -- closed-form oracles, generated from their formulas ---------------------------------

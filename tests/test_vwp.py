@@ -728,6 +728,38 @@ def test_a_coeff_without_order():
         (_ref_c(M1, W, 5) * _ref_c(M1, WB, 5)).require_order(5)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: vwp.rhs_products((M1, W), None),
+    lambda: vwp.f_consistency_rhs((M1, W), None),
+    lambda: vwp.corollary_k2(M1, W, Q, None),
+    lambda: vwp.corollary_k3(P1, W, MW, Q, None),
+    lambda: vwp.lhs_multisum((M1, W), None),
+    lambda: vwp.l_infinite((M1, W), None),
+    lambda: vwp.f_bilateral((M1, W), None),
+    lambda: vwp.diagonal_sum(P1, W, MW, None),
+    lambda: vwp.l_finite_n((M1, W), 3, None),
+    lambda: vwp.bailey_3psi3_sum(W, None),
+], ids=["rhs_products", "f_consistency_rhs", "corollary_k2", "corollary_k3", "lhs_multisum",
+        "l_infinite", "f_bilateral", "diagonal_sum", "l_finite_n", "bailey_3psi3_sum"])
+def test_infinite_series_need_an_order(build):
+    # a Pochhammer power or a chained sum never ends, so order None cannot be exact
+    with pytest.raises(OrderExceeded):
+        build()
+
+
+def test_order_none_is_checked_after_the_data():
+    # exact where the result is a Laurent polynomial
+    assert vwp.lhs_multisum((W,), None) == LaurentSeries.one()
+    assert vwp.rhs_products((W,), None) == LaurentSeries.one()
+    # a vanishing product or a flat base is reported before the missing order
+    with pytest.raises(ZeroFactor):
+        vwp.rhs_products((M1, Q), None)
+    with pytest.raises(InvalidBase):
+        vwp.lhs_multisum((M1, W), None, ParamValue(ONE, 0))
+    with pytest.raises(ZeroFactor):
+        vwp.f_bilateral((M1, Q), None)
+
+
 # -- the identity at general k ---------------------------------------------------------------
 
 
