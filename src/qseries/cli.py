@@ -11,9 +11,9 @@ Commands
 - ``counts``: table of the four overpartition counting families.
 
 Exit status: 0 when everything requested verified equal, 1 when any report
-says mismatch/error, 2 for unknown identities or bad flags.  The default
-truncation order is 50, overridable by the QSERIES_DEFAULT_ORDER environment
-variable and per run by ``--order``.
+says mismatch/error, 2 for unknown identities, bad flags or a bad
+QSERIES_DEFAULT_ORDER.  The default truncation order is 50, overridable by
+the QSERIES_DEFAULT_ORDER environment variable and per run by ``--order``.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ def _default_order() -> int:
         value = int(raw)
     except ValueError:
         value = -1
-    if value < 1:
-        raise SystemExit(
-            f"qseries: QSERIES_DEFAULT_ORDER must be a positive integer, got {raw!r}")
+    if value < 1:  # a bad setting, so exit 2 as a bad --order does
+        print(f"qseries: QSERIES_DEFAULT_ORDER must be a positive integer, got {raw!r}",
+              file=sys.stderr)
+        raise SystemExit(2)
     return value
 
 

@@ -25,11 +25,11 @@ off zero, which gives exact inversion:
 
 No floating point is used anywhere.
 
-Rationals are gmpy2.mpq when available and fractions.Fraction otherwise; both
-share the numerator/denominator protocol so everything downstream is agnostic.
-The arithmetic above is on ints alone, so the backend shows only where a
-rational is handed out: ``CycRat.a``, ``CycRat.b`` and ``norm()``, built on
-read, and ``rat`` itself.  The constructor takes any exact rational.
+The arithmetic above is on ints alone.  A rational is handed out only by
+``CycRat.a``, ``CycRat.b`` and ``norm()``, built on read, and by ``rat``;
+each is a ``fractions.Fraction``.  The constructor takes any exact rational:
+an int, a Fraction or any registered ``numbers.Rational`` (gmpy2's mpz and
+mpq among them).
 """
 
 from __future__ import annotations
@@ -38,20 +38,13 @@ from fractions import Fraction
 from math import gcd
 from numbers import Rational
 
-try:
-    from gmpy2 import mpq as _mpq
 
-    def rat(num=0, den=1):
-        """Exact rational from integers (or anything gmpy2.mpq accepts)."""
-        return _mpq(num, den)
+def rat(num=0, den=1) -> Fraction:
+    """Exact rational from integers."""
+    return Fraction(num, den)
 
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    def rat(num=0, den=1):
-        """Exact rational from integers (stdlib fallback)."""
-        return Fraction(num, den)
 
-#: The rational zero and one in the active backend.
-RAT_ZERO = rat(0)
+#: The rational one.
 RAT_ONE = rat(1)
 
 
@@ -59,15 +52,12 @@ class DivisionByZero(ZeroDivisionError):
     """Raised on exact division by zero (scalar or series)."""
 
 
-_RAT = type(RAT_ONE)
-
-
 def _num_den(value) -> tuple[int, int]:
     """Numerator and denominator, as ints, of an exact rational (int, Fraction,
-    gmpy2's mpz or mpq, any ``numbers.Rational``); TypeError for anything else."""
+    any ``numbers.Rational``); TypeError for anything else."""
     if isinstance(value, int):
         return int(value), 1  # int() drops bool and other int subclasses
-    if type(value) is _RAT or isinstance(value, (Fraction, Rational)):  # the ABC check is slowest
+    if isinstance(value, (Fraction, Rational)):  # Fraction first: the ABC check is slowest
         return int(value.numerator), int(value.denominator)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
 
@@ -78,9 +68,9 @@ class CycRat:
     Stored as the reduced triple (x, y, d) of ints with a = x/d and b = y/d
     (see the module docstring), in the one slot ``_xyd``, which the kernels
     in ``laurent`` read directly.  ``a`` and ``b`` are read-only views that
-    build the backend's rationals.  Instances are immutable and hashable, so
-    they can key caches and sit in frozen dataclasses; a rational element
-    hashes as the rational it equals.
+    build Fractions.  Instances are immutable and hashable, so they can key
+    caches and sit in frozen dataclasses; a rational element hashes as the
+    rational it equals.
     """
 
     __slots__ = ("_xyd",)
@@ -105,13 +95,13 @@ class CycRat:
 
     @property
     def a(self):
-        """The rational part, in the active backend."""
+        """The rational part, a Fraction."""
         x, _, d = self._xyd
         return rat(x, d)
 
     @property
     def b(self):
-        """The coefficient of w, in the active backend."""
+        """The coefficient of w, a Fraction."""
         _, y, d = self._xyd
         return rat(y, d)
 
@@ -194,7 +184,7 @@ class CycRat:
         return _reduced(x - y, -y, d)
 
     def norm(self):
-        """x * conj(x) = a^2 - a*b + b^2, an exact rational (>= 0)."""
+        """x * conj(x) = a^2 - a*b + b^2, a Fraction (>= 0)."""
         x, y, d = self._xyd
         return rat(x * (x - y) + y * y, d * d)
 
@@ -260,7 +250,7 @@ def _coerce(value):
         return value
     if type(value) is int:
         return _reduced(value, 0, 1)
-    if isinstance(value, (int, Fraction)) or type(value) is _RAT:
+    if isinstance(value, (int, Fraction)):
         return CycRat(value)
     return NotImplemented
 

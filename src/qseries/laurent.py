@@ -827,12 +827,10 @@ def _poch(a: ParamValue, base: ParamValue, n: int | None, order: int | None,
         return _binomials(LaurentSeries.one(), muls=_factors(a, base, n))
     slack = _negative_slack(a, base, n)
     if invert:
-        product = _binomials(LaurentSeries.one(order),
-                             divs=_factors(a, base, n, order - slack), cap=order)
-    else:
-        product = _binomials(LaurentSeries.one(order + slack),
-                             muls=_factors(a, base, n, order + slack))
-    return product.truncate(order)
+        return _binomials(LaurentSeries.one(order),
+                          divs=_factors(a, base, n, order - slack), cap=order)
+    return _binomials(LaurentSeries.one(order + slack),
+                      muls=_factors(a, base, n, order + slack))
 
 
 def poch_finite(a: ParamValue, base: ParamValue, n: int,

@@ -435,13 +435,12 @@ def _applied_a(terms, params, order: int) -> LaurentSeries:
 
 
 class ACoeffTable:
-    """Memo of ``a_coeff`` results, keyed by (k, i, parameters, order).
+    """A memo keyed by (k, i, parameters, order), which nothing uses.
 
-    Nothing in the library uses it: each product side builds its A_{k,i}
-    inside its own Terms.  It stays, with ``a_coeff``'s ``table`` parameter,
-    because the benchmark's tracer (``perfbench/tracer.py``) patches
-    ``a_coeff`` and ``ACoeffTable.get_or_compute`` by name.  A table belongs
-    to the caller that passes it; nothing here keeps one.
+    Each product side builds its A_{k,i} inside its own Terms, and
+    ``a_coeff`` keeps no table.  The class exists only because the
+    benchmark's tracer (``perfbench/tracer.py``) patches
+    ``ACoeffTable.get_or_compute`` by name.
     """
 
     def __init__(self):
@@ -454,10 +453,9 @@ class ACoeffTable:
         return hit
 
 
-def a_coeff(k: int, i: int, params, order: int | None = None,
-            table: ACoeffTable | None = None) -> LaurentSeries:
+def a_coeff(k: int, i: int, params, order: int | None = None) -> LaurentSeries:
     """A_{k,i}(b_1,...,b_k) = prod_{j != i} C(b_i, b_j), in one kernel call,
-    trusted below ``order``; ``table``, when given, memoizes by (k, i, params, order).
+    trusted below ``order``.
 
     The paper defines A_{k,i} by the three-branch recursion
 
@@ -481,15 +479,11 @@ def a_coeff(k: int, i: int, params, order: int | None = None,
         raise ValueError(f"a_coeff expects exactly k={k} parameters, got {len(params)}")
     if not 1 <= i <= k:
         raise ValueError(f"a_coeff index i={i} outside 1..{k}")
-
-    def compute():
-        later = params[i:]
-        for n, z in enumerate(later):
-            for y in later[:n]:
-                _c_term(z, y)  # raises DegenerateC where the recursion divides by zero
-        return _product_sum((_a_term(params, i),), order)
-
-    return compute() if table is None else table.get_or_compute((k, i, params, order), compute)
+    later = params[i:]
+    for n, z in enumerate(later):
+        for y in later[:n]:
+            _c_term(z, y)  # raises DegenerateC where the recursion divides by zero
+    return _product_sum((_a_term(params, i),), order)
 
 
 # -- the k-parameter identity, both sides ---------------------------------------------

@@ -195,10 +195,17 @@ def test_env_default_order(capsys, monkeypatch):
     assert json.loads(out)["order"] == 9
 
 
-def test_env_default_order_invalid(monkeypatch):
-    monkeypatch.setenv("QSERIES_DEFAULT_ORDER", "zero")
-    with pytest.raises(SystemExit):
-        cli.main(["list"])
+def test_env_default_order_invalid(capsys, monkeypatch):
+    # a bad setting is a usage error, exit code 2, as a bad --order is
+    for raw in ("zero", "0", "-3"):
+        monkeypatch.setenv("QSERIES_DEFAULT_ORDER", raw)
+        with pytest.raises(SystemExit) as info:
+            cli.main(["list"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"qseries: QSERIES_DEFAULT_ORDER must be a positive integer, got {raw!r}\n")
 
 
 def test_parser_reuse_follows_env_default_order(capsys, monkeypatch):

@@ -2,13 +2,17 @@
 
 import copy
 import numbers
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
+import qseries
 from qseries.coeffring import (
     CycRat,
     DivisionByZero,
@@ -75,8 +79,10 @@ def test_rational_embedding_and_coercion():
     assert 1 + x == CycRat(6)
     assert 2 * OMEGA == OMEGA + OMEGA
     assert CycRat(Fraction(1, 2)) + CycRat(rat(1, 2)) == ONE
-    for value in (True, 7, Fraction(-2, 3)):
-        assert type(CycRat(value).a) is type(RAT_ONE)  # the backend, whatever came in
+    for value in (True, 7, Fraction(-2, 3), Ratio(4, -6)):  # Fractions, whatever came in
+        c = CycRat(value, value)
+        assert type(c.a) is type(c.b) is type(c.norm()) is type(RAT_ONE) is Fraction
+    assert type(rat(4, -6)) is Fraction
 
 
 @pytest.mark.parametrize("value", [0.5, 0.1, "1/3", None, 1j], ids=repr)
@@ -92,6 +98,23 @@ def test_gmpy2_rationals_enter():
     x = CycRat(gmpy2.mpz(3), gmpy2.mpq(-1, 2))
     assert x == CycRat(3, Fraction(-1, 2))
     assert type(x.a) is type(x.b) is type(RAT_ONE)
+
+
+def test_import_needs_only_the_standard_library():
+    # a fresh interpreter, compared before and after the import, since site
+    # may load third-party modules of its own at start-up
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import qseries\n"
+        "tops = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(*sorted(tops - set(sys.stdlib_module_names) - {'qseries'}))\n")
+    src = os.path.dirname(os.path.dirname(qseries.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []
 
 
 @given(cycrats, cycrats, cycrats)
