@@ -13,9 +13,8 @@ it is.  Since w^2 = -1 - w, the product rule is
     (x + y*w)(u + v*w) = (xu - yv) + (xv + yu - yv)*w,
 
 four int products over the product of the denominators, with no rational
-arithmetic in between; a sum goes over the product too, or over the shared
-denominator when the two agree.  Every result is reduced by one gcd of the
-three ints, skipped when its denominator is 1.
+arithmetic in between; a sum goes over the product too.  Every result is
+reduced by one gcd of the three ints, skipped when its denominator is 1.
 
 The complex conjugate swaps w and w^2, i.e. conj(x + y*w) = (x - y) - y*w,
 and the norm x * conj(x) = (x^2 - xy + y^2) / d^2 is rational and positive
@@ -78,10 +77,7 @@ class CycRat:
     def __init__(self, a=0, b=0):
         an, ad = _num_den(a)
         bn, bd = _num_den(b)
-        if ad == bd:
-            x, y, d = an, bn, ad
-        else:
-            x, y, d = an * bd, bn * ad, ad * bd
+        x, y, d = an * bd, bn * ad, ad * bd
         g = gcd(x, y, d)
         if d < 0:  # a numbers.Rational need not keep its denominator positive
             g = -g
@@ -123,8 +119,6 @@ class CycRat:
             return NotImplemented
         x, y, d = self._xyd
         u, v, e = other._xyd
-        if d == e:
-            return _reduced(x + u, y + v, d)
         return _reduced(x * e + u * d, y * e + v * d, d * e)
 
     __radd__ = __add__
@@ -135,8 +129,6 @@ class CycRat:
             return NotImplemented
         x, y, d = self._xyd
         u, v, e = other._xyd
-        if d == e:
-            return _reduced(x - u, y - v, d)
         return _reduced(x * e - u * d, y * e - v * d, d * e)
 
     def __rsub__(self, other):
@@ -155,12 +147,6 @@ class CycRat:
             return NotImplemented
         x, y, d = self._xyd
         u, v, e = other._xyd
-        if not y:
-            if not v:  # rational factors dominate in the series code
-                return _reduced(x * u, 0, d * e)
-            return _reduced(x * u, x * v, d * e)
-        if not v:
-            return _reduced(x * u, y * u, d * e)
         yv = y * v
         return _reduced(x * u - yv, x * v + y * u - yv, d * e)
 
@@ -248,8 +234,6 @@ def _reduced(x: int, y: int, d: int) -> CycRat:
 def _coerce(value):
     if isinstance(value, CycRat):
         return value
-    if type(value) is int:
-        return _reduced(value, 0, 1)
     if isinstance(value, (int, Fraction)):
         return CycRat(value)
     return NotImplemented

@@ -20,8 +20,8 @@ and touch no rational arithmetic.  A scalar c in Q(w) enters a kernel as
 the integers (ca + cb*w) / cd that ``CycRat`` (coeffring) stores, read off
 as they are.  CycRat stays the scalar type at the API edge: the
 constructor, ``from_terms`` and ``monomial`` take CycRat values, and
-``coeff``, ``terms`` and the read-only ``coeffs`` view hand them out, each
-built from a numerator pair and the denominator on read.
+``coeff``, ``terms`` and ``coeffs`` (a tuple) hand them out, each built from
+a numerator pair and the denominator on read.
 
 Order bookkeeping under multiplication accounts for operand valuations:
 a product coefficient at exponent e needs f up to e - val(g) and g up to
@@ -82,7 +82,6 @@ reference the tests hold the kernel's divisions to.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import add, itemgetter, sub
@@ -118,6 +117,9 @@ class ParamValue:
     exp: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.exp, int):
+            raise TypeError(f"expected an int exponent, got {type(self.exp).__name__}: {self.exp!r}")
+        object.__setattr__(self, "exp", int(self.exp))  # int() drops bool and other int subclasses
         if not isinstance(self.coeff, CycRat):
             object.__setattr__(self, "coeff", CycRat(self.coeff))
         if not self.coeff:
@@ -172,6 +174,12 @@ def _zw(x: int, y: int, u: int, v: int) -> tuple[int, int]:
     return x * u - y * v, x * v + y * u - y * v
 
 
+def _reciprocal(ca: int, cb: int, cd: int) -> tuple[int, int, int]:
+    """Integers (ra, rb, rd), not reduced, with 1/c = (ra + rb*w) / rd for
+    c = (ca + cb*w) / cd != 0: rd is the norm ca^2 - ca*cb + cb^2."""
+    return cd * (ca - cb), -cd * cb, ca * ca - ca * cb + cb * cb
+
+
 def _times(ca: int, cb: int, parts: list) -> list:
     """Numerator lists of (ca + cb*w) * (x + y*w), entry by entry.
 
@@ -186,30 +194,6 @@ def _times(ca: int, cb: int, parts: list) -> list:
     cab = ca - cb
     return [[ca * x - cb * y for x, y in zip(xs, parts[1])],
             [cb * x + cab * y for x, y in zip(xs, parts[1])]]
-
-
-class _Coeffs(Sequence):
-    """Read-only view of a series' coefficients as CycRat values.
-
-    ``len`` is O(1); an item is built only when it is read.
-    """
-
-    __slots__ = ("_series",)
-
-    def __init__(self, series: "LaurentSeries"):
-        self._series = series
-
-    def __len__(self):
-        return len(self._series._a)
-
-    def __getitem__(self, i: int) -> CycRat:
-        s = self._series
-        return _reduced(s._a[i], s._b[i], s._den)
-
-    def __iter__(self):
-        s = self._series
-        for x, y in zip(s._a, s._b):
-            yield _reduced(x, y, s._den)
 
 
 class LaurentSeries:
@@ -286,9 +270,9 @@ class LaurentSeries:
     # -- queries ---------------------------------------------------------------
 
     @property
-    def coeffs(self) -> _Coeffs:
+    def coeffs(self) -> tuple[CycRat, ...]:
         """The stored coefficients, lowest exponent first, as CycRat values."""
-        return _Coeffs(self)
+        return tuple(_reduced(x, y, self._den) for x, y in zip(self._a, self._b))
 
     def is_zero(self) -> bool:
         return not self._a
@@ -312,9 +296,9 @@ class LaurentSeries:
 
     def terms(self):
         """Iterate (exponent, coefficient) over nonzero stored terms."""
-        for i, (x, y) in enumerate(zip(self._a, self._b)):
-            if x or y:
-                yield self.offset + i, _reduced(x, y, self._den)
+        for i, c in enumerate(self.coeffs):
+            if c:
+                yield self.offset + i, c
 
     # -- order management -------------------------------------------------------
 
@@ -424,7 +408,7 @@ class LaurentSeries:
                 "a finite order is required"
             )
         n = 1 if target is None else target + v  # result exponents -v .. target-1
-        f = list(self.coeffs)[:max(n, 1)]
+        f = self.coeffs[:max(n, 1)]
         h = [f[0].inverse()]
         for j in range(1, n):
             s = sum((x * y for x, y in zip(f[1:j + 1], reversed(h)) if x), ZERO)
@@ -456,25 +440,16 @@ class LaurentSeries:
     def agrees_below(self, other: "LaurentSeries", order: int) -> int | None:
         """First exponent < order where the two differ, or None if they agree.
 
-        Both series must be trusted through ``order``.
+        Both series must be trusted through ``order``.  The answer is the
+        valuation of their difference below ``order``.
         """
         for s in (self, other):
             if s.order is not None and s.order < order:
                 raise OrderExceeded(
                     f"series trusted only below q^{s.order}, cannot compare below q^{order}"
                 )
-        lo = [s.offset for s in (self, other) if s._a]
-        if not lo:
-            return None
-        d1, d2 = self._den, other._den
-        for e in range(min(lo), order):
-            i = e - self.offset
-            x, y = (self._a[i], self._b[i]) if 0 <= i < len(self._a) else (0, 0)
-            j = e - other.offset
-            u, v = (other._a[j], other._b[j]) if 0 <= j < len(other._a) else (0, 0)
-            if x * d2 != u * d1 or y * d2 != v * d1:
-                return e
-        return None
+        difference = _plus(order, self, -other)
+        return None if difference.is_zero() else difference.offset
 
     def __str__(self):
         parts = []
@@ -553,33 +528,38 @@ def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
     Every factor comes split as (ca, cb, cd, e) with c = (ca + cb*w)/cd, and
     ``unit``, when given, as (ua, ub, ud).  The binomial steps (e != 0) apply
     in turn, the multiplications first; a factor with c = 0 is 1.  The
-    scalars (the unit and every factor with e = 0) fold into one Z[w]
-    numerator over an integer denominator that multiplies the series after
-    the steps, so a product of scalars that is rational in total (the C and
-    D helpers of vwp) never gives the series a w-part.  The numerators stay
-    over one growing denominator, and the result is normalized once, when
-    the series is built.  They are one list, the 1-parts, while f and the
-    steps so far are rational; the first step with a w-part adds the list of
-    w-parts, and so does a scalar with one.
+    scalars (the unit, every factor with e = 0 and the scalar part of every
+    factor with e < 0, below) fold into one Z[w] numerator over an integer
+    denominator that multiplies the series after the steps, so a product of
+    scalars that is rational in total (the C and D helpers of vwp) never
+    gives the series a w-part.  The numerators stay over one growing
+    denominator, and the result is normalized once, when the series is
+    built.  They are one list, the 1-parts, while f and the steps so far are
+    rational; the first step with a w-part adds the list of w-parts, and so
+    does a scalar with one.
 
-    Multiplying by (1 - c q^e) with e > 0 truncates at the order; with e < 0
-    it lowers the valuation and the order by -e; with e = 0 it scales by
-    1 - c, and a zero scalar makes the series 0 at once.  Dividing by it
-    with e = 0 scales by 1/(1 - c), DivisionByZero when c = 1, raised where
-    the factor stands among the divisions.  Otherwise the quotient is
-    trusted below the lower of the order and ``cap``, and OrderExceeded is
-    raised when both are None.  With e > 0 the recurrence
-    g[j] = f[j] + c*g[j-e] runs entry by entry; with
-    G_j = den * cd^(j // e) * g_j every step stays in Z[w]:
+    A factor with e < 0 is first factored as
+
+        (1 - c q^e) = (-c q^e) * (1 - c^{-1} q^{-e}),
+
+    so the scalar takes -c for a multiplication and -1/c for a division, the
+    shift q^e or q^-e moves the valuation and the order, and the step runs
+    with 1/c at -e > 0.  Multiplying by (1 - c q^e) with e > 0 truncates at
+    the order; with e = 0 it scales by 1 - c, and a zero scalar makes the
+    series 0 at once.  Dividing by it with e = 0 scales by 1/(1 - c),
+    DivisionByZero when c = 1, raised where the factor stands among the
+    divisions.  Otherwise the quotient is trusted below the lower of the
+    order (moved by the shift) and ``cap``, and OrderExceeded is raised when
+    both are None.  With e > 0 the recurrence g[j] = f[j] + c*g[j-e] runs
+    entry by entry; with G_j = den * cd^(j // e) * g_j every step stays in
+    Z[w]:
 
         G_j = cd^(j // e) * F_j + (ca + cb*w) * G_{j-e}.
 
-    With e < 0 it first factors (1 - c q^e) = (-c q^e) * (1 - c^{-1} q^{-e}),
-    which raises the valuation and the order by -e before the cap applies;
-    the scalar takes the -1/c.  A factor that changes no coefficient below the
-    order is skipped without copying a list: a multiplication with
-    e >= order - offset, and a division whose e (positive once factored) is
-    at least the length below the order.
+    A factor that changes no coefficient below the order is skipped without
+    copying a list: a multiplication whose e (positive once factored) is at
+    least order - offset, and a division whose e is at least the length
+    below the order.
 
     With ``plus`` the result is _plus(cap, plus, the product), summed before
     the product is normalized, so the pair is normalized once.
@@ -602,8 +582,13 @@ def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
             sa, sb = _zw(sa, sb, cd - ca, -cb)
             sd *= cd
             continue
-        if e < 0 and order is not None:
-            order += e  # the unknown tail times c*q^e reaches q^(order+e)
+        if e < 0:  # the scalar -c and the shift q^e, then step by 1/c at -e
+            sa, sb = _zw(sa, sb, -ca, -cb)
+            sd *= cd
+            ca, cb, cd, e = *_reciprocal(ca, cb, cd), -e
+            offset -= e
+            if order is not None:
+                order -= e
         n = len(parts[0])
         if not n or (order is not None and e >= order - offset):
             continue  # every entry of c*q^e*f lies at or above the order
@@ -611,23 +596,14 @@ def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
         terms, op = (parts, add) if ca == -1 and not cb else (_times(ca, cb, parts), sub)
         if len(terms) > len(parts):
             parts = [parts[0], [0] * n]
-        if e > 0:
-            pad = [0] * ((n + e if order is None else min(n + e, order - offset)) - n)
+        pad = [0] * ((n + e if order is None else min(n + e, order - offset)) - n)
         new = []
         for xs, ts in zip(parts, terms):  # f - c*q^e*f over den*cd
-            if e > 0:
-                ys = _scaled(cd, xs) + pad
-                ys[e:] = map(op, ys[e:], ts)
-            else:
-                ys = [0] * -e + _scaled(cd, xs)
-                ys[:n] = map(op, ys, ts)
+            ys = _scaled(cd, xs) + pad
+            ys[e:] = map(op, ys[e:], ts)
             new.append(ys)
         parts = new
         den *= cd
-        if e < 0:
-            offset += e
-            if order is not None and order - offset < len(new[0]):
-                parts = [ys[:order - offset] for ys in new]
     for ca, cb, cd, e in divs:
         if e == 0:  # the scalar cd / (x + y*w) = cd * (x - y - y*w) / norm
             x, y = cd - ca, -cb
@@ -638,10 +614,8 @@ def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
             continue
         if not ca and not cb:
             continue
-        if e < 0:
-            # the scalar -1/c = -cd * (ca - cb - cb*w) / norm(c), then step by 1/c
-            norm = ca * ca - ca * cb + cb * cb
-            ca, cb, cd, e = cd * (ca - cb), -cd * cb, norm, -e
+        if e < 0:  # the scalar -1/c and the shift q^-e, then step by 1/c at -e
+            ca, cb, cd, e = *_reciprocal(ca, cb, cd), -e
             sa, sb = _zw(sa, sb, -ca, -cb)
             sd *= cd
             offset += e

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qseries.coeffring import CycRat, DivisionByZero, OMEGA, OMEGA_BAR, ONE, RAT_ONE, rat
+from qseries.coeffring import CycRat, DivisionByZero, OMEGA, OMEGA_BAR, ONE, RAT_ONE, ZERO, rat
 from qseries.laurent import (
     InvalidBase,
     LaurentSeries,
@@ -71,6 +71,14 @@ def test_coeff_examples():
     assert mono(ONE, -1).coeff(-1) == ONE
     euler = poch_infinite(Q, Q, 20)
     assert euler.coeff(5) == ONE
+
+
+@given(series_st)
+def test_coeffs_is_a_tuple_of_the_stored_coefficients(f):
+    cs = f.coeffs
+    assert type(cs) is tuple and cs == f.coeffs
+    assert all(type(c) is CycRat for c in cs[0:2] + cs[1:])
+    assert {f.offset + i: c for i, c in enumerate(cs) if c} == dict(f.terms())
 
 
 def test_coeff_beyond_order():
@@ -214,6 +222,40 @@ def test_product_matches_convolution(f, g):
         for i in range(lo_f, n - lo_g + 1):
             want = want + f.coeff(i) * g.coeff(n - i)
         assert h.coeff(n) == want
+
+
+@st.composite
+def _comparison(draw):
+    """Two series that differ by one term at d, or by a nonzero scalar (every
+    term, numerators often equal over unequal denominators), or not at all;
+    each side exact or finite, and an order below, at or above d."""
+    terms = draw(st.dictionaries(st.integers(-4, 8), coeffs_st, max_size=6))
+    kind = draw(st.sampled_from(["term", "scalar", "same"]))
+    other = dict(terms)
+    if kind == "term":
+        d = draw(st.integers(-6, 14))
+        other[d] = other.get(d, ZERO) + draw(coeffs_st.filter(bool))
+    elif kind == "scalar":
+        r = draw(st.one_of(st.builds(lambda k: CycRat(rat(1, k)), st.integers(2, 6)),
+                           coeffs_st).filter(lambda r: r and r != ONE))
+        other = {e: r * c for e, c in terms.items()}
+    orders = st.none() | st.integers(-6, 16)
+    return (LaurentSeries.from_terms(terms, draw(orders)),
+            LaurentSeries.from_terms(other, draw(orders)), draw(st.integers(-6, 16)))
+
+
+@settings(max_examples=300)
+@given(_comparison())
+def test_agrees_below_is_the_first_differing_coefficient(case):
+    f, g, order = case
+    if any(s.order is not None and s.order < order for s in (f, g)):
+        with pytest.raises(OrderExceeded, match=f"cannot compare below q\\^{order}"):
+            f.agrees_below(g, order)
+        return
+    start = min((s.valuation() for s in (f, g) if not s.is_zero()), default=order)
+    want = next((e for e in range(start, order) if f.coeff(e) != g.coeff(e)), None)
+    assert f.agrees_below(g, order) == want
+    assert g.agrees_below(f, order) == want
 
 
 _BINOMIAL_CS = [CycRat(rat(1, 2)), ONE - OMEGA, CycRat(2) + OMEGA, OMEGA]
@@ -545,6 +587,17 @@ def test_param_inverse_is_kept_and_points_back(p):
         assert back.inv() == inverse and back.inv().inv() is back
     copied = copy.deepcopy(p)
     assert copied == p and copied.inv() == inverse and copied.inv().inv() is copied
+
+
+@pytest.mark.parametrize("exp", [1.5, 2.0, "1", None], ids=repr)
+def test_param_exponent_must_be_an_int(exp):
+    with pytest.raises(TypeError, match=f"got {type(exp).__name__}: "):
+        ParamValue(ONE, exp)
+
+
+def test_param_exponent_int_subclass_is_stored_as_int():
+    p = ParamValue(ONE, True)
+    assert type(p.exp) is int and p == Q and str(p) == "q^1"
 
 
 # -- Pochhammer constructors ---------------------------------------------------------------
