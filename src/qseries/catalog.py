@@ -45,6 +45,7 @@ from .laurent import (
     ParamValue,
     Q,
     ZeroFactor,
+    _as_int,
 )
 from . import vwp
 from .vwp import DegenerateC, Level, Term, _apply, _chain_sum, _product_sum, _term_slack
@@ -505,8 +506,10 @@ def _compare(identity_id: str, order: int, sides) -> VerifyReport:
     """Build (lhs, rhs) = sides() and compare them below ``order``.
 
     Every library exception raised on the way becomes an error report that
-    names the exception type; an order below 1 raises ValueError.
+    names the exception type; an order that is not an int raises TypeError,
+    one below 1 ValueError.
     """
+    order = _as_int(order, "order")
     if order < 1:
         raise ValueError(f"{identity_id}: order must be >= 1, got {order}")
     start = time.perf_counter()

@@ -24,11 +24,18 @@ off zero, which gives exact inversion:
 
 No floating point is used anywhere.
 
+This module owns the two Z[w] rules above on unreduced ints: ``_zw``, the
+product of two numerators, and ``_reciprocal``, the triple of 1/c.  CycRat's
+product, inverse and norm use them, and so do the binomial kernel in
+``laurent`` and the chained sums in ``vwp``, which fold scalars into one
+numerator over one denominator.
+
 The arithmetic above is on ints alone.  A rational is handed out only by
 ``CycRat.a``, ``CycRat.b`` and ``norm()``, built on read, and by ``rat``;
 each is a ``fractions.Fraction``.  The constructor takes any exact rational:
 an int, a Fraction or any registered ``numbers.Rational`` (gmpy2's mpz and
-mpq among them).
+mpq among them), and so does every operator, on either side; a float or a
+string is refused.
 """
 
 from __future__ import annotations
@@ -59,6 +66,18 @@ def _num_den(value) -> tuple[int, int]:
     if isinstance(value, (Fraction, Rational)):  # Fraction first: the ABC check is slowest
         return int(value.numerator), int(value.denominator)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
+
+
+def _zw(x: int, y: int, u: int, v: int) -> tuple[int, int]:
+    """The product (x + y*w)(u + v*w) in Z[w], as its two integer parts."""
+    return x * u - y * v, x * v + y * u - y * v
+
+
+def _reciprocal(x: int, y: int, d: int) -> tuple[int, int, int]:
+    """Integers (ra, rb, rd), not reduced, with 1/c = (ra + rb*w) / rd for
+    c = (x + y*w) / d, d > 0: rd is the norm x^2 - xy + y^2, positive unless
+    c = 0, when all three are 0."""
+    return d * (x - y), -d * y, x * (x - y) + y * y
 
 
 class CycRat:
@@ -147,8 +166,7 @@ class CycRat:
             return NotImplemented
         x, y, d = self._xyd
         u, v, e = other._xyd
-        yv = y * v
-        return _reduced(x * u - yv, x * v + y * u - yv, d * e)
+        return _reduced(*_zw(x, y, u, v), d * e)
 
     __rmul__ = __mul__
 
@@ -172,15 +190,14 @@ class CycRat:
     def norm(self):
         """x * conj(x) = a^2 - a*b + b^2, a Fraction (>= 0)."""
         x, y, d = self._xyd
-        return rat(x * (x - y) + y * y, d * d)
+        return rat(_reciprocal(x, y, d)[2], d * d)
 
     def inverse(self):
         """Exact multiplicative inverse; DivisionByZero on zero."""
-        x, y, d = self._xyd
-        n = x * (x - y) + y * y
+        ra, rb, n = _reciprocal(*self._xyd)
         if not n:
             raise DivisionByZero("inverse of 0 in Q(w)")
-        return _reduced(d * (x - y), -d * y, n)
+        return _reduced(ra, rb, n)
 
     # -- comparison / hashing / rendering ------------------------------------
 
@@ -232,11 +249,11 @@ def _reduced(x: int, y: int, d: int) -> CycRat:
 
 
 def _coerce(value):
-    if isinstance(value, CycRat):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return CycRat(value)
-    return NotImplemented
+    """``value`` as a CycRat when the constructor takes it, else NotImplemented."""
+    try:
+        return value if isinstance(value, CycRat) else CycRat(value)
+    except TypeError:
+        return NotImplemented
 
 
 #: Handy constants.  OMEGA_BAR is the other primitive cube root, w^2 = -1 - w,

@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .coeffring import CycRat
-from .laurent import LaurentSeries, _new
+from .laurent import LaurentSeries, _as_int, _new
 from .catalog import VerifyReport, _compare, registry
 
 ENUMERATION_CAP = 30  # weight cap of enumerate_pairs_A, which builds every pair
@@ -303,6 +303,7 @@ def _gf_report(check_id: str, order: int, counted, identity: str) -> VerifyRepor
     """Counts ``counted(AStats)`` against registry entry ``identity``'s sum side below
     order, reported by ``catalog._compare``: a library exception while expanding
     the sum side is an error report, as in every catalog check."""
+    order = _as_int(order, "order")
     if order < 2:
         raise ValueError(f"{check_id} needs order >= 2, got {order}")
     if order - 1 > STATS_CAP:
@@ -403,6 +404,7 @@ def count_table(order: int) -> dict[str, list[int]]:
     are checked against the listed counts before returning, so a wrong table
     cannot come back quietly.
     """
+    order = _as_int(order, "order")
     if order < 1:
         raise ValueError(f"count_table needs order >= 1, got {order}")
     distinct = [1] + [0] * (order - 1)  # (-q;q)_inf

@@ -18,10 +18,12 @@ The series kernels run in Z[w] on those integer lists, with the product rule
 
 and touch no rational arithmetic.  A scalar c in Q(w) enters a kernel as
 the integers (ca + cb*w) / cd that ``CycRat`` (coeffring) stores, read off
-as they are.  CycRat stays the scalar type at the API edge: the
-constructor, ``from_terms`` and ``monomial`` take CycRat values, and
-``coeff``, ``terms`` and ``coeffs`` (a tuple) hand them out, each built from
-a numerator pair and the denominator on read.
+as they are; the Z[w] product and reciprocal of such integers are
+coeffring's ``_zw`` and ``_reciprocal``.  CycRat stays the scalar type at
+the API edge: the constructor, ``from_terms`` and ``monomial`` take CycRat
+values, and ``coeff``, ``terms`` and ``coeffs`` (a tuple) hand them out,
+each built from a numerator pair and the denominator on read.  An order is
+an int or None, checked where the series is stored.
 
 Order bookkeeping under multiplication accounts for operand valuations:
 a product coefficient at exponent e needs f up to e - val(g) and g up to
@@ -64,14 +66,15 @@ rational factors,
 once per product term or summation step, before the kernel sees it; the
 kernel does no pairing of its own.
 
-``mul_one_minus`` and ``div_one_minus`` are one kernel call each, and so is
-every Pochhammer builder: (a; q)_n, (a; q)_infinity and their inverses are
-thin wrappers over one checked builder, ``_poch``, which runs the base, range,
-order and zero-factor checks once, splits the factors once and normalizes
-once, at O(n * order) instead of the O(order^2) of repeated general
-multiplication.  The facts about a family (1 - a*base^j) that the checks and
-the order rule need, its vanishing factor and the slack of its negative
-exponents, are read off the same split factors (``_factors``).  The
+``scale``, ``shift``, negation, ``mul_one_minus`` and ``div_one_minus`` are
+one kernel call each, and so is every Pochhammer builder: (a; q)_n,
+(a; q)_infinity and their inverses are thin wrappers over one checked
+builder, ``_poch``, which runs the base, range, order and zero-factor checks
+once, splits the factors once and normalizes once, at O(n * order) instead
+of the O(order^2) of repeated general multiplication.  The facts about a
+family (1 - a*base^j) that the checks and the order rule need, its
+vanishing factor and the slack of its negative exponents, are read off the
+same split factors (``_factors``).  The
 chained-sum driver in ``vwp`` steps its partial sums through the kernel on
 pre-split factors, one series per kernel call rather than one per factor.
 
@@ -86,7 +89,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from operator import add, itemgetter, sub
 
-from .coeffring import ZERO, ONE, CycRat, DivisionByZero, _reduced
+from .coeffring import ZERO, ONE, CycRat, DivisionByZero, _reciprocal, _reduced, _zw
 
 class OrderExceeded(Exception):
     """A coefficient beyond the trusted truncation order was requested."""
@@ -105,6 +108,15 @@ class ZeroFactor(ArithmeticError):
     """
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int, an int subclass such as bool as its int; TypeError
+    naming the type of anything else, so no float stands in for an exponent
+    or an order."""
+    if not isinstance(value, int):
+        raise TypeError(f"expected an int {what}, got {type(value).__name__}: {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ParamValue:
     """A monomial parameter c * q^e with c in Q(w), c != 0.
@@ -117,27 +129,17 @@ class ParamValue:
     exp: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.exp, int):
-            raise TypeError(f"expected an int exponent, got {type(self.exp).__name__}: {self.exp!r}")
-        object.__setattr__(self, "exp", int(self.exp))  # int() drops bool and other int subclasses
+        if type(self.exp) is not int:
+            object.__setattr__(self, "exp", _as_int(self.exp, "exponent"))
         if not isinstance(self.coeff, CycRat):
             object.__setattr__(self, "coeff", CycRat(self.coeff))
         if not self.coeff:
             raise ValueError("parameter value must be nonzero")
 
     def inv(self) -> "ParamValue":
-        """The reciprocal parameter 1/(c*q^e) = c^{-1} * q^{-e}.
-
-        Computed once per instance: the reciprocal is kept in the instance's
-        ``__dict__``, not in a field, so eq, hash and repr ignore it, and it
-        points back, so ``p.inv().inv() is p``.
-        """
-        inverse = self.__dict__.get("_inverse")
-        if inverse is None:
-            inverse = ParamValue(self.coeff.inverse(), -self.exp)
-            inverse.__dict__["_inverse"] = self
-            self.__dict__["_inverse"] = inverse
-        return inverse
+        """The reciprocal parameter 1/(c*q^e) = c^{-1} * q^{-e}, a new value
+        computed on each call (one CycRat inverse)."""
+        return ParamValue(self.coeff.inverse(), -self.exp)
 
     def __str__(self):
         if self.exp == 0:
@@ -167,17 +169,6 @@ def _split(c) -> tuple[int, int, int]:
 def _scaled(m: int, xs: list) -> list:
     """The list m*xs (xs itself when m is 1; lists are never mutated once stored)."""
     return xs if m == 1 else [m * x for x in xs]
-
-
-def _zw(x: int, y: int, u: int, v: int) -> tuple[int, int]:
-    """The product (x + y*w)(u + v*w) in Z[w], as its two integer parts."""
-    return x * u - y * v, x * v + y * u - y * v
-
-
-def _reciprocal(ca: int, cb: int, cd: int) -> tuple[int, int, int]:
-    """Integers (ra, rb, rd), not reduced, with 1/c = (ra + rb*w) / rd for
-    c = (ca + cb*w) / cd != 0: rd is the norm ca^2 - ca*cb + cb^2."""
-    return cd * (ca - cb), -cd * cb, ca * ca - ca * cb + cb * cb
 
 
 def _times(ca: int, cb: int, parts: list) -> list:
@@ -219,10 +210,14 @@ class LaurentSeries:
 
     def _store(self, offset: int, a: list, b: list, den: int, order: int | None):
         """Normalize numerators ``a``, ``b`` over ``den`` into the invariant:
-        truncated at the order, trimmed of zero pairs, reduced."""
-        if order is not None and order - offset < len(a):
-            keep = max(order - offset, 0)
-            a, b = a[:keep], b[:keep]
+        truncated at the order, trimmed of zero pairs, reduced.  An order that
+        is not None must be an int."""
+        if order is not None:
+            if type(order) is not int:  # every series passes here: an int makes no call
+                order = _as_int(order, "order")
+            if order - offset < len(a):
+                keep = max(order - offset, 0)
+                a, b = a[:keep], b[:keep]
         lo, hi = 0, len(a)
         while lo < hi and not a[lo] and not b[lo]:
             lo += 1
@@ -322,8 +317,7 @@ class LaurentSeries:
         return _plus(None, self, other)
 
     def __neg__(self):
-        return _new(self.offset, [-x for x in self._a], [-y for y in self._b],
-                    self._den, self.order)
+        return _binomials(self, unit=(-1, 0, 1))
 
     def __sub__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -332,16 +326,11 @@ class LaurentSeries:
 
     def scale(self, c) -> "LaurentSeries":
         """Multiply by a scalar from Q(w)."""
-        ca, cb, cd = _split(c)
-        if not ca and not cb:
-            return _new(0, [], [], 1, self.order)
-        a, b = _times(ca, cb, [self._a, self._b])
-        return _new(self.offset, a, b, self._den * cd, self.order)
+        return _binomials(self, unit=_split(c))
 
     def shift(self, e: int) -> "LaurentSeries":
         """Multiply by the exact monomial q^e."""
-        order = None if self.order is None else self.order + e
-        return _new(self.offset + e, self._a, self._b, self._den, order)
+        return _binomials(self, shift=e)
 
     # -- multiplicative structure --------------------------------------------------
 
@@ -549,10 +538,10 @@ def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
     series 0 at once.  Dividing by it with e = 0 scales by 1/(1 - c),
     DivisionByZero when c = 1, raised where the factor stands among the
     divisions.  Otherwise the quotient is trusted below the lower of the
-    order (moved by the shift) and ``cap``, and OrderExceeded is raised when
-    both are None.  With e > 0 the recurrence g[j] = f[j] + c*g[j-e] runs
-    entry by entry; with G_j = den * cd^(j // e) * g_j every step stays in
-    Z[w]:
+    order (moved by the shift) and ``cap`` (an int or None), and
+    OrderExceeded is raised when both are None.  With e > 0 the recurrence
+    g[j] = f[j] + c*g[j-e] runs entry by entry; with
+    G_j = den * cd^(j // e) * g_j every step stays in Z[w]:
 
         G_j = cd^(j // e) * F_j + (ca + cb*w) * G_{j-e}.
 
@@ -564,6 +553,8 @@ def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
     With ``plus`` the result is _plus(cap, plus, the product), summed before
     the product is normalized, so the pair is normalized once.
     """
+    if cap is not None and type(cap) is not int:
+        cap = _as_int(cap, "order")
     offset, den, order = f.offset, f._den, f.order
     parts = _parts(f)
     if shift:
@@ -605,12 +596,12 @@ def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
         parts = new
         den *= cd
     for ca, cb, cd, e in divs:
-        if e == 0:  # the scalar cd / (x + y*w) = cd * (x - y - y*w) / norm
-            x, y = cd - ca, -cb
-            if not x and not y:
+        if e == 0:  # the scalar 1/(1 - c) = cd / (cd - ca - cb*w)
+            ra, rb, rd = _reciprocal(cd - ca, -cb, cd)
+            if not rd:
                 raise DivisionByZero("division by the zero binomial (1 - 1)")
-            sa, sb = _zw(sa, sb, cd * (x - y), -cd * y)
-            sd *= x * x - x * y + y * y
+            sa, sb = _zw(sa, sb, ra, rb)
+            sd *= rd
             continue
         if not ca and not cb:
             continue

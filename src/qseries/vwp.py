@@ -68,7 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .coeffring import ONE, CycRat
+from .coeffring import ONE, CycRat, _zw
 from .laurent import (
     InvalidBase,
     LaurentSeries,
@@ -85,7 +85,6 @@ from .laurent import (
     _plus,
     _split,
     _zero_factor_index,
-    _zw,
 )
 
 

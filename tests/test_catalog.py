@@ -1,11 +1,12 @@
 """Identity registry: canonical contents, verification, derivation checks."""
 
 from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 
 import pytest
 
-from qseries import catalog, laurent, vwp
+from qseries import catalog, combinat, laurent, vwp
 from qseries.catalog import (
     FirstMismatch,
     IdentityEntry,
@@ -17,7 +18,7 @@ from qseries.catalog import (
     verify,
     verify_all,
 )
-from qseries.coeffring import CycRat, DivisionByZero, ONE
+from qseries.coeffring import CycRat, DivisionByZero, OMEGA, ONE
 from qseries.laurent import InvalidBase, LaurentSeries, OrderExceeded, ParamValue, ZeroFactor
 from qseries.vwp import Term
 
@@ -289,3 +290,38 @@ def test_every_one_edit_mutant_of_the_data_is_seen():
             probed += len(mutants)
     assert survivors == []
     assert probed == 1191  # on 28 sum sides and 29 product sides
+
+
+# One entry point per path an order takes: catalog checks, the chained sums, the
+# product sides, the counting tables, series storage and the kernel's cap.
+ORDER_ENTRIES = {
+    "verify": lambda n: verify("A1-a", n),
+    "verify-Cor-a": lambda n: verify("Cor-a", n),
+    "derivation_check": lambda n: derivation_check("A1-a", n),
+    "lhs_multisum": lambda n: vwp.lhs_multisum((ParamValue(OMEGA), ParamValue(-ONE)), n),
+    "rhs_products": lambda n: vwp.rhs_products((ParamValue(OMEGA), ParamValue(-ONE)), n),
+    "gf_check_Aprime": lambda n: combinat.gf_check_Aprime(n),
+    "count_series": lambda n: combinat.count_series("pairs", n),
+    "LaurentSeries.one": LaurentSeries.one,
+    "div_one_minus": lambda n: LaurentSeries.one(30).div_one_minus(ONE, 1, n),
+}
+
+
+@pytest.mark.parametrize("order", [24.0, 12.5, Fraction(12)], ids=repr)
+@pytest.mark.parametrize("entry", ORDER_ENTRIES)
+def test_order_must_be_an_int(entry, order):
+    with pytest.raises(TypeError, match=f"^expected an int order, got {type(order).__name__}: "):
+        ORDER_ENTRIES[entry](order)
+
+
+class Order(int):
+    """An int subclass, as bool is one."""
+
+
+@pytest.mark.parametrize("entry", ORDER_ENTRIES)
+def test_order_int_subclass_is_its_int(entry):
+    got, want = ORDER_ENTRIES[entry](Order(12)), ORDER_ENTRIES[entry](12)
+    assert type(got.order) is int
+    if isinstance(want, VerifyReport):
+        got, want = replace(got, elapsed=0), replace(want, elapsed=0)
+    assert got == want

@@ -85,6 +85,27 @@ def test_rational_embedding_and_coercion():
     assert type(rat(4, -6)) is Fraction
 
 
+OPERATORS = (
+    lambda x, y: x + y, lambda x, y: y + x, lambda x, y: x - y, lambda x, y: y - x,
+    lambda x, y: x * y, lambda x, y: y * x, lambda x, y: x / y, lambda x, y: y / x,
+)
+
+
+@pytest.mark.parametrize("x", [CycRat(1), CycRat(Fraction(2, 3), -1)], ids=str)
+def test_operators_take_what_the_constructor_takes(x):
+    # a registered numbers.Rational that is no Fraction, on either side of every operator
+    for value in (Ratio(1, 2), Ratio(-3, -6), Ratio(4, -6)):
+        same = Fraction(value.numerator, value.denominator)
+        for op in OPERATORS:
+            assert op(x, value) == op(x, same) == op(x, CycRat(same))
+        assert CycRat(same) == value and value == CycRat(same)
+        assert x != value and value != x
+    for value in (0.5, "1/2"):
+        for op in OPERATORS:
+            with pytest.raises(TypeError):
+                op(x, value)
+
+
 @pytest.mark.parametrize("value", [0.5, 0.1, "1/3", None, 1j], ids=repr)
 def test_inexact_scalars_are_refused(value):
     # no float or string may slip into a coefficient, at any entry point
