@@ -46,6 +46,8 @@ from .laurent import (
     Q,
     ZeroFactor,
     _as_int,
+    _built,
+    _state,
 )
 from . import vwp
 from .vwp import DegenerateC, Level, Term, _apply, _chain_sum, _product_sum, _term_slack
@@ -553,7 +555,7 @@ def _derived(sp: Specialization, order: int) -> LaurentSeries:
         x, y, z = sp.params
         rest = (vwp.corollary_k3(x, y, z, sp.base, work)
                 - vwp.corollary_k2(y, z, sp.base, work))
-    return _apply(sp.prefactor, rest).require_order(order)
+    return _built(_apply(sp.prefactor, _state(rest))).require_order(order)
 
 
 def derivation_check(identity_id: str, order: int = DEFAULT_ORDER) -> VerifyReport:

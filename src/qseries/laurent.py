@@ -23,7 +23,8 @@ coeffring's ``_zw`` and ``_reciprocal``.  CycRat stays the scalar type at
 the API edge: the constructor, ``from_terms`` and ``monomial`` take CycRat
 values, and ``coeff``, ``terms`` and ``coeffs`` (a tuple) hand them out,
 each built from a numerator pair and the denominator on read.  An order is
-an int or None, checked where the series is stored.
+an int or None and an exponent an int, checked where the series is stored,
+a shift enters or a coefficient is read.
 
 Order bookkeeping under multiplication accounts for operand valuations:
 a product coefficient at exponent e needs f up to e - val(g) and g up to
@@ -38,10 +39,9 @@ trust coefficients that depend on truncated ones.
 
 The binomials (1 - c*q^e) do the heavy lifting for Pochhammer symbols and
 chained sums, and one private kernel, ``_binomials``, is their only
-implementation.  It takes a series and applies a shift, a scalar and any
-number of multiplications and divisions by binomials whose c arrives already
-split into integers, working on the integer lists and building one
-normalized series at the end:
+implementation.  It takes a raw kernel state and applies a shift, a scalar
+and any number of multiplications and divisions by binomials whose c arrives
+already split into integers, working on the integer lists:
 
     multiplying by (1 - c*q^e) is one pass over the data;
     dividing by it is the forward recurrence g[j] = f[j] + c*g[j-e],
@@ -53,8 +53,19 @@ quotients have only +-1 parameters), both lists from the first step with a
 w-part on; the stored series always has both.  The scalars (the unit and
 every factor with e = 0) fold into one and apply last, so scalars that are
 rational in total keep a rational series on one list.  A factor that touches
-nothing below the order is skipped, and the kernel can add a second series
-to its result before normalizing, which is how the chained sums add.
+nothing below the order is skipped.
+
+A kernel state is the tuple (offset, parts, den, order) the kernel works
+on, with parts [a] or [a, b]: the kernel takes one (``_state`` reads it off
+a series) and returns one, and ``_built`` normalizes a state into a series.
+A state is not normalized: it may carry zero pairs at either end, and its
+lists may run past an order that was lowered; only its denominator is kept
+in lowest terms, so that the numbers stay as small as a series' would.  The
+kernel can add a second state, the addend, straight into the lists it has
+just built, padding them where the addend starts lower or ends higher
+(``_added``, which ``_plus`` also sums with).  The chained sums and product
+sums of ``vwp`` step their partial sums through the kernel as states, each
+step adding the previous partial sum in place, and build one series per sum.
 
 The parameters of the paper's products come with their reciprocals, and at
 a root of unity c the reciprocal is the conjugate, so w-factors meet their
@@ -74,9 +85,8 @@ once, splits the factors once and normalizes once, at O(n * order) instead
 of the O(order^2) of repeated general multiplication.  The facts about a
 family (1 - a*base^j) that the checks and the order rule need, its
 vanishing factor and the slack of its negative exponents, are read off the
-same split factors (``_factors``).  The
-chained-sum driver in ``vwp`` steps its partial sums through the kernel on
-pre-split factors, one series per kernel call rather than one per factor.
+same split factors (``_factors``).  Each of them still builds and returns a
+normalized series.
 
 ``inverse`` divides by a general series with plain forward substitution on
 CycRat values.  The library divides only by binomials, so ``inverse`` is the
@@ -86,6 +96,7 @@ reference the tests hold the kernel's divisions to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm
 from operator import add, itemgetter, sub
 
@@ -171,17 +182,27 @@ def _scaled(m: int, xs: list) -> list:
     return xs if m == 1 else [m * x for x in xs]
 
 
+def _cancelled(den: int, parts) -> tuple:
+    """``den`` and the numerator lists ``parts`` divided by their gcd."""
+    g = gcd(den, *chain.from_iterable(parts))
+    if g == 1:
+        return den, parts
+    return den // g, [[x // g for x in xs] for xs in parts]
+
+
 def _times(ca: int, cb: int, parts: list) -> list:
     """Numerator lists of (ca + cb*w) * (x + y*w), entry by entry.
 
     ``parts`` is [xs] for a rational operand (every y is 0) or [xs, ys]; the
     result is one list only when both the operand and the scalar are rational.
+    It is ``parts`` itself for the scalar 1 and new lists otherwise, none
+    shared, so the kernel may add its addend into them.
     """
     if not cb:
         return parts if ca == 1 else [[ca * x for x in xs] for xs in parts]
     xs = parts[0]
     if len(parts) == 1:
-        return [_scaled(ca, xs), _scaled(cb, xs)]
+        return [[ca * x for x in xs], [cb * x for x in xs]]
     cab = ca - cb
     return [[ca * x - cb * y for x, y in zip(xs, parts[1])],
             [cb * x + cab * y for x, y in zip(xs, parts[1])]]
@@ -210,10 +231,12 @@ class LaurentSeries:
 
     def _store(self, offset: int, a: list, b: list, den: int, order: int | None):
         """Normalize numerators ``a``, ``b`` over ``den`` into the invariant:
-        truncated at the order, trimmed of zero pairs, reduced.  An order that
-        is not None must be an int."""
+        truncated at the order, trimmed of zero pairs, reduced.  The offset
+        and an order that is not None must be ints."""
+        if type(offset) is not int:  # every series passes here: an int makes no call
+            offset = _as_int(offset, "exponent")
         if order is not None:
-            if type(order) is not int:  # every series passes here: an int makes no call
+            if type(order) is not int:
                 order = _as_int(order, "order")
             if order - offset < len(a):
                 keep = max(order - offset, 0)
@@ -229,24 +252,20 @@ class LaurentSeries:
             if lo or hi < len(a):
                 offset, a, b = offset + lo, a[lo:hi], b[lo:hi]
             if den != 1:
-                g = gcd(den, *a, *b)
-                if g != 1:
-                    den //= g
-                    a = [x // g for x in a]
-                    b = [y // g for y in b]
+                den, (a, b) = _cancelled(den, (a, b))
         self.offset, self._a, self._b, self._den, self.order = offset, a, b, den, order
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def from_terms(cls, terms: dict[int, CycRat], order: int | None = None):
-        """Series from an {exponent: coefficient} mapping."""
+        """Series from an {exponent: coefficient} mapping; the exponents must be ints."""
         if not terms:
             return cls(0, [], order)
-        lo = min(terms)
-        hi = max(terms)
-        coeffs = [ZERO] * (hi - lo + 1)
-        for e, c in terms.items():
+        exps = [e if type(e) is int else _as_int(e, "exponent") for e in terms]
+        lo = min(exps)
+        coeffs = [ZERO] * (max(exps) - lo + 1)
+        for e, c in zip(exps, terms.values()):
             coeffs[e - lo] = c
         return cls(lo, coeffs, order)
 
@@ -279,7 +298,9 @@ class LaurentSeries:
         return self.offset
 
     def coeff(self, exp: int) -> CycRat:
-        """Coefficient of q^exp; OrderExceeded beyond the trusted range."""
+        """Coefficient of q^exp, an int; OrderExceeded beyond the trusted range."""
+        if type(exp) is not int:
+            exp = _as_int(exp, "exponent")
         if self.order is not None and exp >= self.order:
             raise OrderExceeded(
                 f"coefficient of q^{exp} requested, trusted only below q^{self.order}"
@@ -317,7 +338,7 @@ class LaurentSeries:
         return _plus(None, self, other)
 
     def __neg__(self):
-        return _binomials(self, unit=(-1, 0, 1))
+        return _built(_binomials(_state(self), unit=(-1, 0, 1)))
 
     def __sub__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -326,11 +347,13 @@ class LaurentSeries:
 
     def scale(self, c) -> "LaurentSeries":
         """Multiply by a scalar from Q(w)."""
-        return _binomials(self, unit=_split(c))
+        return _built(_binomials(_state(self), unit=_split(c)))
 
     def shift(self, e: int) -> "LaurentSeries":
-        """Multiply by the exact monomial q^e."""
-        return _binomials(self, shift=e)
+        """Multiply by the exact monomial q^e; e must be an int."""
+        if type(e) is not int:
+            e = _as_int(e, "exponent")
+        return _built(_binomials(_state(self), shift=e))
 
     # -- multiplicative structure --------------------------------------------------
 
@@ -360,7 +383,7 @@ class LaurentSeries:
 
     def mul_one_minus(self, c: CycRat, e: int) -> "LaurentSeries":
         """Multiply by the exact binomial (1 - c*q^e) in one pass."""
-        return _binomials(self, muls=((*_split(c), e),))
+        return _built(_binomials(_state(self), muls=((*_split(c), e),)))
 
     def div_one_minus(self, c: CycRat, e: int, order: int | None = None) -> "LaurentSeries":
         """Divide by (1 - c*q^e) via the forward recurrence g[j] = f[j] + c*g[j-e].
@@ -370,7 +393,7 @@ class LaurentSeries:
         The result needs a finite order: pass one, or the receiver must
         already carry one.
         """
-        return _binomials(self, divs=((*_split(c), e),), cap=order)
+        return _built(_binomials(_state(self), divs=((*_split(c), e),), cap=order))
 
     def inverse(self, order: int | None = None) -> "LaurentSeries":
         """Multiplicative inverse by forward substitution in Q(w).
@@ -466,53 +489,88 @@ def _new(offset: int, a: list, b: list, den: int, order: int | None) -> LaurentS
 # -- the binomial kernel ------------------------------------------------------------------
 
 
-def _parts(s: LaurentSeries) -> list:
-    """The numerator lists the kernel works on: [a] for a rational series, else [a, b]."""
-    return [s._a, s._b] if any(s._b) else [s._a]
+def _state(s: LaurentSeries) -> tuple:
+    """The kernel state of ``s``: (offset, parts, den, order), where parts is
+    [a] for a rational series, else [a, b]."""
+    return s.offset, [s._a, s._b] if any(s._b) else [s._a], s._den, s.order
 
 
-def _built(offset: int, parts: list, den: int, order: int | None) -> LaurentSeries:
-    """The normalized series with numerator lists ``parts`` over ``den``."""
+def _zero(order: int | None) -> tuple:
+    """The kernel state of 0 trusted below ``order``, an int or None."""
+    if order is not None and type(order) is not int:
+        order = _as_int(order, "order")
+    return 0, [[]], 1, order
+
+
+def _one(order: int | None) -> tuple:
+    """The kernel state of the constant 1 trusted below ``order``, an int or None."""
+    if order is not None and type(order) is not int:
+        order = _as_int(order, "order")
+    return 0, [[1]], 1, order
+
+
+def _built(state: tuple) -> LaurentSeries:
+    """The normalized series of a kernel state."""
+    offset, parts, den, order = state
     a = parts[0]
     return _new(offset, a, parts[1] if len(parts) > 1 else [0] * len(a), den, order)
 
 
-def _sum(order: int | None, pieces) -> LaurentSeries:
-    """The sum of ``pieces`` (offset, parts, den) below ``order``, on one list when
-    every piece is rational."""
-    lo = hi = None
-    den, width, kept = 1, 1, []
-    for offset, parts, d in pieces:
-        if parts[0] and (order is None or offset < order):
-            end = offset + len(parts[0])
-            lo, hi = (offset, end) if lo is None else (min(lo, offset), max(hi, end))
-            den, width = lcm(den, d), max(width, len(parts))
-            kept.append((offset, parts, d))
-    if lo is None:
-        return _new(0, [], [], 1, order)
-    if order is not None:
-        hi = min(hi, order)
-    out = [[0] * (hi - lo) for _ in range(width)]
-    for offset, parts, d in kept:
-        m, i = den // d, offset - lo
-        j = min(i + len(parts[0]), hi - lo)
-        for acc, xs in zip(out, parts):
-            acc[i:j] = map(add, acc[i:j], _scaled(m, xs))
-    return _built(lo, out, den, order)
+def _added(state: tuple, g: tuple, order: int | None) -> tuple:
+    """The kernel state ``state`` plus the state ``g``, trusted below ``order``.
+
+    g's entries below the order are added into the lists of ``state`` in
+    place, so those lists must be the caller's own, shared with nothing.
+    They take zeros where g starts lower or ends higher and a list of
+    w-parts when g has one, and are cut at the order; both sides come over
+    the lcm of their denominators.  The sum is not normalized.
+    """
+    offset, parts, den, _ = state
+    go, gparts, gd, _ = g
+    n = len(gparts[0]) if order is None else min(len(gparts[0]), order - go)
+    if n > 0:
+        if not parts[0]:
+            offset, den = go, gd
+        d = lcm(den, gd)
+        if d != den:
+            parts = [_scaled(d // den, xs) for xs in parts]
+            den = d
+        if len(gparts) > len(parts):
+            parts = [parts[0], [0] * len(parts[0])]
+        if go < offset:
+            pad = [0] * (offset - go)
+            for xs in parts:
+                xs[:0] = pad
+            offset = go
+        i = go - offset
+        grow = i + n - len(parts[0])
+        if grow > 0:
+            for xs in parts:
+                xs.extend([0] * grow)
+        m = d // gd
+        for xs, ys in zip(parts, gparts):
+            xs[i:i + n] = map(add, xs[i:i + n], _scaled(m, ys))
+    if order is not None and len(parts[0]) > order - offset:
+        keep = max(order - offset, 0)
+        parts = [xs[:keep] for xs in parts]
+    return offset, parts, den, order
 
 
 def _plus(cap: int | None, *terms: LaurentSeries) -> LaurentSeries:
     """The sum of ``terms``, trusted below the lowest of their orders and ``cap``.
     It adds the 1-parts alone when every term is rational."""
-    return _sum(_lowest(cap, *(s.order for s in terms)),
-                [(s.offset, _parts(s), s._den) for s in terms])
+    order = _lowest(cap, *(s.order for s in terms))
+    total = _zero(order)
+    for s in terms:
+        total = _added(total, _state(s), order)
+    return _built(total)
 
 
-def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
+def _binomials(f: tuple, muls=(), divs=(), cap: int | None = None,
                shift: int = 0, unit: tuple | None = None,
-               plus: LaurentSeries | None = None) -> LaurentSeries:
-    """The series q^shift * unit * f * prod_muls (1 - c q^e) / prod_divs (1 - c q^e),
-    plus the series ``plus`` when given.
+               plus: tuple | None = None) -> tuple:
+    """The kernel state of q^shift * unit * f * prod_muls (1 - c q^e) / prod_divs (1 - c q^e),
+    plus ``plus`` when given, for kernel states f and ``plus``.
 
     Every factor comes split as (ca, cb, cd, e) with c = (ca + cb*w)/cd, and
     ``unit``, when given, as (ua, ub, ud).  The binomial steps (e != 0) apply
@@ -522,10 +580,10 @@ def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
     denominator that multiplies the series after the steps, so a product of
     scalars that is rational in total (the C and D helpers of vwp) never
     gives the series a w-part.  The numerators stay over one growing
-    denominator, and the result is normalized once, when the series is
-    built.  They are one list, the 1-parts, while f and the steps so far are
-    rational; the first step with a w-part adds the list of w-parts, and so
-    does a scalar with one.
+    denominator, which the returned state has in lowest terms; nothing else
+    is normalized.  They are one list, the 1-parts, while f and the steps so
+    far are rational; the first step with a w-part adds the list of w-parts,
+    and so does a scalar with one.
 
     A factor with e < 0 is first factored as
 
@@ -550,13 +608,17 @@ def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
     least order - offset, and a division whose e is at least the length
     below the order.
 
-    With ``plus`` the result is _plus(cap, plus, the product), summed before
-    the product is normalized, so the pair is normalized once.
+    With ``plus`` the result is the state of _plus(cap, plus, the product):
+    the addend's entries below that order are added in place into the lists
+    the steps built for the product (``_added``), every list of the addend,
+    its w-parts included, over the lcm of the two denominators.  When no step
+    built a list the product's lists are f's, and they are copied first, so
+    the lists of f and ``plus`` are never changed and states share them
+    freely.
     """
     if cap is not None and type(cap) is not int:
         cap = _as_int(cap, "order")
-    offset, den, order = f.offset, f._den, f.order
-    parts = _parts(f)
+    offset, parts, den, order = f
     if shift:
         offset += shift
         if order is not None:
@@ -652,10 +714,14 @@ def _binomials(f: LaurentSeries, muls=(), divs=(), cap: int | None = None,
             den *= powers[top]
     parts = _times(sa, sb, parts)
     den *= sd
-    if plus is None:
-        return _built(offset, parts, den, order)
-    return _sum(_lowest(cap, plus.order, order),
-                [(plus.offset, _parts(plus), plus._den), (offset, parts, den)])
+    if plus is not None:
+        if parts is f[1]:  # no step built lists: copy f's before adding into them
+            parts = [xs[:] for xs in parts]
+        offset, parts, den, order = _added((offset, parts, den, order), plus,
+                                           _lowest(cap, plus[3], order))
+    if den != 1:
+        den, parts = _cancelled(den, parts)
+    return offset, parts, den, order
 
 
 #: The four roots c = w, w^2, -w, -w^2, split as (ca, cb, cd), each mapped to
@@ -789,13 +855,12 @@ def _poch(a: ParamValue, base: ParamValue, n: int | None, order: int | None,
     if order is None:
         if invert:
             raise OrderExceeded("an inverse Pochhammer product needs a finite truncation order")
-        return _binomials(LaurentSeries.one(), muls=_factors(a, base, n))
+        return _built(_binomials(_one(None), muls=_factors(a, base, n)))
     slack = _negative_slack(a, base, n)
     if invert:
-        return _binomials(LaurentSeries.one(order),
-                          divs=_factors(a, base, n, order - slack), cap=order)
-    return _binomials(LaurentSeries.one(order + slack),
-                      muls=_factors(a, base, n, order + slack))
+        return _built(_binomials(_one(order), divs=_factors(a, base, n, order - slack),
+                                 cap=order))
+    return _built(_binomials(_one(order + slack), muls=_factors(a, base, n, order + slack)))
 
 
 def poch_finite(a: ParamValue, base: ParamValue, n: int,

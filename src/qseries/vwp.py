@@ -35,6 +35,11 @@ nests the sum from the inside out, Horner style, with U_{L+1}(m) = 1 and
 
 for the term ratios r_i, so a k-fold sum costs O(k * order) calls of the
 laurent binomial kernel, each on the merged ratios of the inner levels.
+Every U_j(m) is kept as a raw kernel state (laurent's offset, numerator
+lists, denominator and order), never as a series: each step adds U_{j+1}(m)
+into the lists it has just built for the product, and the sum is
+normalized once, when the first term has been applied and its series is
+built.
 
 A product term (``Term``) is nothing but binomials: a scalar, a shift,
 binomials (1 - c q^e)^{+-1} and Pochhammer powers (c q^e; base)_inf^k.  It
@@ -44,10 +49,12 @@ built or multiplied.  Every closed form is a list of Terms: C(z,y) is two
 divided binomials, D a product of binomials, A_{k,i} a product of k - 1 Cs,
 and the corollary right sides, the product side of the identity and the
 closed form of F_k are Terms applied to the constant 1, one Term per A_{k,i}
-in the last two.
+in the last two.  A sum of Terms is also normalized once: each Term's
+kernel call adds the Terms before it.
 
-Every parameter b comes with 1/b, and at a root of unity 1/b is the
-conjugate, so the w-factors of a Term or of a level's step come in
+Every parameter b comes with 1/b, taken once per call of a public function
+(``_inverted``) and handed on as the pair (b, 1/b).  At a root of unity 1/b
+is the conjugate, so the w-factors of a Term or of a level's step come in
 conjugate pairs at one q-power.  Each such pair is rational, and is paired
 (``laurent._paired``) once per Term and once per step before the kernel
 runs; with the scalars of C and D, rational in total, the root-of-unity
@@ -77,13 +84,16 @@ from .laurent import (
     Q,
     ZeroFactor,
     _binomials,
+    _built,
     _check_base,
     _factors,
     _lowest,
     _negative_slack,
+    _one,
     _paired,
-    _plus,
     _split,
+    _state,
+    _zero,
     _zero_factor_index,
 )
 
@@ -101,6 +111,14 @@ def as_params(params) -> tuple[ParamValue, ...]:
         if not isinstance(p, ParamValue):
             raise TypeError(f"expected ParamValue, got {type(p).__name__}")
     return items
+
+
+def _inverted(*params: ParamValue) -> tuple:
+    """Each parameter with its reciprocal, as the pair (p, 1/p), taking one
+    inverse per distinct parameter.  The helpers below take such pairs, so
+    a call inverts each of its parameters once."""
+    inverse = {p: p.inv() for p in dict.fromkeys(params)}
+    return tuple((p, inverse[p]) for p in params)
 
 
 def _param_mul(a: ParamValue, b: ParamValue) -> ParamValue:
@@ -174,8 +192,9 @@ def _powers(t: Term):
         yield p, base, k
 
 
-def _apply(t: Term, f: LaurentSeries) -> LaurentSeries:
-    """The series t * f, in one call of the binomial kernel.
+def _apply(t: Term, f: tuple, plus: tuple | None = None) -> tuple:
+    """The kernel state of t * f, plus the state ``plus`` when given, for the
+    kernel state f, in one call of the binomial kernel.
 
     The scalar is the kernel's unit and the shift its shift; the Term's
     binomials and, repeated |k| times, the factors of each (c q^e; base)_inf^k
@@ -185,7 +204,8 @@ def _apply(t: Term, f: LaurentSeries) -> LaurentSeries:
     at least e plus the valuation of everything else.  The shift and the
     factors with e < 0 move that valuation and the trusted order alike, so
     of f trusted below a finite N only factors with e below N minus f's
-    valuation can touch a trusted coefficient, and only those are applied.
+    valuation can touch a trusted coefficient; those with e below N minus
+    f's offset, which is at most its valuation, are applied.
     The result is trusted at least below N + t.shift minus the negative
     exponents of the multiplications.  An exact f (order None) takes a Term
     without Pochhammer powers exactly; a Pochhammer power raises
@@ -199,26 +219,29 @@ def _apply(t: Term, f: LaurentSeries) -> LaurentSeries:
     kernel's scalar, where a pair is 3 or 1 and the quotient 0/0.  An exact
     f is not paired: a paired multiplication divides, which needs an order.
     """
+    offset, _, _, order = f
     muls = [(*_split(c), e) for c, e in t.muls]
     divs = [(*_split(c), e) for c, e in t.divs]
     for p, base, k in _powers(t):
-        if f.order is None:
+        if order is None:
             raise OrderExceeded("a Pochhammer power is an infinite product; "
                                 "a finite order is required")
-        (muls if k > 0 else divs).extend(_factors(p, base, below=f.order - f.offset) * abs(k))
-    if f.order is not None:
+        (muls if k > 0 else divs).extend(_factors(p, base, below=order - offset) * abs(k))
+    if order is not None:
         muls, divs = _paired(muls, divs)
-    return _binomials(f, muls, divs, shift=t.shift, unit=_split(t.scalar))
+    return _binomials(f, muls, divs, shift=t.shift, unit=_split(t.scalar), plus=plus)
 
 
 def _product_sum(terms, order: int | None) -> LaurentSeries:
     """The sum of ``terms``, trusted below ``order``: one kernel call per Term,
-    each on the constant 1 trusted far enough for the Term to reach ``order``.
-    With order None the Terms must be Laurent polynomials, summed exactly."""
+    each on the constant 1 trusted far enough for the Term to reach ``order``
+    and adding the Terms before it, and one series built at the end.  With
+    order None the Terms must be Laurent polynomials, summed exactly."""
     slacks = [_term_slack(t) for t in terms]  # every base is checked before any product
-    summands = [_apply(t, LaurentSeries.one(None if order is None else order + slack - t.shift))
-                for t, slack in zip(terms, slacks)]
-    return _plus(order, *summands)
+    total = _zero(order)
+    for t, slack in zip(terms, slacks):
+        total = _apply(t, _one(None if order is None else order + slack - t.shift), total)
+    return _built(total)
 
 
 def _merged(*terms: Term) -> Term:
@@ -277,8 +300,11 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
     down to 0, the deepest level first, and each (j, m) below level j's top
     is one kernel call: it multiplies U_j(m+1) by the weights, shifts and
     binomials of levels j..L at m, each level split once per index, and adds
-    U_{j+1}(m) before the result is normalized.  The first term then applies
-    to U_1(0) in one more kernel call.  A level with no vanishing numerator
+    U_{j+1}(m) into the lists it built for the product.  Every U_j(m) stays a
+    kernel state between the calls; at level j's top, U_j(top) = U_{j+1}(top)
+    only has its order lowered to the cap.  The first term then applies to
+    U_1(0) in one more kernel call, and the sum is normalized once, when that
+    state is built into a series.  A level with no vanishing numerator
     factor never ends (``_first_zero`` is None); only the order stops it, so
     order None raises OrderExceeded once the bases are checked.
 
@@ -333,8 +359,8 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
         tops.append(m)
     # splits[j][m]: level j's ratio at m; tails[j][m]: the slack its numerators hold at >= m
     splits, tails = zip(*(_split_steps(lv, top) for lv, top in zip(levels, tops)))
-    one = LaurentSeries.one()
-    above = [None] * len(levels)  # above[j]: U_j at the index above m
+    one = _one(None)
+    above = [None] * len(levels)  # above[j]: the state of U_j at the index above m
     for m in range(tops[-1], -1, -1):
         inner, unit, shift, muls, divs, held = one, (1, 0, 1), 0, (), (), 0
         for j in range(len(levels) - 1, -1, -1):
@@ -348,27 +374,30 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
                 unit = (*_zw(ua, ub, va, vb), ud * vd)
                 shift, muls, divs = shift + s, mu + muls, dv + divs
                 inner = _binomials(above[j], muls, divs, cap, shift, unit, plus=inner)
-            else:
-                inner = inner.truncate(cap)
+            else:  # U_j(top) = U_{j+1}(top), kept below the cap: only the order falls
+                offset, parts, den, below = inner
+                inner = offset, parts, den, _lowest(below, cap)
             above[j] = inner
-    return _apply(first, above[0]).require_order(order)
+    return _built(_apply(first, above[0])).require_order(order)
 
 
 def _vwp_level(nums, dens, base: ParamValue, weight: ParamValue | None = None) -> Level:
     """The ratio weight * prod_{p in nums} (1 - p base^M)(1 - base^M/p)
-    / prod_{p in dens} (1 - p base^{M+1})(1 - base^{M+1}/p); weight defaults to base."""
+    / prod_{p in dens} (1 - p base^{M+1})(1 - base^{M+1}/p); weight defaults to base.
+    nums and dens hold the pairs (p, 1/p) of ``_inverted``."""
     return Level(
         base if weight is None else weight,
-        tuple((b, base) for p in nums for b in (p, p.inv())),
-        tuple((_param_mul(base, b), base) for p in dens for b in (p, p.inv())),
+        tuple((b, base) for pair in nums for b in pair),
+        tuple((_param_mul(base, b), base) for pair in dens for b in pair),
     )
 
 
 # -- the closed forms' factors, as Terms ------------------------------------------------
 
 
-def _c_term(z: ParamValue, y: ParamValue) -> Term:
-    """C(z,y) = z^-1 / ((1 - y/z)(1 - 1/(yz))), as (z - y)(1 - 1/(yz)) = z + 1/z - y - 1/y.
+def _c_term(z: tuple, y: tuple) -> Term:
+    """C(z,y) = z^-1 / ((1 - y/z)(1 - 1/(yz))), as (z - y)(1 - 1/(yz)) = z + 1/z - y - 1/y,
+    for z and y given as the pairs (z, 1/z) and (y, 1/y) of ``_inverted``.
     DegenerateC when z is y or 1/y, where the denominator vanishes identically.
 
     The two binomials carry y/z and 1/(yz), at one q-power exactly when y
@@ -376,19 +405,19 @@ def _c_term(z: ParamValue, y: ParamValue) -> Term:
     -C(y,z), which is C(z,y).  Then, with y a root of unity and z = +-q^a,
     the two coefficients are conjugates at one exponent, which ``_apply``
     pairs into rational factors."""
-    if z == y or z == y.inv():
+    (z, zi), (y, yi) = z, y
+    if z == y or z == yi:
         raise DegenerateC(f"C({z}, {y}) undefined: z coincides with y or 1/y")
     flip = not z.exp and y.exp
     if flip:
-        z, y = y, z
-    zi = z.inv()
+        (z, zi), (y, yi) = (y, yi), (z, zi)
     return Term(-zi.coeff if flip else zi.coeff, zi.exp,
-                divs=tuple((p.coeff, p.exp) for p in (_param_mul(y, zi), _param_mul(y.inv(), zi))))
+                divs=tuple((p.coeff, p.exp) for p in (_param_mul(y, zi), _param_mul(yi, zi))))
 
 
-def _d_term(*params: ParamValue) -> Term:
-    """prod over params of (1-p)(1-1/p); D(z,y) is _d_term(y, z)."""
-    return Term(muls=tuple((b.coeff, b.exp) for p in params for b in (p, p.inv())))
+def _d_term(*pairs: tuple) -> Term:
+    """prod over the pairs (p, 1/p) of (1-p)(1-1/p); D(z,y) is _d_term(y, z)."""
+    return Term(muls=tuple((b.coeff, b.exp) for pair in pairs for b in pair))
 
 
 def _pochs(base: ParamValue, k: int, *params: ParamValue) -> Term:
@@ -396,9 +425,9 @@ def _pochs(base: ParamValue, k: int, *params: ParamValue) -> Term:
     return Term(pochs=tuple((p.coeff, p.exp, base, k) for p in params))
 
 
-def _lifted(p: ParamValue, base: ParamValue, k: int) -> Term:
-    """(base*p, base/p; base)_inf^k: base/p pairs the inverse parameter."""
-    return _pochs(base, k, _param_mul(base, p), _param_mul(base, p.inv()))
+def _lifted(pair: tuple, base: ParamValue, k: int) -> Term:
+    """(base*p, base/p; base)_inf^k for the pair (p, 1/p)."""
+    return _pochs(base, k, *(_param_mul(base, b) for b in pair))
 
 
 def c_helper(z: ParamValue, y: ParamValue, order: int | None = None) -> LaurentSeries:
@@ -406,30 +435,32 @@ def c_helper(z: ParamValue, y: ParamValue, order: int | None = None) -> LaurentS
     kernel call.  DegenerateC when z is y or 1/y.  A finite order is needed
     exactly when a parameter carries a power of q; OrderExceeded without one.
     """
-    return _product_sum((_c_term(z, y),), order)
+    return _product_sum((_c_term(*_inverted(z, y)),), order)
 
 
 def d_helper(z: ParamValue, y: ParamValue) -> LaurentSeries:
     """D(z,y) = (1-y)(1-1/y)(1-z)(1-1/z), an exact Laurent polynomial."""
-    return _product_sum((_d_term(y, z),), None)
+    return _product_sum((_d_term(*_inverted(y, z)),), None)
 
 
 # -- A_{k,i} as a product of Cs --------------------------------------------------------
 
 
-def _a_term(params, i: int) -> Term:
-    """A_{k,i}(params) = prod_{j != i} C(b_i, b_j) as one Term: 2(k-1) divided
-    binomials.  DegenerateC when b_i coincides with some b_j or 1/b_j."""
-    b = params[i - 1]
-    return _merged(*(_c_term(b, c) for j, c in enumerate(params, 1) if j != i))
+def _a_term(pairs, i: int) -> Term:
+    """A_{k,i}(b_1, ..., b_k) = prod_{j != i} C(b_i, b_j) as one Term, for the
+    pairs (b_j, 1/b_j): 2(k-1) divided binomials.  DegenerateC when b_i
+    coincides with some b_j or 1/b_j."""
+    b = pairs[i - 1]
+    return _merged(*(_c_term(b, c) for j, c in enumerate(pairs, 1) if j != i))
 
 
-def _applied_a(terms, params, order: int) -> LaurentSeries:
-    """sum_i terms[i-1] * A_{k,i}(params), trusted below ``order``: one Term per
-    i, the product of terms[i-1] and A_{k,i}'s Cs, so k kernel calls.  Every C
-    is built before any product is applied, so a coinciding pair raises
-    DegenerateC before any Pochhammer product can raise ZeroFactor."""
-    summands = [_merged(t, _a_term(params, i)) for i, t in enumerate(terms, 1)]
+def _applied_a(terms, pairs, order: int) -> LaurentSeries:
+    """sum_i terms[i-1] * A_{k,i}, for the pairs (b_j, 1/b_j), trusted below
+    ``order``: one Term per i, the product of terms[i-1] and A_{k,i}'s Cs, so
+    k kernel calls.  Every C is built before any product is applied, so a
+    coinciding pair raises DegenerateC before any Pochhammer product can
+    raise ZeroFactor."""
+    summands = [_merged(t, _a_term(pairs, i)) for i, t in enumerate(terms, 1)]
     return _product_sum(summands, order)
 
 
@@ -478,11 +509,12 @@ def a_coeff(k: int, i: int, params, order: int | None = None) -> LaurentSeries:
         raise ValueError(f"a_coeff expects exactly k={k} parameters, got {len(params)}")
     if not 1 <= i <= k:
         raise ValueError(f"a_coeff index i={i} outside 1..{k}")
-    later = params[i:]
+    pairs = _inverted(*params)
+    later = pairs[i:]
     for n, z in enumerate(later):
         for y in later[:n]:
             _c_term(z, y)  # raises DegenerateC where the recursion divides by zero
-    return _product_sum((_a_term(params, i),), order)
+    return _product_sum((_a_term(pairs, i),), order)
 
 
 # -- the k-parameter identity, both sides ---------------------------------------------
@@ -495,9 +527,8 @@ def lhs_multisum(params, order: int, base: ParamValue = Q) -> LaurentSeries:
         G_j(M_j) = base^{M_j} (b_{j+1}, 1/b_{j+1}; base)_{M_j}
                    / (base*b_j, base/b_j; base)_{M_j}.
     """
-    params = as_params(params)
-    levels = [_vwp_level((params[j],), (params[j - 1],), base)
-              for j in range(1, len(params))]
+    pairs = _inverted(*as_params(params))
+    levels = [_vwp_level((pairs[j],), (pairs[j - 1],), base) for j in range(1, len(pairs))]
     return _chain_sum(levels, order)
 
 
@@ -518,12 +549,12 @@ def rhs_products(params, order: int, base: ParamValue = Q) -> LaurentSeries:
     raised, before any C is built, when (base*b_k, base/b_k; base)_inf
     vanishes.
     """
-    params = as_params(params)
-    prefix = _lifted(params[-1], base, 1)
+    pairs = _inverted(*as_params(params))
+    prefix = _lifted(pairs[-1], base, 1)
     list(_powers(prefix))  # raises for a vanishing prefix, which cancels at i = k
-    terms = [_merged(_d_term(*params[:i], *params[i + 1:]), prefix, _lifted(p, base, -1))
-             for i, p in enumerate(params[:-1])]
-    return _applied_a(terms + [_d_term(*params[:-1])], params, order)
+    terms = [_merged(_d_term(*pairs[:i], *pairs[i + 1:]), prefix, _lifted(p, base, -1))
+             for i, p in enumerate(pairs[:-1])]
+    return _applied_a(terms + [_d_term(*pairs[:-1])], pairs, order)
 
 
 # -- single / double sums in corollary shape -------------------------------------------
@@ -532,6 +563,7 @@ def rhs_products(params, order: int, base: ParamValue = Q) -> LaurentSeries:
 def vwp_single_sum(num: ParamValue, den: ParamValue, order: int,
                    base: ParamValue = Q) -> LaurentSeries:
     """sum_{n>=0} base^n (num, 1/num; base)_n / (base*den, base/den; base)_n."""
+    num, den = _inverted(num, den)
     return _chain_sum([_vwp_level((num,), (den,), base)], order)
 
 
@@ -548,14 +580,15 @@ def vwp_double_sum(num_outer: ParamValue, num_inner: ParamValue,
     a chained sum over M_1 = m <= M_2 = m+n.  Both the main k=3 sum and its
     index-exchanged dual are instances.
     """
-    return _chain_sum([_vwp_level((num_outer,), (den_outer,), base),
-                       _vwp_level((num_inner,), (den_inner,), base)], order)
+    no, ni, do, di = _inverted(num_outer, num_inner, den_outer, den_inner)
+    return _chain_sum([_vwp_level((no,), (do,), base), _vwp_level((ni,), (di,), base)], order)
 
 
 def diagonal_sum(x: ParamValue, y: ParamValue, z: ParamValue, order: int,
                  base: ParamValue = Q) -> LaurentSeries:
     """sum_{m>=0} base^{2m} (y,1/y;base)_m (z,1/z;base)_m
     / ((base*x, base/x; base)_m (base*y, base/y; base)_m)."""
+    x, y, z = _inverted(x, y, z)
     return _chain_sum([_vwp_level((y, z), (x, y), base, _param_mul(base, base))], order)
 
 
@@ -572,8 +605,9 @@ def corollary_k2(y: ParamValue, z: ParamValue, base: ParamValue,
     trusted through ``order``, as two Terms; the sum side is
     ``vwp_single_sum(z, y)``.
     """
+    y, z = _inverted(y, z)
     c = _c_term(z, y)
-    quotient = _merged(Term(-1), _pochs(base, 1, z, z.inv()), _lifted(y, base, -1))
+    quotient = _merged(Term(-1), _pochs(base, 1, *z), _lifted(y, base, -1))
     return _product_sum((_merged(c, _d_term(y)), _merged(c, quotient)), order)
 
 
@@ -591,6 +625,7 @@ def corollary_k3(x: ParamValue, y: ParamValue, z: ParamValue, base: ParamValue,
     trusted through ``order``, as four Terms (the last summand split in two);
     the sum side is ``vwp_double_sum(y, z, x, y)``.
     """
+    x, y, z = _inverted(x, y, z)
     czy, czx, cyx = _c_term(z, y), _c_term(z, x), _c_term(y, x)
     by_y = _merged(_lifted(z, base, 1), _lifted(y, base, -1))
     by_x = _merged(_lifted(z, base, 1), _lifted(x, base, -1))
@@ -604,15 +639,16 @@ def corollary_k3(x: ParamValue, y: ParamValue, z: ParamValue, base: ParamValue,
 # -- bilateral series and finite-N form ----------------------------------------------
 
 
-def _poles(params, base: ParamValue) -> set:
+def _poles(pairs, base: ParamValue) -> set:
     """The indices n >= 0 at which a factor of prod_i (1-b_i base^n)(1-base^n/b_i)
-    vanishes; a bilateral term over that denominator has poles at n and -n."""
+    vanishes, for the pairs (b_i, 1/b_i); a bilateral term over that
+    denominator has poles at n and -n."""
     _check_base(base)
-    hits = (_zero_factor_index(b, base) for p in params for b in (p, p.inv()))
+    hits = (_zero_factor_index(b, base) for pair in pairs for b in pair)
     return {n for n in hits if n is not None}
 
 
-def _folded_sum(params, base: ParamValue, weight: ParamValue, first: Term, order: int,
+def _folded_sum(pairs, base: ParamValue, weight: ParamValue, first: Term, order: int,
                 growth: ParamValue = ParamValue(ONE), num=(), den=()) -> LaurentSeries:
     """sum_{n>=0} (1 + base^n) t(n) - t(0), the sum of t(n) over all integers n
     when t(-n) = base^n t(n), for t(0) = first and the term ratio
@@ -620,9 +656,10 @@ def _folded_sum(params, base: ParamValue, weight: ParamValue, first: Term, order
         t(n+1)/t(n) = weight * growth^n * prod_num / prod_den * prod_i
                       (1-b_i base^n)(1-base^n/b_i) / ((1-b_i base^(n+1))(1-base^(n+1)/b_i)).
 
-    One level sums it from 2 t(0), with (1 + base^(n+1))/(1 + base^n) in its ratio.
+    The b_i come as the pairs (b_i, 1/b_i).  One level sums it from 2 t(0),
+    with (1 + base^(n+1))/(1 + base^n) in its ratio.
     """
-    lv = _vwp_level(params, params, base, weight)
+    lv = _vwp_level(pairs, pairs, base, weight)
     minus_one = ParamValue(-1)
     level = Level(weight, lv.num + ((_param_mul(minus_one, base), base),) + num,
                   lv.den + ((minus_one, base),) + den, growth)
@@ -638,12 +675,12 @@ def f_bilateral(params, order: int, base: ParamValue = Q) -> LaurentSeries:
     / ((1-b_i base^(n+1))(1-base^(n+1)/b_i)) and mirrored tails t(-n) = base^n t(n).
     ZeroFactor when some b_i is an integer power of base: terms n and -n have a pole.
     """
-    params = as_params(params)
-    if _poles(params, base):
+    pairs = _inverted(*as_params(params))
+    if _poles(pairs, base):
         raise ZeroFactor("F_k: some b_i is a power of the base, a term has a pole")
-    weight = _param_mul(ParamValue(-1), _param_pow(base, len(params)))
-    first = Term(divs=tuple((b.coeff, b.exp) for p in params for b in (p, p.inv())))
-    return _folded_sum(params, base, weight, first, order, growth=base)
+    weight = _param_mul(ParamValue(-1), _param_pow(base, len(pairs)))
+    first = Term(divs=tuple((b.coeff, b.exp) for pair in pairs for b in pair))
+    return _folded_sum(pairs, base, weight, first, order, growth=base)
 
 
 def f_consistency_rhs(params, order: int, base: ParamValue = Q) -> LaurentSeries:
@@ -653,11 +690,10 @@ def f_consistency_rhs(params, order: int, base: ParamValue = Q) -> LaurentSeries
     requires every b_i != 1 (the uncancelled denominators appear as stated).
     InvalidBase for a base without a positive q-power, before any C is built.
     """
-    params = as_params(params)
+    pairs = _inverted(*as_params(params))
     _check_base(base)
     euler = _pochs(base, 2, base)
-    return _applied_a([_merged(euler, _pochs(base, -1, p, p.inv())) for p in params],
-                      params, order)
+    return _applied_a([_merged(euler, _pochs(base, -1, *pair)) for pair in pairs], pairs, order)
 
 
 def l_finite_n(params, bigN: int, order: int, base: ParamValue = Q) -> LaurentSeries:
@@ -674,12 +710,12 @@ def l_finite_n(params, bigN: int, order: int, base: ParamValue = Q) -> LaurentSe
     b_i = base^n with 1 <= |n| <= N: term |n| has a pole.  As bigN grows the
     coefficients below a fixed order stabilize to prod_i (1-b_i)(1-1/b_i) * F_k.
     """
-    params = as_params(params)
+    pairs = _inverted(*as_params(params))
     if bigN < 0:
         raise ValueError("l_finite_n needs bigN >= 0")
-    if any(0 < n <= bigN for n in _poles(params, base)):
+    if any(0 < n <= bigN for n in _poles(pairs, base)):
         raise ZeroFactor("L_{k,N}: some b_i is a power of the base, a term has a pole")
-    return _folded_sum(params, base, _param_pow(base, len(params) + bigN), Term(), order,
+    return _folded_sum(pairs, base, _param_pow(base, len(params) + bigN), Term(), order,
                        num=((_param_pow(base, bigN).inv(), base),),
                        den=((_param_pow(base, bigN + 1), base),))
 
@@ -694,9 +730,9 @@ def l_infinite(params, order: int, base: ParamValue = Q) -> LaurentSeries:
     params = as_params(params)
     if order is None:
         raise OrderExceeded("l_infinite is an infinite series; a finite order is required")
-    pairs = _d_term(*params)
-    f = f_bilateral(params, order + _term_slack(pairs), base)
-    return _apply(pairs, f).require_order(order)
+    d = _d_term(*_inverted(*params))
+    f = f_bilateral(params, order + _term_slack(d), base)
+    return _built(_apply(d, _state(f))).require_order(order)
 
 
 # -- classical evaluations ----------------------------------------------------------
@@ -714,4 +750,4 @@ def bailey_3psi3_sum(b: ParamValue, order: int) -> LaurentSeries:
     term n lies within the a-priori bound at every order, so the driver
     raises ZeroFactor there.
     """
-    return _folded_sum((b,), Q, ParamValue(-1, 1), Term(), order, growth=Q)
+    return _folded_sum(_inverted(b), Q, ParamValue(-1, 1), Term(), order, growth=Q)

@@ -16,9 +16,11 @@ from qseries.laurent import (
     Q,
     ZeroFactor,
     _binomials,
+    _built,
     _paired,
     _plus,
     _split,
+    _state,
     poch_finite,
     poch_finite_inv,
     poch_infinite,
@@ -54,6 +56,12 @@ def mono(c, e, order=None):
     return LaurentSeries.monomial(c, e, order)
 
 
+def kernel(f, *args, plus=None, **kwargs):
+    """One call of the binomial kernel on the states of series, built into a series."""
+    return _built(_binomials(_state(f), *args, **kwargs,
+                             plus=None if plus is None else _state(plus)))
+
+
 # -- construction and coefficient access -------------------------------------------------
 
 
@@ -79,6 +87,31 @@ def test_coeffs_is_a_tuple_of_the_stored_coefficients(f):
     assert type(cs) is tuple and cs == f.coeffs
     assert all(type(c) is CycRat for c in cs[0:2] + cs[1:])
     assert {f.offset + i: c for i, c in enumerate(cs) if c} == dict(f.terms())
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: LaurentSeries.monomial(ONE, 1.5), 1.5),
+    (lambda: LaurentSeries(2.5, [ONE, ONE]), 2.5),
+    (lambda: LaurentSeries.from_terms({1.5: ONE, 3: ONE}), 1.5),
+    (lambda: LaurentSeries.from_terms({0: ONE, 2.5: ONE}), 2.5),
+    (lambda: LaurentSeries(2.0, []), 2.0),  # even the zero series, stored at offset 0
+    (lambda: LaurentSeries.one().shift(0.5), 0.5),
+    (lambda: LaurentSeries.one().shift(2.0), 2.0),
+    (lambda: LaurentSeries.one().shift(0.0), 0.0),  # shifts nothing, still refused
+    (lambda: LaurentSeries.from_terms({0: ONE, 1: ONE}, 10).coeff(1.5), 1.5),
+    (lambda: LaurentSeries.one(10).coeff(3.5), 3.5),  # past the stored terms: was 0
+], ids=["monomial", "constructor", "from_terms", "from_terms-later", "zero",
+        "shift", "shift-integral", "shift-0", "coeff", "coeff-past-the-terms"])
+def test_exponent_must_be_an_int(build, value):
+    with pytest.raises(TypeError, match=rf"^expected an int exponent, got float: {value}$"):
+        build()
+
+
+def test_exponent_int_subclass_is_stored_as_int():
+    for s in (LaurentSeries.monomial(ONE, True), LaurentSeries.one().shift(True),
+              LaurentSeries.from_terms({True: ONE})):
+        assert type(s.offset) is int and s == LaurentSeries.monomial(ONE, 1)
+        assert s.coeff(True) == ONE
 
 
 def test_coeff_beyond_order():
@@ -329,12 +362,12 @@ def _check_kernel(f, shift, unit, muls, divs, cap):
             g = g.div_one_minus(c, e, cap)
         return g
 
-    def kernel():
-        return _binomials(
+    def in_one_call():
+        return kernel(
             f, [(*_split(c), e) for c, e in muls], [(*_split(c), e) for c, e in divs],
             cap, shift, None if unit is None else _split(unit))
 
-    got = _outcome(kernel)
+    got = _outcome(in_one_call)
     assert got == _outcome(one_by_one)
     return got
 
@@ -377,11 +410,11 @@ def test_kernel_raises_at_the_first_failing_division():
     zero, step = (1, 0, 1, 0), (-1, 0, 1, 1)  # 1 - 1 at q^0, and 1 + q
     for f in (LaurentSeries.one(), LaurentSeries.one(8)):
         with pytest.raises(DivisionByZero):
-            _binomials(f, [], [zero, step])
+            kernel(f, [], [zero, step])
     with pytest.raises(OrderExceeded):
-        _binomials(LaurentSeries.one(), [(1, 0, 1, 0)], [step, zero])
+        kernel(LaurentSeries.one(), [(1, 0, 1, 0)], [step, zero])
     with pytest.raises(DivisionByZero):
-        _binomials(LaurentSeries.one(8), [(1, 0, 1, 0)], [step, zero])
+        kernel(LaurentSeries.one(8), [(1, 0, 1, 0)], [step, zero])
 
 
 # -- the fused addend and the skipped factors ----------------------------------------------
@@ -393,30 +426,41 @@ def _stored(s):
 
 addend_st = st.builds(
     LaurentSeries.from_terms,
-    st.dictionaries(st.integers(-5, 40), st.one_of(coeffs_st, rational_coeffs_st), max_size=6),
+    st.dictionaries(st.integers(-5, 40), st.one_of(coeffs_st, rational_coeffs_st),
+                    min_size=1, max_size=6),
     st.none() | st.integers(-3, 40))
 
 
 @settings(max_examples=300)
-@given(f=st.one_of(rational_operand_st, operand_st), g=addend_st, shift=st.integers(-3, 3),
-       unit=st.none() | st.one_of(coeffs_st, rational_coeffs_st),
+@given(f=st.one_of(rational_operand_st, operand_st), h=addend_st, at=st.integers(-8, 40),
+       shift=st.integers(-3, 3), unit=st.none() | st.one_of(coeffs_st, rational_coeffs_st),
        muls=st.lists(st.one_of(rational_binomial_st, binomial_st), max_size=3),
        divs=st.lists(st.one_of(rational_binomial_st, binomial_st), max_size=3),
        cap=st.none() | st.integers(-6, 36))
-def test_fused_addend_matches_two_calls(f, g, shift, unit, muls, divs, cap):
-    # _binomials(f, ..., plus=g) stores what _plus(cap, g, _binomials(f, ...)) does
+def test_fused_addend_matches_two_calls(f, h, at, shift, unit, muls, divs, cap):
+    # _binomials(f, ..., plus=g) stores what _plus(cap, g, _binomials(f, ...)) does.
+    # The addend g is h moved to start ``at`` entries above the product's first:
+    # below it, inside it, beyond its end or its order, or longer than it when
+    # h is; both carry w-parts, negative offsets and denominators other than 1
+    # in some draws, with exact or finite orders.
     args = ([(*_split(c), e) for c, e in muls], [(*_split(c), e) for c, e in divs],
             cap, shift, None if unit is None else _split(unit))
-    two = _outcome(lambda: _plus(cap, g, _binomials(f, *args)))
-    fused = _outcome(lambda: _binomials(f, *args, plus=g))
+    product = _outcome(lambda: kernel(f, *args))
+    start = product.offset if isinstance(product, LaurentSeries) else 0
+    g = h if h.is_zero() else h.shift(start + at - h.offset)
+    kept = _stored(f), _stored(g)
+    two = _outcome(lambda: _plus(cap, g, kernel(f, *args)))
+    fused = _outcome(lambda: kernel(f, *args, plus=g))
+    assert (_stored(f), _stored(g)) == kept  # the kernel adds only into lists of its own
     if not isinstance(two, LaurentSeries):
         assert fused == two
         return
     assert _stored(fused) == _stored(two)
-    product = _binomials(f, *args)  # the sum, coefficient by coefficient in CycRat
-    if fused.order is not None:
-        for n in range(min(_low(g), _low(product)), fused.order):
-            assert fused.coeff(n) == g.coeff(n) + product.coeff(n)
+    top = fused.order  # the sum, coefficient by coefficient in CycRat
+    if top is None:
+        top = max(s.offset + len(s._a) for s in (g, product))
+    for n in range(min(_low(g), _low(product)), top):
+        assert fused.coeff(n) == g.coeff(n) + product.coeff(n)
 
 
 _HALF = (1, 0, 2)  # the scalar 1/2, split
@@ -449,8 +493,8 @@ _HALF = (1, 0, 2)  # the scalar 1/2, split
      ([(1, 0, 1, 1)], [], None, 0, None)),
 ])
 def test_fused_addend_examples(g, f, kernel_args):
-    two = _plus(kernel_args[2], g, _binomials(f, *kernel_args))
-    assert _stored(_binomials(f, *kernel_args, plus=g)) == _stored(two)
+    two = _plus(kernel_args[2], g, kernel(f, *kernel_args))
+    assert _stored(kernel(f, *kernel_args, plus=g)) == _stored(two)
 
 
 @pytest.mark.parametrize("c", [ONE, CycRat(-1), CycRat(rat(1, 2)), OMEGA], ids=str)
@@ -471,7 +515,7 @@ def test_factors_at_the_order_store_the_applied_data(c, step):
         assert quotient == (f * binomial(e).inverse(min(cap, f.order) - f.offset))
         assert quotient == f.truncate(cap) or step < 0
     # and inside one call, after and before applied factors
-    assert (_binomials(f, [(*_split(c), 20), (*_split(c), 1)], [(*_split(c), 15)], 30)
+    assert (kernel(f, [(*_split(c), 20), (*_split(c), 1)], [(*_split(c), 15)], 30)
             == f.mul_one_minus(c, 1))
 
 
@@ -498,13 +542,13 @@ def _pieces(factors):
        cap=st.none() | st.integers(-6, ORDER + 6))
 def test_paired_factors_match_unpaired(f, shift, unit, muls, divs, cap):
     args = (cap, shift, None if unit is None else _split(unit))
-    want = _outcome(lambda: _binomials(f, _pieces(muls), _pieces(divs), *args))
+    want = _outcome(lambda: kernel(f, _pieces(muls), _pieces(divs), *args))
     if f.order is None:  # an exact operand takes paired divisions only
         more, paired_divs = _paired([], _pieces(divs))
-        got = _outcome(lambda: _binomials(f, _pieces(muls) + more, paired_divs, *args))
+        got = _outcome(lambda: kernel(f, _pieces(muls) + more, paired_divs, *args))
     else:
         paired = _paired(_pieces(muls), _pieces(divs))
-        got = _outcome(lambda: _binomials(f, *paired, *args))
+        got = _outcome(lambda: kernel(f, *paired, *args))
         if (cap is not None and isinstance(want, LaurentSeries)
                 and not any(c and e for c, e in divs) and any(e for *_, e in paired[1])):
             want = want.truncate(cap)  # a paired multiplication divides, and takes the cap
@@ -525,11 +569,11 @@ def test_paired_factor_examples():
     # a paired multiplication divides: an exact operand would need an order
     exact = LaurentSeries.one()
     pair = [(*w, 1), (*wb, 1)]
-    assert _binomials(exact, pair) == LaurentSeries.from_terms({0: ONE, 1: ONE, 2: ONE})
+    assert kernel(exact, pair) == LaurentSeries.from_terms({0: ONE, 1: ONE, 2: ONE})
     with pytest.raises(OrderExceeded):
-        _binomials(exact, *_paired(pair, []))
+        kernel(exact, *_paired(pair, []))
     # scalars rational in total: C(w, -1) = w^2 / (1 + w^2)^2 = 1 times (1 - w)(1 - w^2) = 3
-    g = _binomials(LaurentSeries.one(9), [(*w, 0), (*wb, 0)], [(*mwb, 0)] * 2, unit=wb)
+    g = kernel(LaurentSeries.one(9), [(*w, 0), (*wb, 0)], [(*mwb, 0)] * 2, unit=wb)
     assert g == LaurentSeries.monomial(CycRat(3), 0, 9)
 
 
@@ -557,7 +601,7 @@ def test_kernel_divisions_match_the_inverse(factors, order):
         product = product * LaurentSeries.from_terms({0: ONE, e: -c})
     reference = LaurentSeries.one(order) * product.inverse(order)
     for muls, divs in (([], _pieces(factors)), _paired([], _pieces(factors))):
-        quotient = _binomials(LaurentSeries.one(order), muls, divs)
+        quotient = kernel(LaurentSeries.one(order), muls, divs)
         low = min(quotient.order, reference.order)
         assert low >= order
         assert quotient.truncate(low) == reference.truncate(low)

@@ -1,6 +1,7 @@
 """Very-well-poised multisum machinery: helpers, identity, bilateral forms."""
 
 import itertools
+import math
 import signal
 from dataclasses import replace
 
@@ -15,6 +16,8 @@ from qseries.laurent import (
     ParamValue,
     Q,
     ZeroFactor,
+    _built,
+    _state,
     poch_finite,
     poch_infinite,
     poch_infinite_inv,
@@ -83,9 +86,9 @@ def test_c_is_odd_and_stays_rational():
 def test_exact_operand_keeps_its_conjugate_multiplications():
     # (1 - w q)(1 - w^2 q) = 1 + q + q^2 exactly: paired, it would divide by 1 - q
     t = vwp.Term(muls=((OMEGA, 1), (OMEGA_BAR, 1)))
-    assert vwp._apply(t, LaurentSeries.one()) == LaurentSeries.from_terms({0: ONE, 1: ONE, 2: ONE})
-    assert vwp._apply(t, LaurentSeries.one(5)) == LaurentSeries.from_terms(
-        {0: ONE, 1: ONE, 2: ONE}, 5)
+    for order in (None, 5):
+        assert _built(vwp._apply(t, _state(LaurentSeries.one(order)))) == \
+            LaurentSeries.from_terms({0: ONE, 1: ONE, 2: ONE}, order)
 
 
 def test_c_helper_degenerate():
@@ -269,6 +272,19 @@ def _power_param(p, m):
     return out if m >= 0 else out.inv()
 
 
+def _normalized(s):
+    """s, checked against the stored invariant: no leading or trailing zero
+    pair, gcd(den, a, b) = 1, the zero series at offset 0 over 1."""
+    a, b = s._a, s._b
+    assert len(a) == len(b) and s._den > 0
+    if a:
+        assert (a[0] or b[0]) and (a[-1] or b[-1])
+        assert math.gcd(s._den, *a, *b) == 1
+    else:
+        assert (s.offset, s._den) == (0, 1)
+    return s
+
+
 def _term_by_term(levels, order):
     """sum over 0 <= M_1 <= ... <= M_L of
         prod_j weight_j^M_j growth_j^(M_j(M_j-1)/2) (num; step)_M_j / (den; step)_M_j,
@@ -300,7 +316,7 @@ def _term_by_term(levels, order):
 @pytest.mark.parametrize("case", _LEVEL_CASES)
 def test_single_chain_sum_matches_term_by_term(case, base):
     levels = [_level(case, base, base)]
-    assert same(vwp._chain_sum(levels, 10), _term_by_term(levels, 10), 10)
+    assert same(_normalized(vwp._chain_sum(levels, 10)), _term_by_term(levels, 10), 10)
 
 
 @pytest.mark.parametrize("base", _BASES.values(), ids=_BASES.keys())
@@ -309,7 +325,7 @@ def test_single_chain_sum_matches_term_by_term(case, base):
 ])
 def test_double_chain_sum_matches_term_by_term(outer, inner, base):
     levels = [_level(outer, base, vwp._param_mul(base, base)), _level(inner, base, base)]
-    assert same(vwp._chain_sum(levels, 8), _term_by_term(levels, 8), 8)
+    assert same(_normalized(vwp._chain_sum(levels, 8)), _term_by_term(levels, 8), 8)
 
 
 @pytest.mark.parametrize("base", _BASES.values(), ids=_BASES.keys())
@@ -317,10 +333,10 @@ def test_growing_weight_chain_sum_matches_term_by_term(base):
     # a weight base * growth^M: the a-priori bound grows quadratically in M
     minus_base = vwp._param_mul(M1, base)
     single = [replace(_level("q-power", base, minus_base), growth=base)]
-    assert same(vwp._chain_sum(single, 12), _term_by_term(single, 12), 12)
+    assert same(_normalized(vwp._chain_sum(single, 12)), _term_by_term(single, 12), 12)
     double = [replace(_level("rational", base, base), growth=Q),
               replace(_level("root-of-unity", base, base), growth=base)]
-    assert same(vwp._chain_sum(double, 8), _term_by_term(double, 8), 8)
+    assert same(_normalized(vwp._chain_sum(double, 8)), _term_by_term(double, 8), 8)
 
 
 @pytest.mark.parametrize("base", _BASES.values(), ids=_BASES.keys())
@@ -332,7 +348,25 @@ def test_triple_chain_sum_matches_term_by_term(base):
     ending = vwp.Level(base, ((_power_param(base, -2), base), (W, base)), ((MQ, base),))
     levels = [_level("root-of-unity", base, base), ending,
               replace(_level("rational", base, base), growth=base)]
-    assert same(vwp._chain_sum(levels, 8), _term_by_term(levels, 8), 8)
+    assert same(_normalized(vwp._chain_sum(levels, 8)), _term_by_term(levels, 8), 8)
+
+
+_RATIONAL_PARAMS = (ParamValue(CycRat(2)), _HALF, ParamValue(CycRat(rat(-2, 3))))
+
+
+@pytest.mark.parametrize("params", [t for k in (2, 3) for t in
+                                    itertools.permutations(_RATIONAL_PARAMS, k)],
+                         ids=lambda t: ",".join(map(str, t)))
+def test_rational_chain_sums_match_term_by_term(params):
+    # lhs_multisum's levels at 2, 1/2 and -2/3: no factor vanishes, and the
+    # divisions by (1 - b q^M) with b = 1/2 or -2/3 grow the denominator that
+    # the steps of one sum carry between kernel calls
+    pairs = vwp._inverted(*params)
+    levels = [vwp._vwp_level((pairs[j],), (pairs[j - 1],), Q) for j in range(1, len(pairs))]
+    order = 10 if len(levels) == 1 else 7
+    got = _normalized(vwp._chain_sum(levels, order))
+    assert got._den > 1
+    assert same(got, _term_by_term(levels, order), order)
 
 
 def test_zero_factor_boundary():
