@@ -46,7 +46,9 @@ from .laurent import (
     Q,
     ZeroFactor,
     _as_int,
+    _binomials,
     _built,
+    _one,
     _state,
 )
 from . import vwp
@@ -543,19 +545,23 @@ def _derived(sp: Specialization, order: int) -> LaurentSeries:
     """prefactor * (corollary RHS - first row) at the recorded parameters.
 
     The first row is the constant 1 for single sums and the two-parameter
-    corollary RHS for double sums.  The prefactor applies to the closed form
-    in one binomial-kernel call, so a prefactor that lowers the valuation or
-    the order needs the closed form that much beyond ``order``.
+    corollary RHS for double sums.  The difference is one binomial-kernel
+    call, the unit -1 on the first row with the corollary RHS as its addend,
+    and the prefactor applies to that state in one more, so a prefactor that
+    lowers the valuation or the order needs the closed form that much beyond
+    ``order``.  Only the prefactor's state is built into a series, which is
+    then cut to ``order``.
     """
     work = order + _term_slack(sp.prefactor)
     if len(sp.params) == 2:
         y, z = sp.params
-        rest = vwp.corollary_k2(y, z, sp.base, work) - LaurentSeries.one()
+        closed, first = vwp.corollary_k2(y, z, sp.base, work), _one(None)
     else:
         x, y, z = sp.params
-        rest = (vwp.corollary_k3(x, y, z, sp.base, work)
-                - vwp.corollary_k2(y, z, sp.base, work))
-    return _built(_apply(sp.prefactor, _state(rest))).require_order(order)
+        closed = vwp.corollary_k3(x, y, z, sp.base, work)
+        first = _state(vwp.corollary_k2(y, z, sp.base, work))
+    rest = _binomials(first, unit=(-1, 0, 1), plus=_state(closed))
+    return _built(_apply(sp.prefactor, rest)).require_order(order)
 
 
 def derivation_check(identity_id: str, order: int = DEFAULT_ORDER) -> VerifyReport:

@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .coeffring import CycRat
-from .laurent import LaurentSeries, _as_int, _new
+from .laurent import LaurentSeries, _as_int, _built
 from .catalog import VerifyReport, _compare, registry
 
 ENUMERATION_CAP = 30  # weight cap of enumerate_pairs_A, which builds every pair
@@ -435,4 +435,4 @@ def count_series(family: str, order: int) -> LaurentSeries:
     if order < 1:
         raise ValueError(f"count_series needs order >= 1, got {order}")
     counts = count_table(order)[family]
-    return _new(0, counts, [0] * order, 1, order)
+    return _built((0, [counts], 1, order))

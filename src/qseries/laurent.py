@@ -2,11 +2,12 @@
 
 A series is stored densely over one common denominator: an integer
 ``offset`` (the exponent of the first stored coefficient, possibly negative),
-two lists of Python ints ``a`` and ``b`` (the 1-parts and the w-parts of the
-numerators), a positive int ``den``, and an ``order``.  The coefficient of
-q^(offset + i) is
+the numerator lists ``parts``, a positive int ``den``, and an ``order``.
+``parts`` is [a] when every coefficient is rational and [a, b] otherwise,
+lists of Python ints holding the 1-parts a and the w-parts b of the
+numerators, so the coefficient of q^(offset + i) is
 
-    (a[i] + b[i]*w) / den.
+    (a[i] + b[i]*w) / den,   b[i] = 0 when there is no list b.
 
 ``order = N`` means the coefficients are trusted exactly for all exponents
 < N and unknown from N on; ``order = None`` means the series is an exact
@@ -50,22 +51,24 @@ already split into integers, working on the integer lists:
 The kernel works on the numerator lists it needs: the 1-parts alone while
 the series and every binomial step so far are rational (the catalog's eta
 quotients have only +-1 parameters), both lists from the first step with a
-w-part on; the stored series always has both.  The scalars (the unit and
-every factor with e = 0) fold into one and apply last, so scalars that are
-rational in total keep a rational series on one list.  A factor that touches
-nothing below the order is skipped.
+w-part on.  The scalars (the unit and every factor with e = 0) fold into
+one and apply last, so scalars that are rational in total keep a rational
+series on one list.  A factor that touches nothing below the order is
+skipped.
 
 A kernel state is the tuple (offset, parts, den, order) the kernel works
-on, with parts [a] or [a, b]: the kernel takes one (``_state`` reads it off
-a series) and returns one, and ``_built`` normalizes a state into a series.
-A state is not normalized: it may carry zero pairs at either end, and its
-lists may run past an order that was lowered; only its denominator is kept
-in lowest terms, so that the numbers stay as small as a series' would.  The
-kernel can add a second state, the addend, straight into the lists it has
-just built, padding them where the addend starts lower or ends higher
-(``_added``, which ``_plus`` also sums with).  The chained sums and product
-sums of ``vwp`` step their partial sums through the kernel as states, each
-step adding the previous partial sum in place, and build one series per sum.
+on, in the layout a series stores, and a series is a normalized state: the
+kernel takes one (``_state`` reads a series' fields) and returns one, and
+``_built`` normalizes a state into a series, dropping a list of w-parts
+that came out zero.  A state is not normalized: it may carry zero entries
+at either end, and its lists may run past an order that was lowered; only
+its denominator is kept in lowest terms, so that the numbers stay as small
+as a series' would.  The kernel can add a second state, the addend,
+straight into the lists it has just built, padding them where the addend
+starts lower or ends higher (``_added``, which ``_plus`` also sums with).
+The chained sums and product sums of ``vwp`` step their partial sums
+through the kernel as states, each step adding the previous partial sum in
+place, and build one series per sum.
 
 The parameters of the paper's products come with their reciprocals, and at
 a root of unity c the reciprocal is the conjugate, so w-factors meet their
@@ -212,48 +215,53 @@ class LaurentSeries:
     """Dense truncated Laurent series over Q(w), on integer numerators.
 
     Internal invariant, which makes equal series store equal data: the
-    numerator lists ``_a``, ``_b`` have no leading or trailing zero pair
-    (the zero series has empty lists, offset 0 and denominator 1), the
-    denominator ``_den`` is positive and gcd(_den, *_a, *_b) = 1, and every
-    stored exponent is below ``order`` when the order is finite.  Stored
-    lists are never mutated, so series share them freely.
+    numerator lists ``_parts`` are [a] when every w-part is 0 and [a, b]
+    otherwise, with no entry at either end that is zero in every list (the
+    zero series has [[]], offset 0 and denominator 1), the denominator
+    ``_den`` is positive and coprime to every numerator, and every stored
+    exponent is below ``order`` when the order is finite.  Stored lists are
+    never mutated, so series and kernel states share them freely.
     """
 
-    __slots__ = ("offset", "order", "_a", "_b", "_den")
+    __slots__ = ("offset", "order", "_parts", "_den")
 
     def __init__(self, offset: int, coeffs, order: int | None = None):
-        parts = [_split(c) for c in coeffs]
-        den = lcm(*(cd for _, _, cd in parts))
+        split = [_split(c) for c in coeffs]
+        den = lcm(*(cd for _, _, cd in split))
         self._store(offset,
-                    [ca * (den // cd) for ca, _, cd in parts],
-                    [cb * (den // cd) for _, cb, cd in parts],
+                    [[ca * (den // cd) for ca, _, cd in split],
+                     [cb * (den // cd) for _, cb, cd in split]],
                     den, order)
 
-    def _store(self, offset: int, a: list, b: list, den: int, order: int | None):
-        """Normalize numerators ``a``, ``b`` over ``den`` into the invariant:
-        truncated at the order, trimmed of zero pairs, reduced.  The offset
-        and an order that is not None must be ints."""
+    def _store(self, offset: int, parts: list, den: int, order: int | None):
+        """Normalize the numerator lists ``parts`` over ``den`` into the
+        invariant: truncated at the order, a list of w-parts that is all zero
+        dropped, trimmed of the entries zero in every list, reduced.  The
+        offset and an order that is not None must be ints."""
         if type(offset) is not int:  # every series passes here: an int makes no call
             offset = _as_int(offset, "exponent")
         if order is not None:
             if type(order) is not int:
                 order = _as_int(order, "order")
-            if order - offset < len(a):
+            if order - offset < len(parts[0]):
                 keep = max(order - offset, 0)
-                a, b = a[:keep], b[:keep]
-        lo, hi = 0, len(a)
-        while lo < hi and not a[lo] and not b[lo]:
+                parts = [xs[:keep] for xs in parts]
+        if len(parts) > 1 and not any(parts[1]):
+            parts = parts[:1]
+        nonzero = parts[0] if len(parts) == 1 else [x or y for x, y in zip(*parts)]
+        lo, hi = 0, len(nonzero)
+        while lo < hi and not nonzero[lo]:
             lo += 1
-        while hi > lo and not a[hi - 1] and not b[hi - 1]:
+        while hi > lo and not nonzero[hi - 1]:
             hi -= 1
         if hi == lo:
-            offset, a, b, den = 0, [], [], 1
+            offset, parts, den = 0, [[]], 1
         else:
-            if lo or hi < len(a):
-                offset, a, b = offset + lo, a[lo:hi], b[lo:hi]
+            if lo or hi < len(nonzero):
+                offset, parts = offset + lo, [xs[lo:hi] for xs in parts]
             if den != 1:
-                den, (a, b) = _cancelled(den, (a, b))
-        self.offset, self._a, self._b, self._den, self.order = offset, a, b, den, order
+                den, parts = _cancelled(den, parts)
+        self.offset, self._parts, self._den, self.order = offset, parts, den, order
 
     # -- constructors ---------------------------------------------------------
 
@@ -271,11 +279,11 @@ class LaurentSeries:
 
     @classmethod
     def zero(cls, order: int | None = None):
-        return _new(0, [], [], 1, order)
+        return _built(_zero(order))
 
     @classmethod
     def one(cls, order: int | None = None):
-        return _new(0, [1], [0], 1, order)
+        return _built(_one(order))
 
     @classmethod
     def monomial(cls, coeff, exp: int = 0, order: int | None = None):
@@ -286,14 +294,17 @@ class LaurentSeries:
     @property
     def coeffs(self) -> tuple[CycRat, ...]:
         """The stored coefficients, lowest exponent first, as CycRat values."""
-        return tuple(_reduced(x, y, self._den) for x, y in zip(self._a, self._b))
+        d, parts = self._den, self._parts
+        if len(parts) == 1:
+            return tuple(_reduced(x, 0, d) for x in parts[0])
+        return tuple(_reduced(x, y, d) for x, y in zip(*parts))
 
     def is_zero(self) -> bool:
-        return not self._a
+        return not self._parts[0]
 
     def valuation(self) -> int:
         """Exponent of the lowest nonzero term (offset of the data)."""
-        if not self._a:
+        if not self._parts[0]:
             raise ValueError("the zero series has no valuation")
         return self.offset
 
@@ -305,9 +316,9 @@ class LaurentSeries:
             raise OrderExceeded(
                 f"coefficient of q^{exp} requested, trusted only below q^{self.order}"
             )
-        i = exp - self.offset
-        if 0 <= i < len(self._a):
-            return _reduced(self._a[i], self._b[i], self._den)
+        i, parts = exp - self.offset, self._parts
+        if 0 <= i < len(parts[0]):
+            return _reduced(parts[0][i], parts[1][i] if len(parts) > 1 else 0, self._den)
         return ZERO
 
     def terms(self):
@@ -320,7 +331,7 @@ class LaurentSeries:
 
     def truncate(self, order: int) -> "LaurentSeries":
         """Restrict to coefficients below ``order`` (order can only shrink)."""
-        return _new(self.offset, self._a, self._b, self._den, _lowest(self.order, order))
+        return _built((self.offset, self._parts, self._den, _lowest(self.order, order)))
 
     def require_order(self, order: int) -> "LaurentSeries":
         """Assert the series is trusted through ``order`` and truncate to it."""
@@ -328,7 +339,7 @@ class LaurentSeries:
             raise OrderExceeded(
                 f"series trusted only below q^{self.order}, need q^{order}"
             )
-        return _new(self.offset, self._a, self._b, self._den, order)
+        return _built((self.offset, self._parts, self._den, order))
 
     # -- linear structure --------------------------------------------------------
 
@@ -362,14 +373,17 @@ class LaurentSeries:
             return NotImplemented
         order = _product_order(self, other)
         offset = self.offset + other.offset
-        fa, fb, ga, gb = self._a, self._b, other._a, other._b
-        if len(fa) > len(ga):
-            fa, fb, ga, gb = ga, gb, fa, fb
-        size = len(fa) + len(ga) - 1
+        f, g = self._parts, other._parts
+        if len(f[0]) > len(g[0]):
+            f, g = g, f
+        size = len(f[0]) + len(g[0]) - 1
         if order is not None:
             size = min(size, order - offset)  # the rest is truncated anyway
-        if not fa or size <= 0:
-            return _new(0, [], [], 1, order)
+        if not f[0] or size <= 0:
+            return _built(_zero(order))
+        # both operands on two lists, a rational one with zero w-parts; _built
+        # drops the w-list of a product that comes out rational
+        (fa, fb), (ga, gb) = (p if len(p) > 1 else (p[0], [0] * len(p[0])) for p in (f, g))
         a = [0] * size
         b = [0] * size
         for i, (x, y) in enumerate(zip(fa, fb)):
@@ -379,7 +393,7 @@ class LaurentSeries:
             if x or y:
                 a[i:j] = [s + x * u - y * v for s, u, v in zip(a[i:j], ga, gb)]
                 b[i:j] = [s + x * v + y * (u - v) for s, u, v in zip(b[i:j], ga, gb)]
-        return _new(offset, a, b, self._den * other._den, order)
+        return _built((offset, [a, b], self._den * other._den, order))
 
     def mul_one_minus(self, c: CycRat, e: int) -> "LaurentSeries":
         """Multiply by the exact binomial (1 - c*q^e) in one pass."""
@@ -410,11 +424,11 @@ class LaurentSeries:
         The recurrence runs on CycRat values and skips the zero F_i.  It is a
         plain reference: the library divides only by binomials, in the kernel.
         """
-        if not self._a:
+        if not self._parts[0]:
             raise DivisionByZero("inverse of the zero series")
         v = self.offset
         target = _lowest(None if self.order is None else self.order - 2 * v, order)
-        if target is None and len(self._a) != 1:
+        if target is None and len(self._parts[0]) != 1:
             raise OrderExceeded(
                 "inverse of a non-monomial polynomial is an infinite series; "
                 "a finite order is required"
@@ -445,8 +459,7 @@ class LaurentSeries:
             self.offset == other.offset
             and self.order == other.order
             and self._den == other._den
-            and self._a == other._a
-            and self._b == other._b
+            and self._parts == other._parts
         )
 
     def agrees_below(self, other: "LaurentSeries", order: int) -> int | None:
@@ -476,23 +489,16 @@ class LaurentSeries:
         return body
 
     def __repr__(self):
-        return f"<LaurentSeries offset={self.offset} terms={len(self._a)} order={self.order}>"
-
-
-def _new(offset: int, a: list, b: list, den: int, order: int | None) -> LaurentSeries:
-    """Series with numerators ``a``, ``b`` over ``den``, normalized."""
-    s = object.__new__(LaurentSeries)
-    s._store(offset, a, b, den, order)
-    return s
+        terms = len(self._parts[0])
+        return f"<LaurentSeries offset={self.offset} terms={terms} order={self.order}>"
 
 
 # -- the binomial kernel ------------------------------------------------------------------
 
 
 def _state(s: LaurentSeries) -> tuple:
-    """The kernel state of ``s``: (offset, parts, den, order), where parts is
-    [a] for a rational series, else [a, b]."""
-    return s.offset, [s._a, s._b] if any(s._b) else [s._a], s._den, s.order
+    """The kernel state of ``s``: its fields (offset, parts, den, order)."""
+    return s.offset, s._parts, s._den, s.order
 
 
 def _zero(order: int | None) -> tuple:
@@ -510,10 +516,10 @@ def _one(order: int | None) -> tuple:
 
 
 def _built(state: tuple) -> LaurentSeries:
-    """The normalized series of a kernel state."""
-    offset, parts, den, order = state
-    a = parts[0]
-    return _new(offset, a, parts[1] if len(parts) > 1 else [0] * len(a), den, order)
+    """The series of a kernel state, normalized."""
+    s = object.__new__(LaurentSeries)
+    s._store(*state)
+    return s
 
 
 def _added(state: tuple, g: tuple, order: int | None) -> tuple:

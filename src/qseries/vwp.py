@@ -657,14 +657,17 @@ def _folded_sum(pairs, base: ParamValue, weight: ParamValue, first: Term, order:
                       (1-b_i base^n)(1-base^n/b_i) / ((1-b_i base^(n+1))(1-base^(n+1)/b_i)).
 
     The b_i come as the pairs (b_i, 1/b_i).  One level sums it from 2 t(0),
-    with (1 + base^(n+1))/(1 + base^n) in its ratio.
+    with (1 + base^(n+1))/(1 + base^n) in its ratio, and -t(0) is one more
+    kernel call, with that sum as its addend.
     """
     lv = _vwp_level(pairs, pairs, base, weight)
     minus_one = ParamValue(-1)
     level = Level(weight, lv.num + ((_param_mul(minus_one, base), base),) + num,
                   lv.den + ((minus_one, base),) + den, growth)
     total = _chain_sum([level], order, replace(first, scalar=2 * first.scalar))
-    return (total - _product_sum((first,), order)).require_order(order)
+    minus_first = replace(first, scalar=-first.scalar)
+    one = _one(order + _term_slack(first) - first.shift)
+    return _built(_apply(minus_first, one, plus=_state(total))).require_order(order)
 
 
 def f_bilateral(params, order: int, base: ParamValue = Q) -> LaurentSeries:
@@ -675,7 +678,11 @@ def f_bilateral(params, order: int, base: ParamValue = Q) -> LaurentSeries:
     / ((1-b_i base^(n+1))(1-base^(n+1)/b_i)) and mirrored tails t(-n) = base^n t(n).
     ZeroFactor when some b_i is an integer power of base: terms n and -n have a pole.
     """
-    pairs = _inverted(*as_params(params))
+    return _f_bilateral(_inverted(*as_params(params)), order, base)
+
+
+def _f_bilateral(pairs, order: int, base: ParamValue) -> LaurentSeries:
+    """F_k for the pairs (b_i, 1/b_i) of ``_inverted``."""
     if _poles(pairs, base):
         raise ZeroFactor("F_k: some b_i is a power of the base, a term has a pole")
     weight = _param_mul(ParamValue(-1), _param_pow(base, len(pairs)))
@@ -730,8 +737,9 @@ def l_infinite(params, order: int, base: ParamValue = Q) -> LaurentSeries:
     params = as_params(params)
     if order is None:
         raise OrderExceeded("l_infinite is an infinite series; a finite order is required")
-    d = _d_term(*_inverted(*params))
-    f = f_bilateral(params, order + _term_slack(d), base)
+    pairs = _inverted(*params)
+    d = _d_term(*pairs)
+    f = _f_bilateral(pairs, order + _term_slack(d), base)
     return _built(_apply(d, _state(f))).require_order(order)
 
 

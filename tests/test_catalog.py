@@ -269,6 +269,14 @@ def _mutant_sides(side):
     return []
 
 
+def _seen(build, want, order) -> bool:
+    """Whether the series ``build()`` differs from ``want`` below ``order`` or raises."""
+    try:
+        return build().agrees_below(want, order) is not None
+    except catalog._EXPANSION_ERRORS:
+        return True
+
+
 def test_every_one_edit_mutant_of_the_data_is_seen():
     # each side written as data, under each one-edit change to it, must
     # differ from the other side at order 24 or raise: an entry whose sides
@@ -281,15 +289,63 @@ def test_every_one_edit_mutant_of_the_data_is_seen():
                 continue
             want = other(order)
             for n, mutant in enumerate(mutants):
-                try:
-                    seen = mutant(order).agrees_below(want, order) is not None
-                except catalog._EXPANSION_ERRORS:
-                    seen = True
-                if not seen:
+                if not _seen(partial(mutant, order), want, order):
                     survivors.append((identity_id, side is entry.lhs, n))
             probed += len(mutants)
     assert survivors == []
     assert probed == 1191  # on 28 sum sides and 29 product sides
+
+
+def _specialization_mutants(sp: catalog.Specialization):
+    """Change the prefactor by one edit; negate a parameter's coefficient;
+    raise the base's q-power by 1."""
+    for mutant in _term_mutants(sp.prefactor):
+        yield replace(sp, prefactor=mutant)
+    for i, p in enumerate(sp.params):
+        yield replace(sp, params=_replaced(sp.params, i, ParamValue(-p.coeff, p.exp)))
+    yield replace(sp, base=ParamValue(sp.base.coeff, sp.base.exp + 1))
+
+
+def test_every_one_edit_mutant_of_a_specialization_is_seen():
+    # the derivation check re-derives the sum side from the recorded
+    # specialization; each one-edit change to it must be seen at order 24
+    order, probed, survivors = 24, 0, []
+    for identity_id, entry in registry().items():
+        if entry.specialization is None:
+            continue
+        want = entry.lhs(order)
+        for n, sp in enumerate(_specialization_mutants(entry.specialization)):
+            if not _seen(partial(catalog._derived, sp, order), want, order):
+                survivors.append((identity_id, n))
+            probed += 1
+    assert survivors == []
+    assert probed == 206  # on 28 specializations
+
+
+def test_derived_builds_two_series_per_call(monkeypatch):
+    # corollary - first row and the prefactor stay kernel states: one series
+    # is built from them, and require_order cuts it to the order
+    stores, inside = [0], [0]
+    store = LaurentSeries._store
+
+    def counted(s, *args):
+        stores[0] += not inside[0]
+        store(s, *args)
+
+    def closed_form(f, *args):
+        inside[0] += 1
+        try:
+            return f(*args)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(LaurentSeries, "_store", counted)
+    for name in ("corollary_k2", "corollary_k3"):
+        monkeypatch.setattr(vwp, name, partial(closed_form, getattr(vwp, name)))
+    specs = [e.specialization for e in registry().values() if e.specialization]
+    for sp in specs:
+        catalog._derived(sp, 14)
+    assert stores[0] == 2 * len(specs)
 
 
 # One entry point per path an order takes: catalog checks, the chained sums, the

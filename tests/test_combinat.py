@@ -418,7 +418,7 @@ def test_count_series_matches_series_products(family, order):
     series = count_series(family, order)
     reference = _series_table(order)[family]
     assert series == reference
-    stored = [(s.offset, s.order, s._den, s._a, s._b) for s in (series, reference)]
+    stored = [(s.offset, s.order, s._den, s._parts) for s in (series, reference)]
     assert stored[0] == stored[1]  # the same stored data
 
 

@@ -273,15 +273,18 @@ def _power_param(p, m):
 
 
 def _normalized(s):
-    """s, checked against the stored invariant: no leading or trailing zero
-    pair, gcd(den, a, b) = 1, the zero series at offset 0 over 1."""
-    a, b = s._a, s._b
-    assert len(a) == len(b) and s._den > 0
-    if a:
-        assert (a[0] or b[0]) and (a[-1] or b[-1])
-        assert math.gcd(s._den, *a, *b) == 1
+    """s, checked against the stored invariant: a list of w-parts exactly
+    when some w-part is nonzero, no entry at either end zero in every list,
+    the denominator coprime to every numerator, the zero series [[]] at
+    offset 0 over 1."""
+    parts = s._parts
+    assert len(parts) in (1, 2) and s._den > 0
+    assert len(parts) == 1 or (len(parts[1]) == len(parts[0]) and any(parts[1]))
+    if parts[0]:
+        assert any(xs[0] for xs in parts) and any(xs[-1] for xs in parts)
+        assert math.gcd(s._den, *itertools.chain(*parts)) == 1
     else:
-        assert (s.offset, s._den) == (0, 1)
+        assert (s.offset, s._den, parts) == (0, 1, [[]])
     return s
 
 
@@ -915,6 +918,16 @@ def test_l_infinite_at_q_power_parameters(base):
         limit = vwp.l_infinite(params, 12, base)
         assert limit.order == 12
         assert same(vwp.l_finite_n(params, 40, 12, base), limit, 12), params
+
+
+def test_l_infinite_inverts_each_parameter_once(monkeypatch):
+    # the pairs (b, 1/b) of the prefactor are the pairs F_k is summed over
+    inverted = []
+    inv = ParamValue.inv
+    monkeypatch.setattr(ParamValue, "inv", lambda p: inverted.append(p) or inv(p))
+    params = (W, M1, ParamValue(CycRat(2)))
+    vwp.l_infinite(params, 10)
+    assert sorted(map(str, inverted)) == sorted(map(str, params))
 
 
 def _l_finite_term_by_term(params, big_n, order, base):
