@@ -49,6 +49,7 @@ from .laurent import (
     _binomials,
     _built,
     _one,
+    _required,
     _state,
 )
 from . import vwp
@@ -549,8 +550,8 @@ def _derived(sp: Specialization, order: int) -> LaurentSeries:
     call, the unit -1 on the first row with the corollary RHS as its addend,
     and the prefactor applies to that state in one more, so a prefactor that
     lowers the valuation or the order needs the closed form that much beyond
-    ``order``.  Only the prefactor's state is built into a series, which is
-    then cut to ``order``.
+    ``order``.  Only the prefactor's state is cut to ``order`` and built
+    into a series.
     """
     work = order + _term_slack(sp.prefactor)
     if len(sp.params) == 2:
@@ -561,7 +562,7 @@ def _derived(sp: Specialization, order: int) -> LaurentSeries:
         closed = vwp.corollary_k3(x, y, z, sp.base, work)
         first = _state(vwp.corollary_k2(y, z, sp.base, work))
     rest = _binomials(first, unit=(-1, 0, 1), plus=_state(closed))
-    return _built(_apply(sp.prefactor, rest)).require_order(order)
+    return _built(_required(_apply(sp.prefactor, rest), order))
 
 
 def derivation_check(identity_id: str, order: int = DEFAULT_ORDER) -> VerifyReport:

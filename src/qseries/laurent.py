@@ -25,7 +25,7 @@ the API edge: the constructor, ``from_terms`` and ``monomial`` take CycRat
 values, and ``coeff``, ``terms`` and ``coeffs`` (a tuple) hand them out,
 each built from a numerator pair and the denominator on read.  An order is
 an int or None and an exponent an int, checked where the series is stored,
-a shift enters or a coefficient is read.
+a shift, a binomial or an order enters or a coefficient is read.
 
 Order bookkeeping under multiplication accounts for operand valuations:
 a product coefficient at exponent e needs f up to e - val(g) and g up to
@@ -65,10 +65,13 @@ at either end, and its lists may run past an order that was lowered; only
 its denominator is kept in lowest terms, so that the numbers stay as small
 as a series' would.  The kernel can add a second state, the addend,
 straight into the lists it has just built, padding them where the addend
-starts lower or ends higher (``_added``, which ``_plus`` also sums with).
-The chained sums and product sums of ``vwp`` step their partial sums
-through the kernel as states, each step adding the previous partial sum in
-place, and build one series per sum.
+starts lower or ends higher (``_added``), and that is the only way two
+series are added: ``+``, ``-`` and ``agrees_below`` are one kernel call on
+the other operand's state, the receiver's state as the addend.  The chained
+sums and product sums of ``vwp`` step their partial sums through the kernel
+as states, each step adding the previous partial sum in place.  ``_required``
+sets a state's order after the check that ``require_order`` makes, so each
+sum, like every other result, is built into a series once.
 
 The parameters of the paper's products come with their reciprocals, and at
 a root of unity c the reciprocal is the conjugate, so w-factors meet their
@@ -331,22 +334,20 @@ class LaurentSeries:
 
     def truncate(self, order: int) -> "LaurentSeries":
         """Restrict to coefficients below ``order`` (order can only shrink)."""
+        if order is not None and type(order) is not int:
+            order = _as_int(order, "order")
         return _built((self.offset, self._parts, self._den, _lowest(self.order, order)))
 
     def require_order(self, order: int) -> "LaurentSeries":
         """Assert the series is trusted through ``order`` and truncate to it."""
-        if self.order is not None and self.order < order:
-            raise OrderExceeded(
-                f"series trusted only below q^{self.order}, need q^{order}"
-            )
-        return _built((self.offset, self._parts, self._den, order))
+        return _built(_required(_state(self), order))
 
     # -- linear structure --------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return _plus(None, self, other)
+        return _built(_binomials(_state(other), plus=_state(self)))
 
     def __neg__(self):
         return _built(_binomials(_state(self), unit=(-1, 0, 1)))
@@ -354,7 +355,7 @@ class LaurentSeries:
     def __sub__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return self + (-other)
+        return _built(_binomials(_state(other), unit=(-1, 0, 1), plus=_state(self)))
 
     def scale(self, c) -> "LaurentSeries":
         """Multiply by a scalar from Q(w)."""
@@ -396,7 +397,9 @@ class LaurentSeries:
         return _built((offset, [a, b], self._den * other._den, order))
 
     def mul_one_minus(self, c: CycRat, e: int) -> "LaurentSeries":
-        """Multiply by the exact binomial (1 - c*q^e) in one pass."""
+        """Multiply by the exact binomial (1 - c*q^e) in one pass; e must be an int."""
+        if type(e) is not int:
+            e = _as_int(e, "exponent")
         return _built(_binomials(_state(self), muls=((*_split(c), e),)))
 
     def div_one_minus(self, c: CycRat, e: int, order: int | None = None) -> "LaurentSeries":
@@ -405,8 +408,10 @@ class LaurentSeries:
         For e >= 1 the quotient is an honest power series times q^offset; for
         e <= -1 we first factor (1 - c*q^e) = (-c*q^e) * (1 - c^{-1} q^{-e}).
         The result needs a finite order: pass one, or the receiver must
-        already carry one.
+        already carry one.  e must be an int.
         """
+        if type(e) is not int:
+            e = _as_int(e, "exponent")
         return _built(_binomials(_state(self), divs=((*_split(c), e),), cap=order))
 
     def inverse(self, order: int | None = None) -> "LaurentSeries":
@@ -424,6 +429,8 @@ class LaurentSeries:
         The recurrence runs on CycRat values and skips the zero F_i.  It is a
         plain reference: the library divides only by binomials, in the kernel.
         """
+        if order is not None and type(order) is not int:
+            order = _as_int(order, "order")
         if not self._parts[0]:
             raise DivisionByZero("inverse of the zero series")
         v = self.offset
@@ -473,7 +480,8 @@ class LaurentSeries:
                 raise OrderExceeded(
                     f"series trusted only below q^{s.order}, cannot compare below q^{order}"
                 )
-        difference = _plus(order, self, -other)
+        difference = _built(_binomials(_state(other), cap=order, unit=(-1, 0, 1),
+                                       plus=_state(self)))
         return None if difference.is_zero() else difference.offset
 
     def __str__(self):
@@ -562,14 +570,13 @@ def _added(state: tuple, g: tuple, order: int | None) -> tuple:
     return offset, parts, den, order
 
 
-def _plus(cap: int | None, *terms: LaurentSeries) -> LaurentSeries:
-    """The sum of ``terms``, trusted below the lowest of their orders and ``cap``.
-    It adds the 1-parts alone when every term is rational."""
-    order = _lowest(cap, *(s.order for s in terms))
-    total = _zero(order)
-    for s in terms:
-        total = _added(total, _state(s), order)
-    return _built(total)
+def _required(state: tuple, order: int) -> tuple:
+    """The kernel state ``state`` trusted below ``order``; OrderExceeded when
+    it is trusted only below a lower order."""
+    offset, parts, den, below = state
+    if below is not None and below < order:
+        raise OrderExceeded(f"series trusted only below q^{below}, need q^{order}")
+    return offset, parts, den, order
 
 
 def _binomials(f: tuple, muls=(), divs=(), cap: int | None = None,
@@ -614,7 +621,8 @@ def _binomials(f: tuple, muls=(), divs=(), cap: int | None = None,
     least order - offset, and a division whose e is at least the length
     below the order.
 
-    With ``plus`` the result is the state of _plus(cap, plus, the product):
+    With ``plus`` the result is the state of plus + the product, trusted
+    below the lowest of ``cap``, the addend's order and the product's order:
     the addend's entries below that order are added in place into the lists
     the steps built for the product (``_added``), every list of the addend,
     its w-parts included, over the lcm of the two denominators.  When no step

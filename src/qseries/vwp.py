@@ -25,10 +25,10 @@ sum side of the well-poised 3-psi-3 evaluation.
 
 Every sum -- the multisum, the corollary single and double sums, the
 diagonal sum, the catalog's sum sides, F_k, L_{k,N} and the 3-psi-3 -- runs
-through one driver, ``_chain_sum``: a first term times one term ratio per
+through one engine, ``_chain_state``: a first term times one term ratio per
 summation level, each ratio a weight that may grow geometrically with the
 index and lists of numerator and denominator binomials.  The bilateral sums
-fold their mirrored tails, t(-n) = base^n t(n), into one level.  The driver
+fold their mirrored tails, t(-n) = base^n t(n), into one level.  The engine
 nests the sum from the inside out, Horner style, with U_{L+1}(m) = 1 and
 
     U_j(m) = U_{j+1}(m) + (prod_{i>=j} r_i(m)) * U_j(m+1),   sum = first * U_1(0),
@@ -38,8 +38,10 @@ laurent binomial kernel, each on the merged ratios of the inner levels.
 Every U_j(m) is kept as a raw kernel state (laurent's offset, numerator
 lists, denominator and order), never as a series: each step adds U_{j+1}(m)
 into the lists it has just built for the product, and the sum is
-normalized once, when the first term has been applied and its series is
-built.
+normalized once, when the first term has been applied and its state is
+built into a series (``_chain_sum``).  The bilateral sums add -t(0) to
+that state first, and ``l_infinite`` applies D to F_k's state, so they too
+build one series each.
 
 A product term (``Term``) is nothing but binomials: a scalar, a shift,
 binomials (1 - c q^e)^{+-1} and Pochhammer powers (c q^e; base)_inf^k.  It
@@ -91,8 +93,8 @@ from .laurent import (
     _negative_slack,
     _one,
     _paired,
+    _required,
     _split,
-    _state,
     _zero,
     _zero_factor_index,
 )
@@ -289,7 +291,17 @@ def _split_steps(level: Level, count: int) -> tuple[list, list]:
 
 
 def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
-    """sum over 0 <= M_1 <= ... <= M_L of first * prod_j R_j(M_j), R_j(0) = 1.
+    """The chained sum of ``_chain_state`` built into a series; with no
+    levels, the first term alone (``_product_sum``)."""
+    if not levels:
+        return _product_sum((first,), order)
+    return _built(_chain_state(levels, order, first))
+
+
+def _chain_state(levels, order: int, first: Term) -> tuple:
+    """The kernel state of the sum over 0 <= M_1 <= ... <= M_L of
+    first * prod_j R_j(M_j), R_j(0) = 1, for at least one level, trusted
+    below ``order``.
 
     Summed backwards, Horner style: with U_{L+1}(m) = 1, the inner sums
     U_j(m) = sum over m <= M_j <= ... <= M_L of prod_{i>=j} R_i(M_i)/R_i(m) obey
@@ -303,8 +315,8 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
     U_{j+1}(m) into the lists it built for the product.  Every U_j(m) stays a
     kernel state between the calls; at level j's top, U_j(top) = U_{j+1}(top)
     only has its order lowered to the cap.  The first term then applies to
-    U_1(0) in one more kernel call, and the sum is normalized once, when that
-    state is built into a series.  A level with no vanishing numerator
+    U_1(0) in one more kernel call, and the state it returns is normalized
+    only when it is built into a series.  A level with no vanishing numerator
     factor never ends (``_first_zero`` is None); only the order stops it, so
     order None raises OrderExceeded once the bases are checked.
 
@@ -332,8 +344,6 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
             raise InvalidBase(f"weight growth must not lower the q-power, got {lv.growth}")
         for _, step in lv.num + lv.den:
             _check_base(step)
-    if not levels:
-        return _product_sum((first,), order)
     slack = _term_slack(first) + sum(
         _negative_slack(p, step) for lv in levels for p, step in lv.num)
     if order is None:
@@ -378,7 +388,7 @@ def _chain_sum(levels, order: int, first: Term = Term()) -> LaurentSeries:
                 offset, parts, den, below = inner
                 inner = offset, parts, den, _lowest(below, cap)
             above[j] = inner
-    return _built(_apply(first, above[0])).require_order(order)
+    return _required(_apply(first, above[0]), order)
 
 
 def _vwp_level(nums, dens, base: ParamValue, weight: ParamValue | None = None) -> Level:
@@ -649,8 +659,9 @@ def _poles(pairs, base: ParamValue) -> set:
 
 
 def _folded_sum(pairs, base: ParamValue, weight: ParamValue, first: Term, order: int,
-                growth: ParamValue = ParamValue(ONE), num=(), den=()) -> LaurentSeries:
-    """sum_{n>=0} (1 + base^n) t(n) - t(0), the sum of t(n) over all integers n
+                growth: ParamValue = ParamValue(ONE), num=(), den=()) -> tuple:
+    """The kernel state, trusted below ``order``, of
+    sum_{n>=0} (1 + base^n) t(n) - t(0), the sum of t(n) over all integers n
     when t(-n) = base^n t(n), for t(0) = first and the term ratio
 
         t(n+1)/t(n) = weight * growth^n * prod_num / prod_den * prod_i
@@ -658,16 +669,16 @@ def _folded_sum(pairs, base: ParamValue, weight: ParamValue, first: Term, order:
 
     The b_i come as the pairs (b_i, 1/b_i).  One level sums it from 2 t(0),
     with (1 + base^(n+1))/(1 + base^n) in its ratio, and -t(0) is one more
-    kernel call, with that sum as its addend.
+    kernel call, with that sum's state as its addend.
     """
     lv = _vwp_level(pairs, pairs, base, weight)
     minus_one = ParamValue(-1)
     level = Level(weight, lv.num + ((_param_mul(minus_one, base), base),) + num,
                   lv.den + ((minus_one, base),) + den, growth)
-    total = _chain_sum([level], order, replace(first, scalar=2 * first.scalar))
+    total = _chain_state([level], order, replace(first, scalar=2 * first.scalar))
     minus_first = replace(first, scalar=-first.scalar)
     one = _one(order + _term_slack(first) - first.shift)
-    return _built(_apply(minus_first, one, plus=_state(total))).require_order(order)
+    return _required(_apply(minus_first, one, plus=total), order)
 
 
 def f_bilateral(params, order: int, base: ParamValue = Q) -> LaurentSeries:
@@ -678,11 +689,11 @@ def f_bilateral(params, order: int, base: ParamValue = Q) -> LaurentSeries:
     / ((1-b_i base^(n+1))(1-base^(n+1)/b_i)) and mirrored tails t(-n) = base^n t(n).
     ZeroFactor when some b_i is an integer power of base: terms n and -n have a pole.
     """
-    return _f_bilateral(_inverted(*as_params(params)), order, base)
+    return _built(_f_bilateral(_inverted(*as_params(params)), order, base))
 
 
-def _f_bilateral(pairs, order: int, base: ParamValue) -> LaurentSeries:
-    """F_k for the pairs (b_i, 1/b_i) of ``_inverted``."""
+def _f_bilateral(pairs, order: int, base: ParamValue) -> tuple:
+    """The kernel state of F_k for the pairs (b_i, 1/b_i) of ``_inverted``."""
     if _poles(pairs, base):
         raise ZeroFactor("F_k: some b_i is a power of the base, a term has a pole")
     weight = _param_mul(ParamValue(-1), _param_pow(base, len(pairs)))
@@ -722,9 +733,9 @@ def l_finite_n(params, bigN: int, order: int, base: ParamValue = Q) -> LaurentSe
         raise ValueError("l_finite_n needs bigN >= 0")
     if any(0 < n <= bigN for n in _poles(pairs, base)):
         raise ZeroFactor("L_{k,N}: some b_i is a power of the base, a term has a pole")
-    return _folded_sum(pairs, base, _param_pow(base, len(params) + bigN), Term(), order,
-                       num=((_param_pow(base, bigN).inv(), base),),
-                       den=((_param_pow(base, bigN + 1), base),))
+    return _built(_folded_sum(pairs, base, _param_pow(base, len(params) + bigN), Term(), order,
+                              num=((_param_pow(base, bigN).inv(), base),),
+                              den=((_param_pow(base, bigN + 1), base),)))
 
 
 def l_infinite(params, order: int, base: ParamValue = Q) -> LaurentSeries:
@@ -740,7 +751,7 @@ def l_infinite(params, order: int, base: ParamValue = Q) -> LaurentSeries:
     pairs = _inverted(*params)
     d = _d_term(*pairs)
     f = _f_bilateral(pairs, order + _term_slack(d), base)
-    return _built(_apply(d, _state(f))).require_order(order)
+    return _built(_required(_apply(d, f), order))
 
 
 # -- classical evaluations ----------------------------------------------------------
@@ -758,4 +769,4 @@ def bailey_3psi3_sum(b: ParamValue, order: int) -> LaurentSeries:
     term n lies within the a-priori bound at every order, so the driver
     raises ZeroFactor there.
     """
-    return _folded_sum(_inverted(b), Q, ParamValue(-1, 1), Term(), order, growth=Q)
+    return _built(_folded_sum(_inverted(b), Q, ParamValue(-1, 1), Term(), order, growth=Q))

@@ -322,9 +322,9 @@ def test_every_one_edit_mutant_of_a_specialization_is_seen():
     assert probed == 206  # on 28 specializations
 
 
-def test_derived_builds_two_series_per_call(monkeypatch):
-    # corollary - first row and the prefactor stay kernel states: one series
-    # is built from them, and require_order cuts it to the order
+def test_derived_builds_one_series_per_call(monkeypatch):
+    # corollary - first row and the prefactor stay kernel states, cut to the
+    # order as a state: one series is built from them
     stores, inside = [0], [0]
     store = LaurentSeries._store
 
@@ -345,7 +345,38 @@ def test_derived_builds_two_series_per_call(monkeypatch):
     specs = [e.specialization for e in registry().values() if e.specialization]
     for sp in specs:
         catalog._derived(sp, 14)
-    assert stores[0] == 2 * len(specs)
+    assert stores[0] == len(specs)
+
+
+_PAIR = (ParamValue(OMEGA), ParamValue(-ONE))
+
+# Each builds its result in one store: the sums and differences are one kernel
+# call with the receiver as its addend, and the orders are cut on kernel states.
+ONE_STORE = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "agrees_below": lambda a, b: a.agrees_below(b, 10),
+    "require_order": lambda a, b: a.require_order(10),
+    "lhs_multisum": lambda a, b: vwp.lhs_multisum(_PAIR, 12),
+    "f_bilateral": lambda a, b: vwp.f_bilateral(_PAIR, 12),
+    "sum-side": lambda a, b: registry()["A1-a"].lhs(12),
+}
+
+
+@pytest.mark.parametrize("case", ONE_STORE)
+def test_each_result_is_stored_once(monkeypatch, case):
+    a = LaurentSeries.from_terms({-2: OMEGA, 0: CycRat(Fraction(1, 2)), 3: ONE}, 12)
+    b = vwp.rhs_products(_PAIR, 12)
+    stores = [0]
+    store = LaurentSeries._store
+
+    def counted(s, *args):
+        stores[0] += 1
+        store(s, *args)
+
+    monkeypatch.setattr(LaurentSeries, "_store", counted)
+    ONE_STORE[case](a, b)
+    assert stores[0] == 1
 
 
 # One entry point per path an order takes: catalog checks, the chained sums, the
@@ -360,6 +391,9 @@ ORDER_ENTRIES = {
     "count_series": lambda n: combinat.count_series("pairs", n),
     "LaurentSeries.one": LaurentSeries.one,
     "div_one_minus": lambda n: LaurentSeries.one(30).div_one_minus(ONE, 1, n),
+    # below the receiver's order 10 every order here would be ignored, not refused
+    "truncate": lambda n: LaurentSeries.one(10).truncate(n),
+    "inverse": lambda n: LaurentSeries.one(10).inverse(n),
 }
 
 

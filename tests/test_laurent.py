@@ -18,7 +18,6 @@ from qseries.laurent import (
     _binomials,
     _built,
     _paired,
-    _plus,
     _split,
     _state,
     poch_finite,
@@ -109,8 +108,14 @@ def test_coeffs_is_a_tuple_of_the_stored_coefficients(f):
     (lambda: LaurentSeries.one().shift(0.0), 0.0),  # shifts nothing, still refused
     (lambda: LaurentSeries.from_terms({0: ONE, 1: ONE}, 10).coeff(1.5), 1.5),
     (lambda: LaurentSeries.one(10).coeff(3.5), 3.5),  # past the stored terms: was 0
+    (lambda: LaurentSeries.one(3).mul_one_minus(ONE, 3.5), 3.5),  # at the order: was 1
+    (lambda: LaurentSeries.one(3).mul_one_minus(CycRat(2), 0.0), 0.0),  # was the scalar -1
+    (lambda: LaurentSeries.one(3).mul_one_minus(ONE, 1.5), 1.5),
+    (lambda: LaurentSeries.one(5).div_one_minus(ONE, 7.5), 7.5),  # past the order: was 1
 ], ids=["monomial", "constructor", "from_terms", "from_terms-later", "zero",
-        "shift", "shift-integral", "shift-0", "coeff", "coeff-past-the-terms"])
+        "shift", "shift-integral", "shift-0", "coeff", "coeff-past-the-terms",
+        "mul_one_minus-at-the-order", "mul_one_minus-0", "mul_one_minus",
+        "div_one_minus-past-the-order"])
 def test_exponent_must_be_an_int(build, value):
     with pytest.raises(TypeError, match=rf"^expected an int exponent, got float: {value}$"):
         build()
@@ -433,6 +438,14 @@ def _stored(s):
     return s.offset, s.order, s._den, s._parts
 
 
+def _summed(cap, g, p):
+    """g + p trusted below the lowest of ``cap`` and their orders, summed
+    coefficient by coefficient in CycRat and built from those terms."""
+    order = min((o for o in (cap, g.order, p.order) if o is not None), default=None)
+    exps = {e for s in (g, p) for e, _ in s.terms() if order is None or e < order}
+    return LaurentSeries.from_terms({e: g.coeff(e) + p.coeff(e) for e in exps}, order)
+
+
 addend_st = st.builds(
     LaurentSeries.from_terms,
     st.dictionaries(st.integers(-5, 40), st.one_of(coeffs_st, rational_coeffs_st),
@@ -447,7 +460,8 @@ addend_st = st.builds(
        divs=st.lists(st.one_of(rational_binomial_st, binomial_st), max_size=3),
        cap=st.none() | st.integers(-6, 36))
 def test_fused_addend_matches_two_calls(f, h, at, shift, unit, muls, divs, cap):
-    # _binomials(f, ..., plus=g) stores what _plus(cap, g, _binomials(f, ...)) does.
+    # _binomials(f, ..., plus=g) stores the CycRat sum of g and _binomials(f, ...),
+    # trusted below the lowest of cap and their orders.
     # The addend g is h moved to start ``at`` entries above the product's first:
     # below it, inside it, beyond its end or its order, or longer than it when
     # h is; both carry w-parts, negative offsets and denominators other than 1
@@ -458,7 +472,7 @@ def test_fused_addend_matches_two_calls(f, h, at, shift, unit, muls, divs, cap):
     start = product.offset if isinstance(product, LaurentSeries) else 0
     g = h if h.is_zero() else h.shift(start + at - h.offset)
     kept = _stored(f), _stored(g)
-    two = _outcome(lambda: _plus(cap, g, kernel(f, *args)))
+    two = _outcome(lambda: _summed(cap, g, kernel(f, *args)))
     fused = _outcome(lambda: kernel(f, *args, plus=g))
     assert (_stored(f), _stored(g)) == kept  # the kernel adds only into lists of its own
     if not isinstance(two, LaurentSeries):
@@ -502,7 +516,7 @@ _HALF = (1, 0, 2)  # the scalar 1/2, split
      ([(1, 0, 1, 1)], [], None, 0, None)),
 ])
 def test_fused_addend_examples(g, f, kernel_args):
-    two = _plus(kernel_args[2], g, kernel(f, *kernel_args))
+    two = _summed(kernel_args[2], g, kernel(f, *kernel_args))
     assert _stored(kernel(f, *kernel_args, plus=g)) == _stored(two)
 
 
