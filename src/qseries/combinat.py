@@ -182,7 +182,7 @@ def _mult3_below(total: int, s: int) -> Iterator[tuple[int, ...]]:
 
 
 def _check_weight(caller: str, n: int, cap: int) -> None:
-    if n < 1:
+    if _as_int(n, "weight") < 1:
         raise ValueError(f"{caller} needs n >= 1, got {n}")
     if n > cap:
         raise ValueError(
@@ -432,7 +432,7 @@ def count_series(family: str, order: int) -> LaurentSeries:
     """One family's counting series below order: ``count_table(order)[family]`` as a series."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if order < 1:
+    if _as_int(order, "order") < 1:
         raise ValueError(f"count_series needs order >= 1, got {order}")
     counts = count_table(order)[family]
     return _built((0, [counts], 1, order))

@@ -25,7 +25,10 @@ the API edge: the constructor, ``from_terms`` and ``monomial`` take CycRat
 values, and ``coeff``, ``terms`` and ``coeffs`` (a tuple) hand them out,
 each built from a numerator pair and the denominator on read.  An order is
 an int or None and an exponent an int, checked where the series is stored,
-a shift, a binomial or an order enters or a coefficient is read.
+a shift, a binomial or an order enters or a coefficient is read; a
+Pochhammer length is an int count.  ``_as_int`` is the one check, for these
+and for the counts, indices and weights of ``vwp`` and ``combinat``: a
+TypeError names the kind expected and the type given.
 
 Order bookkeeping under multiplication accounts for operand valuations:
 a product coefficient at exponent e needs f up to e - val(g) and g up to
@@ -127,11 +130,19 @@ class ZeroFactor(ArithmeticError):
 
 def _as_int(value, what: str) -> int:
     """``value`` as an int, an int subclass such as bool as its int; TypeError
-    naming the type of anything else, so no float stands in for an exponent
-    or an order."""
+    naming ``what`` and the type of anything else, so no float stands in for
+    an exponent, an order, a count, an index or a weight.  The one int check
+    of the package: an int comes back at once."""
+    if type(value) is int:
+        return value
     if not isinstance(value, int):
         raise TypeError(f"expected an int {what}, got {type(value).__name__}: {value!r}")
     return int(value)
+
+
+def _as_order(order) -> int | None:
+    """``order`` as an int (``_as_int``), or None for an exact series."""
+    return None if order is None else _as_int(order, "order")
 
 
 @dataclass(frozen=True)
@@ -241,14 +252,10 @@ class LaurentSeries:
         invariant: truncated at the order, a list of w-parts that is all zero
         dropped, trimmed of the entries zero in every list, reduced.  The
         offset and an order that is not None must be ints."""
-        if type(offset) is not int:  # every series passes here: an int makes no call
-            offset = _as_int(offset, "exponent")
-        if order is not None:
-            if type(order) is not int:
-                order = _as_int(order, "order")
-            if order - offset < len(parts[0]):
-                keep = max(order - offset, 0)
-                parts = [xs[:keep] for xs in parts]
+        offset, order = _as_int(offset, "exponent"), _as_order(order)
+        if order is not None and order - offset < len(parts[0]):
+            keep = max(order - offset, 0)
+            parts = [xs[:keep] for xs in parts]
         if len(parts) > 1 and not any(parts[1]):
             parts = parts[:1]
         nonzero = parts[0] if len(parts) == 1 else [x or y for x, y in zip(*parts)]
@@ -273,7 +280,7 @@ class LaurentSeries:
         """Series from an {exponent: coefficient} mapping; the exponents must be ints."""
         if not terms:
             return cls(0, [], order)
-        exps = [e if type(e) is int else _as_int(e, "exponent") for e in terms]
+        exps = [_as_int(e, "exponent") for e in terms]
         lo = min(exps)
         coeffs = [ZERO] * (max(exps) - lo + 1)
         for e, c in zip(exps, terms.values()):
@@ -313,8 +320,7 @@ class LaurentSeries:
 
     def coeff(self, exp: int) -> CycRat:
         """Coefficient of q^exp, an int; OrderExceeded beyond the trusted range."""
-        if type(exp) is not int:
-            exp = _as_int(exp, "exponent")
+        exp = _as_int(exp, "exponent")
         if self.order is not None and exp >= self.order:
             raise OrderExceeded(
                 f"coefficient of q^{exp} requested, trusted only below q^{self.order}"
@@ -334,9 +340,7 @@ class LaurentSeries:
 
     def truncate(self, order: int) -> "LaurentSeries":
         """Restrict to coefficients below ``order`` (order can only shrink)."""
-        if order is not None and type(order) is not int:
-            order = _as_int(order, "order")
-        return _built((self.offset, self._parts, self._den, _lowest(self.order, order)))
+        return _built((self.offset, self._parts, self._den, _lowest(self.order, _as_order(order))))
 
     def require_order(self, order: int) -> "LaurentSeries":
         """Assert the series is trusted through ``order`` and truncate to it."""
@@ -363,9 +367,7 @@ class LaurentSeries:
 
     def shift(self, e: int) -> "LaurentSeries":
         """Multiply by the exact monomial q^e; e must be an int."""
-        if type(e) is not int:
-            e = _as_int(e, "exponent")
-        return _built(_binomials(_state(self), shift=e))
+        return _built(_binomials(_state(self), shift=_as_int(e, "exponent")))
 
     # -- multiplicative structure --------------------------------------------------
 
@@ -398,9 +400,7 @@ class LaurentSeries:
 
     def mul_one_minus(self, c: CycRat, e: int) -> "LaurentSeries":
         """Multiply by the exact binomial (1 - c*q^e) in one pass; e must be an int."""
-        if type(e) is not int:
-            e = _as_int(e, "exponent")
-        return _built(_binomials(_state(self), muls=((*_split(c), e),)))
+        return _built(_binomials(_state(self), muls=((*_split(c), _as_int(e, "exponent")),)))
 
     def div_one_minus(self, c: CycRat, e: int, order: int | None = None) -> "LaurentSeries":
         """Divide by (1 - c*q^e) via the forward recurrence g[j] = f[j] + c*g[j-e].
@@ -410,9 +410,8 @@ class LaurentSeries:
         The result needs a finite order: pass one, or the receiver must
         already carry one.  e must be an int.
         """
-        if type(e) is not int:
-            e = _as_int(e, "exponent")
-        return _built(_binomials(_state(self), divs=((*_split(c), e),), cap=order))
+        return _built(_binomials(_state(self), divs=((*_split(c), _as_int(e, "exponent")),),
+                                 cap=order))
 
     def inverse(self, order: int | None = None) -> "LaurentSeries":
         """Multiplicative inverse by forward substitution in Q(w).
@@ -429,8 +428,7 @@ class LaurentSeries:
         The recurrence runs on CycRat values and skips the zero F_i.  It is a
         plain reference: the library divides only by binomials, in the kernel.
         """
-        if order is not None and type(order) is not int:
-            order = _as_int(order, "order")
+        order = _as_order(order)
         if not self._parts[0]:
             raise DivisionByZero("inverse of the zero series")
         v = self.offset
@@ -511,16 +509,12 @@ def _state(s: LaurentSeries) -> tuple:
 
 def _zero(order: int | None) -> tuple:
     """The kernel state of 0 trusted below ``order``, an int or None."""
-    if order is not None and type(order) is not int:
-        order = _as_int(order, "order")
-    return 0, [[]], 1, order
+    return 0, [[]], 1, _as_order(order)
 
 
 def _one(order: int | None) -> tuple:
     """The kernel state of the constant 1 trusted below ``order``, an int or None."""
-    if order is not None and type(order) is not int:
-        order = _as_int(order, "order")
-    return 0, [[1]], 1, order
+    return 0, [[1]], 1, _as_order(order)
 
 
 def _built(state: tuple) -> LaurentSeries:
@@ -630,8 +624,7 @@ def _binomials(f: tuple, muls=(), divs=(), cap: int | None = None,
     the lists of f and ``plus`` are never changed and states share them
     freely.
     """
-    if cap is not None and type(cap) is not int:
-        cap = _as_int(cap, "order")
+    cap = _as_order(cap)
     offset, parts, den, order = f
     if shift:
         offset += shift
@@ -848,17 +841,17 @@ def _negative_slack(a: ParamValue, base: ParamValue, n: int | None = None) -> in
 def _poch(a: ParamValue, base: ParamValue, n: int | None, order: int | None,
           invert: bool) -> LaurentSeries:
     """(a; base)_n, or its inverse, in one kernel call; n None is the infinite
-    product.  The checks run in turn: InvalidBase for the base, ValueError
-    for n < 0, OrderExceeded for an infinite product without an order,
-    ZeroFactor for a factor (1 - 1) among the n, OrderExceeded for an
-    inverse without an order.
+    product.  The checks run in turn: InvalidBase for the base, TypeError
+    for an n that is not an int, ValueError for n < 0, OrderExceeded for an
+    infinite product without an order, ZeroFactor for a factor (1 - 1)
+    among the n, OrderExceeded for an inverse without an order.
 
     Only factors that touch exponents below ``order`` are applied: the
     leading factors with e < 0 move the valuation by the slack s, to -s for
     the product and to s for the inverse, and a later factor with e > 0
     changes nothing below e + valuation."""
     _check_base(base)
-    if n is not None and n < 0:
+    if n is not None and _as_int(n, "count") < 0:
         raise ValueError(f"a finite Pochhammer product needs n >= 0, got n={n}")
     if order is None and n is None and not invert:
         raise OrderExceeded("an infinite Pochhammer product needs a finite truncation order")

@@ -85,6 +85,7 @@ from .laurent import (
     ParamValue,
     Q,
     ZeroFactor,
+    _as_int,
     _binomials,
     _built,
     _check_base,
@@ -515,9 +516,9 @@ def a_coeff(k: int, i: int, params, order: int | None = None) -> LaurentSeries:
     one, OrderExceeded, unless DegenerateC is raised first.
     """
     params = as_params(params)
-    if len(params) != k:
+    if len(params) != _as_int(k, "count"):
         raise ValueError(f"a_coeff expects exactly k={k} parameters, got {len(params)}")
-    if not 1 <= i <= k:
+    if not 1 <= _as_int(i, "index") <= k:
         raise ValueError(f"a_coeff index i={i} outside 1..{k}")
     pairs = _inverted(*params)
     later = pairs[i:]
@@ -729,7 +730,7 @@ def l_finite_n(params, bigN: int, order: int, base: ParamValue = Q) -> LaurentSe
     coefficients below a fixed order stabilize to prod_i (1-b_i)(1-1/b_i) * F_k.
     """
     pairs = _inverted(*as_params(params))
-    if bigN < 0:
+    if _as_int(bigN, "count") < 0:
         raise ValueError("l_finite_n needs bigN >= 0")
     if any(0 < n <= bigN for n in _poles(pairs, base)):
         raise ZeroFactor("L_{k,N}: some b_i is a power of the base, a term has a pole")

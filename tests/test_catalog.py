@@ -397,21 +397,49 @@ ORDER_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("order", [24.0, 12.5, Fraction(12)], ids=repr)
+@pytest.mark.parametrize("order", [24.0, 12.5, 0.5, Fraction(12)], ids=repr)
 @pytest.mark.parametrize("entry", ORDER_ENTRIES)
 def test_order_must_be_an_int(entry, order):
     with pytest.raises(TypeError, match=f"^expected an int order, got {type(order).__name__}: "):
         ORDER_ENTRIES[entry](order)
 
 
-class Order(int):
+class SubInt(int):
     """An int subclass, as bool is one."""
 
 
 @pytest.mark.parametrize("entry", ORDER_ENTRIES)
 def test_order_int_subclass_is_its_int(entry):
-    got, want = ORDER_ENTRIES[entry](Order(12)), ORDER_ENTRIES[entry](12)
+    got, want = ORDER_ENTRIES[entry](SubInt(12)), ORDER_ENTRIES[entry](12)
     assert type(got.order) is int
     if isinstance(want, VerifyReport):
         got, want = replace(got, elapsed=0), replace(want, elapsed=0)
     assert got == want
+
+
+# Every count, index and weight a public function takes, with the kind its
+# TypeError names; each entry is valid at 2.
+COUNT_ENTRIES = {
+    "poch_finite": ("count", lambda n: laurent.poch_finite(ParamValue(2), laurent.Q, n)),
+    "poch_finite_inv": ("count",
+                        lambda n: laurent.poch_finite_inv(ParamValue(2), laurent.Q, n, 5)),
+    "l_finite_n": ("count", lambda n: vwp.l_finite_n((ParamValue(OMEGA),), n, 8)),
+    "a_coeff-k": ("count", lambda n: vwp.a_coeff(n, 1, (ParamValue(OMEGA), ParamValue(-ONE)))),
+    "a_coeff-i": ("index", lambda n: vwp.a_coeff(2, n, (ParamValue(OMEGA), ParamValue(-ONE)))),
+    "a_stats": ("weight", combinat.a_stats),
+    "enumerate_pairs_A": ("weight", combinat.enumerate_pairs_A),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, Fraction(2)], ids=repr)
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_count_must_be_an_int(entry, value):
+    kind, build = COUNT_ENTRIES[entry]
+    with pytest.raises(TypeError, match=f"^expected an int {kind}, got {type(value).__name__}: "):
+        build(value)
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_count_int_subclass_is_its_int(entry):
+    _, build = COUNT_ENTRIES[entry]
+    assert build(SubInt(2)) == build(2)
