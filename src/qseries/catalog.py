@@ -4,7 +4,8 @@ Each entry carries two independent builders.  A sum side is data: a first
 term and one term ratio per summation index, transcribed from the stated sum
 and summed by vwp's chained term-ratio driver.  A product side is data too: a
 list of terms scalar * q^a * prod (1 - c q^e)^{+-1} * prod (c q^e; q^s)_inf^k,
-in the style of Garvan's etaq, each expanded by one binomial-kernel call.
+in the style of Garvan's etaq, each expanded by one kernel call that applies
+its powers as eta quotients, Euler's sparse pentagonal series.
 Verification expands both to a truncation order and compares coefficients
 exactly; nothing is ever checked numerically in floating point.
 

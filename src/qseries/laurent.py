@@ -59,6 +59,14 @@ one and apply last, so scalars that are rational in total keep a rational
 series on one list.  A factor that touches nothing below the order is
 skipped.
 
+The kernel also applies powers of Euler's product (q^u; q^u)_inf, the eta
+quotients that ``vwp`` rewrites the catalog's Pochhammer powers into.  By
+the pentagonal theorem it is sum_k (-1)^k q^(u k(3k-1)/2), with about
+2*sqrt(2N/3u) terms below q^N (``_pentagonal``): multiplying by it is one
+shifted list add per term, and dividing by it is forward substitution over
+those terms only, O(N^1.5) entry steps where its N/u binomials take
+O(N^2/u).
+
 A kernel state is the tuple (offset, parts, den, order) the kernel works
 on, in the layout a series stores, and a series is a normalized state: the
 kernel takes one (``_state`` reads a series' fields) and returns one, and
@@ -95,7 +103,8 @@ of the O(order^2) of repeated general multiplication.  The facts about a
 family (1 - a*base^j) that the checks and the order rule need, its
 vanishing factor and the slack of its negative exponents, are read off the
 same split factors (``_factors``).  Each of them still builds and returns a
-normalized series.
+normalized series.  They list every factor, so the tests hold the kernel's
+sparse eta steps to them.
 
 ``inverse`` divides by a general series with plain forward substitution on
 CycRat values.  The library divides only by binomials, so ``inverse`` is the
@@ -573,11 +582,25 @@ def _required(state: tuple, order: int) -> tuple:
     return offset, parts, den, order
 
 
+def _pentagonal(u: int, length: int) -> list:
+    """The terms (d, sign) of (q^u; q^u)_inf below q^length other than its 1, in
+    increasing d: by Euler's pentagonal theorem the product is
+    sum_k (-1)^k q^(u k(3k-1)/2) over all integers k."""
+    out, k = [], 1
+    while (d := u * k * (3 * k - 1) // 2) < length:
+        sign = -1 if k % 2 else 1
+        out.append((d, sign))
+        if d + u * k < length:
+            out.append((d + u * k, sign))
+        k += 1
+    return out
+
+
 def _binomials(f: tuple, muls=(), divs=(), cap: int | None = None,
                shift: int = 0, unit: tuple | None = None,
-               plus: tuple | None = None) -> tuple:
-    """The kernel state of q^shift * unit * f * prod_muls (1 - c q^e) / prod_divs (1 - c q^e),
-    plus ``plus`` when given, for kernel states f and ``plus``.
+               plus: tuple | None = None, etas=()) -> tuple:
+    """The kernel state of q^shift * unit * f * prod_muls (1 - c q^e) / prod_divs (1 - c q^e)
+    * prod_etas (q^u; q^u)_inf^m, plus ``plus`` when given, for kernel states f and ``plus``.
 
     Every factor comes split as (ca, cb, cd, e) with c = (ca + cb*w)/cd, and
     ``unit``, when given, as (ua, ub, ud).  The binomial steps (e != 0) apply
@@ -614,6 +637,11 @@ def _binomials(f: tuple, muls=(), divs=(), cap: int | None = None,
     copying a list: a multiplication whose e (positive once factored) is at
     least order - offset, and a division whose e is at least the length
     below the order.
+
+    ``etas`` holds pairs (u, m), u >= 1 and m != 0: the powers
+    (q^u; q^u)_inf^m, applied in turn after the binomials as the sparse
+    series ``_pentagonal`` lists.  Each needs a finite order, and a division
+    (m < 0) takes ``cap`` as a binomial division does.
 
     With ``plus`` the result is the state of plus + the product, trusted
     below the lowest of ``cap``, the addend's order and the product's order:
@@ -719,6 +747,43 @@ def _binomials(f: tuple, muls=(), divs=(), cap: int | None = None,
         if cd != 1:
             parts = [[powers[top - j // e] * x for j, x in enumerate(xs)] for xs in new]
             den *= powers[top]
+    for u, m in etas:
+        if m < 0 and (order is None or (cap is not None and cap < order)):
+            order = cap
+        if order is None:
+            raise OrderExceeded("(q^u; q^u)_inf is an infinite product; an order is required")
+        length, n = order - offset, len(parts[0])
+        if not n or length <= 0:
+            parts = [[]]
+            continue
+        terms = _pentagonal(u, length)
+        if not terms:
+            continue  # (q^u; q^u)_inf is 1 below the order
+        ends = [d for d, _ in terms[1:]] + [length]
+        pad, new = [0] * (length - n), []
+        for xs in parts:
+            xs = xs[:length] + pad
+            for _ in range(abs(m)):
+                if m > 0:  # f * (1 + sum sign*q^d): f added at each d
+                    ys = xs[:]
+                    for d, sign in terms:
+                        ys[d:] = map(add if sign > 0 else sub, ys[d:], xs)
+                    xs = ys
+                    continue
+                # g[j] = f[j] - sum sign*g[j - d] over the terms with d <= j, in
+                # place: from each term's d to the next one's, those terms are fixed
+                ups, downs = [], []
+                for (d, sign), end in zip(terms, ends):
+                    (ups if sign < 0 else downs).append(d)
+                    for j in range(d, end):
+                        x = xs[j]
+                        for i in ups:
+                            x += xs[j - i]
+                        for i in downs:
+                            x -= xs[j - i]
+                        xs[j] = x
+            new.append(xs)
+        parts = new
     parts = _times(sa, sb, parts)
     den *= sd
     if plus is not None:

@@ -43,16 +43,19 @@ built into a series (``_chain_sum``).  The bilateral sums add -t(0) to
 that state first, and ``l_infinite`` applies D to F_k's state, so they too
 build one series each.
 
-A product term (``Term``) is nothing but binomials: a scalar, a shift,
-binomials (1 - c q^e)^{+-1} and Pochhammer powers (c q^e; base)_inf^k.  It
-is applied to a series in one kernel call that takes the Pochhammer factors
-as multiplications (k > 0) or divisions (k < 0), so no Pochhammer series is
-built or multiplied.  Every closed form is a list of Terms: C(z,y) is two
-divided binomials, D a product of binomials, A_{k,i} a product of k - 1 Cs,
-and the corollary right sides, the product side of the identity and the
-closed form of F_k are Terms applied to the constant 1, one Term per A_{k,i}
-in the last two.  A sum of Terms is also normalized once: each Term's
-kernel call adds the Terms before it.
+A product term (``Term``) is a scalar, a shift, binomials
+(1 - c q^e)^{+-1} and Pochhammer powers (c q^e; base)_inf^k.  It is applied
+to a series in one kernel call, and no Pochhammer series is built or
+multiplied.  The powers at c = +-1, and those of conjugate roots of unity
+in pairs, on a base q^s, are rewritten as binomials and powers of
+(q^u; q^u)_inf, which the kernel applies as Euler's sparse pentagonal
+series; any other power is listed factor by factor, as multiplications
+(k > 0) or divisions (k < 0).  Every closed form is a list of Terms: C(z,y)
+is two divided binomials, D a product of binomials, A_{k,i} a product of
+k - 1 Cs, and the corollary right sides, the product side of the identity
+and the closed form of F_k are Terms applied to the constant 1, one Term
+per A_{k,i} in the last two.  A sum of Terms is also normalized once: each
+Term's kernel call adds the Terms before it.
 
 Every parameter b comes with 1/b, taken once per call of a public function
 (``_inverted``) and handed on as the pair (b, 1/b).  At a root of unity 1/b
@@ -77,6 +80,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from . import laurent
 from .coeffring import ONE, CycRat, _zw
 from .laurent import (
     InvalidBase,
@@ -144,7 +148,8 @@ class Term:
     infinite Pochhammer powers as (c, e, s, k) with k != 0, in the style of
     Garvan's etaq, where s is the base: the step q^s for an int, or any
     ParamValue.  Coefficients c are ints or CycRat.  ``_apply`` multiplies a
-    series by a Term in one binomial-kernel call.
+    series by a Term in one kernel call, with the powers that reduce to eta
+    quotients applied as sparse series.
     """
 
     scalar: int | CycRat = 1
@@ -195,13 +200,44 @@ def _powers(t: Term):
         yield p, base, k
 
 
+def _etas(sign: int, a: int, s: int) -> tuple:
+    """The pairs (u, m) with (sign q^a; q^s)_inf = prod (q^u; q^u)_inf^m, for
+    sign +-1 and a = s or 2a = s: (q^s; q^s) is itself, (x; y) = (x, xy; y^2)
+    gives (q^(s/2); q^s) and (-x; y) = (x^2; y^2) / (x; y) the other two."""
+    if a == s:
+        return ((s, 1),) if sign > 0 else ((2 * s, 1), (s, -1))
+    return ((a, 1), (s, -1)) if sign > 0 else ((s, 2), (a, -1), (2 * s, -1))
+
+
+def _eta_power(sign: int, e: int, s: int, k: int, muls, divs, etas, below: int):
+    """Add (sign q^e; q^s)_inf^k, e > 0 and e = 0 or s/2 mod s, to the kernel
+    factors: (sign q^a; q^s)_inf^k for a = s or s/2 as eta powers, and its
+    binomials (1 - sign q^j), j = a, a + s, ... below e, divided out.  Only
+    the factors below ``below`` can touch a trusted coefficient."""
+    a = s if e % s == 0 else s // 2
+    if a >= below:
+        return  # every factor and eta product is 1 below the order
+    steps = [(sign, 0, 1, j) for j in range(a, min(e, below), s)]
+    (divs if k > 0 else muls).extend(steps * abs(k))
+    for u, m in _etas(sign, a, s):
+        if u < below:
+            etas[u] = etas.get(u, 0) + k * m
+
+
 def _apply(t: Term, f: tuple, plus: tuple | None = None) -> tuple:
     """The kernel state of t * f, plus the state ``plus`` when given, for the
     kernel state f, in one call of the binomial kernel.
 
     The scalar is the kernel's unit and the shift its shift; the Term's
-    binomials and, repeated |k| times, the factors of each (c q^e; base)_inf^k
-    are its multiplications (k > 0) or divisions (k < 0).
+    binomials are its multiplications and divisions.  A Pochhammer power
+    (c q^e; q^s)_inf^k on a base q^s, with e = 0 or s/2 mod s, and c = +-1
+    or a root of unity met by its conjugate's power of the same e, s and k,
+    becomes data for the kernel: its factors with e <= 0 stay binomials, a
+    conjugate pair's rest is (sign q^3e; q^3s) / (sign q^e; q^s) with the
+    sign from ``laurent._CONJUGATES``, and a rational rest is an eta
+    quotient with the binomials below its first exponent divided out
+    (``_eta_power``).  Every other power is listed factor by factor,
+    repeated |k| times, as multiplications (k > 0) or divisions (k < 0).
 
     A factor (1 - c q^e) left out changes the product only at exponents of
     at least e plus the valuation of everything else.  The shift and the
@@ -214,25 +250,49 @@ def _apply(t: Term, f: tuple, plus: tuple | None = None) -> tuple:
     without Pochhammer powers exactly; a Pochhammer power raises
     OrderExceeded, as an infinite product needs an order.
 
-    Of f with a finite order, the factors are paired once (``_paired``):
+    Of f with a finite order, the binomials are paired once (``_paired``):
     each root of unity c at q^e, e != 0, with its conjugate at the same e,
-    as in (c q^e; base)_inf (conj(c) q^e; base)_inf or C's two binomials,
-    becomes rational factors, so a product of such pairs and of scalars
-    rational in total stays on one numerator list.  e = 0 is left to the
-    kernel's scalar, where a pair is 3 or 1 and the quotient 0/0.  An exact
-    f is not paired: a paired multiplication divides, which needs an order.
+    as in C's two binomials, becomes rational factors, so a product of such
+    pairs and of scalars rational in total stays on one numerator list.
+    e = 0 is left to the kernel's scalar, where a pair is 3 or 1 and the
+    quotient 0/0.  An exact f is not paired: a paired multiplication
+    divides, which needs an order.
     """
     offset, _, _, order = f
     muls = [(*_split(c), e) for c, e in t.muls]
     divs = [(*_split(c), e) for c, e in t.divs]
+    etas, waiting, rest = {}, {}, []
     for p, base, k in _powers(t):
         if order is None:
             raise OrderExceeded("a Pochhammer power is an infinite product; "
                                 "a finite order is required")
+        c, e, s, below = _split(p.coeff), p.exp, base.exp, order - offset
+        partner, sign = laurent._CONJUGATES.get(c, (None, c[0]))  # c[0] is c at c = +-1
+        if (base.coeff != ONE or e % s and 2 * (e % s) != s
+                or partner is None and c not in ((1, 0, 1), (-1, 0, 1))):
+            rest.append((p, base, k))
+            continue
+        if partner is None:
+            cs = (c,)
+        elif waiting.get((partner, e, s, k)):
+            waiting[partner, e, s, k].pop()
+            cs = (c, partner)
+        else:  # listed factor by factor unless its conjugate's power comes
+            waiting.setdefault((c, e, s, k), []).append((p, base, k))
+            continue
+        while e <= 0:
+            (muls if k > 0 else divs).extend([(*x, e) for x in cs] * abs(k))
+            e += s
+        if partner is not None:  # the pair as (sign q^3e; q^3s) / (sign q^e; q^s)
+            _eta_power(sign, 3 * e, 3 * s, k, muls, divs, etas, below)
+            k = -k
+        _eta_power(sign, e, s, k, muls, divs, etas, below)
+    for p, base, k in rest + [power for left in waiting.values() for power in left]:
         (muls if k > 0 else divs).extend(_factors(p, base, below=order - offset) * abs(k))
     if order is not None:
         muls, divs = _paired(muls, divs)
-    return _binomials(f, muls, divs, shift=t.shift, unit=_split(t.scalar), plus=plus)
+    return _binomials(f, muls, divs, shift=t.shift, unit=_split(t.scalar), plus=plus,
+                      etas=[(u, m) for u, m in etas.items() if m])
 
 
 def _product_sum(terms, order: int | None) -> LaurentSeries:

@@ -198,9 +198,21 @@ def test_no_root_of_unity_steps_through_the_kernel(monkeypatch):
         w_steps.extend(c for c in (*muls, *divs) if c[1] and c[3])
         return kernel(f, muls, divs, *args, **kwargs)
 
+    # and every Pochhammer power of +-1 or of a conjugate pair on a base q^s is
+    # rewritten as an eta quotient, not listed factor by factor
+    factors, listed = vwp._factors, []
+
+    def factor_spy(a, base, count=None, below=None):
+        if count is None:  # a power of a Term; a level's step gives a count
+            listed.append((a.coeff, base.coeff))
+        return factors(a, base, count, below)
+
     monkeypatch.setattr(vwp, "_binomials", spy)
+    monkeypatch.setattr(vwp, "_factors", factor_spy)
     assert {r.status for r in _catalog_reports()} == {"equal"}
     assert w_steps == []
+    units = {ONE, -ONE, OMEGA, OMEGA.conjugate(), -OMEGA, -OMEGA.conjugate()}
+    assert [(c, b) for c, b in listed if c in units and b == ONE] == []
 
 
 def test_a_wrong_conjugate_table_is_caught(monkeypatch):
