@@ -12,8 +12,10 @@ exactly; nothing is ever checked numerically in floating point.
 Entries that arose by specializing the two-parameter or three-parameter
 corollaries also record that specialization (base, parameter values, and the
 eta-quotient prefactor, one term), so ``derivation_check`` can re-derive the
-sum side from the corollary's closed form, with the prefactor applied to it
-in one kernel call, and confirm it against the direct builder.
+sum side from the corollary's closed form and confirm it against the direct
+builder.  The closed form minus the first row is one sum of vwp's Terms, in
+which the Terms with the same eta quotient share one kernel call, and the
+prefactor applies to its state in one more.
 
 The identity families:
 
@@ -33,7 +35,7 @@ The identity families:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from types import MappingProxyType
 from typing import Callable
@@ -47,11 +49,8 @@ from .laurent import (
     Q,
     ZeroFactor,
     _as_int,
-    _binomials,
     _built,
-    _one,
     _required,
-    _state,
 )
 from . import vwp
 from .vwp import DegenerateC, Level, Term, _apply, _chain_sum, _product_sum, _term_slack
@@ -547,23 +546,28 @@ def _derived(sp: Specialization, order: int) -> LaurentSeries:
     """prefactor * (corollary RHS - first row) at the recorded parameters.
 
     The first row is the constant 1 for single sums and the two-parameter
-    corollary RHS for double sums.  The difference is one binomial-kernel
-    call, the unit -1 on the first row with the corollary RHS as its addend,
-    and the prefactor applies to that state in one more, so a prefactor that
-    lowers the valuation or the order needs the closed form that much beyond
-    ``order``.  Only the prefactor's state is cut to ``order`` and built
-    into a series.
+    corollary RHS for double sums.  The parameters are inverted once, and
+    the difference is one product sum (``vwp._product_state``): the
+    corollary's Terms and the first row's, negated, with the Terms that
+    differ only in their scalar collected into one kernel call.  At roots
+    of unity the C, D and A factors are scalars, and the first row's
+    quotient (z, 1/z; base)_inf / (base*y, base/y; base)_inf is written as
+    D(z) times the three-parameter corollary's (base*z, base/z; base)_inf
+    / (base*y, base/y; base)_inf, so the six Terms of a double sum take
+    three calls.  The prefactor applies to that state in one more, so a
+    prefactor that lowers the valuation or the order needs the closed form
+    that much beyond ``order``.  Only the prefactor's state is cut to
+    ``order`` and built into a series.
     """
     work = order + _term_slack(sp.prefactor)
-    if len(sp.params) == 2:
-        y, z = sp.params
-        closed, first = vwp.corollary_k2(y, z, sp.base, work), _one(None)
+    pairs = vwp._inverted(*sp.params)
+    if len(pairs) == 2:
+        terms = vwp._k2_terms(*pairs, sp.base) + (Term(-1),)
     else:
-        x, y, z = sp.params
-        closed = vwp.corollary_k3(x, y, z, sp.base, work)
-        first = _state(vwp.corollary_k2(y, z, sp.base, work))
-    rest = _binomials(first, unit=(-1, 0, 1), plus=_state(closed))
-    return _built(_required(_apply(sp.prefactor, rest), order))
+        first = vwp._k2_terms(*pairs[1:], sp.base)
+        terms = vwp._k3_terms(*pairs, sp.base) + tuple(replace(t, scalar=-t.scalar)
+                                                       for t in first)
+    return _built(_required(_apply(sp.prefactor, vwp._product_state(terms, work)), order))
 
 
 def derivation_check(identity_id: str, order: int = DEFAULT_ORDER) -> VerifyReport:

@@ -249,7 +249,12 @@ def _reduced(x: int, y: int, d: int) -> CycRat:
 
 
 def _coerce(value):
-    """``value`` as a CycRat when the constructor takes it, else NotImplemented."""
+    """``value`` as a CycRat when the constructor takes it, else NotImplemented;
+    an int is stored as it stands, being reduced over 1 already."""
+    if type(value) is int:
+        c = _new(CycRat)
+        _set(c, (value, 0, 1))
+        return c
     try:
         return value if isinstance(value, CycRat) else CycRat(value)
     except TypeError:

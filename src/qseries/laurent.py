@@ -199,7 +199,9 @@ def _lowest(*orders: int | None) -> int | None:
 
 def _split(c) -> tuple[int, int, int]:
     """Integers (ca, cb, cd) with c = (ca + cb*w) / cd, cd > 0 and gcd 1:
-    the triple CycRat stores."""
+    the triple CycRat stores, read off an int at once."""
+    if type(c) is int:
+        return c, 0, 1
     return (c if isinstance(c, CycRat) else CycRat(c))._xyd
 
 

@@ -46,16 +46,26 @@ build one series each.
 A product term (``Term``) is a scalar, a shift, binomials
 (1 - c q^e)^{+-1} and Pochhammer powers (c q^e; base)_inf^k.  It is applied
 to a series in one kernel call, and no Pochhammer series is built or
-multiplied.  The powers at c = +-1, and those of conjugate roots of unity
-in pairs, on a base q^s, are rewritten as binomials and powers of
-(q^u; q^u)_inf, which the kernel applies as Euler's sparse pentagonal
-series; any other power is listed factor by factor, as multiplications
-(k > 0) or divisions (k < 0).  Every closed form is a list of Terms: C(z,y)
-is two divided binomials, D a product of binomials, A_{k,i} a product of
-k - 1 Cs, and the corollary right sides, the product side of the identity
-and the closed form of F_k are Terms applied to the constant 1, one Term
-per A_{k,i} in the last two.  A sum of Terms is also normalized once: each
-Term's kernel call adds the Terms before it.
+multiplied.  Each power is read from its raw data (c, e, s, k); a
+ParamValue is built only for a power listed factor by factor or one with
+e <= 0, which alone can vanish.  The powers at c = +-1, and those of
+conjugate roots of unity in pairs, on a base q^s, are rewritten as
+binomials and powers of (q^u; q^u)_inf, which the kernel applies as
+Euler's sparse pentagonal series; any other power is listed factor by
+factor, as multiplications (k > 0) or divisions (k < 0).
+
+Every closed form is a list of Terms.  In x = b + 1/b, C(z,y) = 1/(x_z - x_y)
+and D(b) = (1-b)(1-1/b) = 2 - x_b, so at parameters without a q-power, the
+catalog's roots of unity, C and D are Q(w) scalars, and so is A_{k,i}, a
+product of k - 1 Cs; a parameter with a q-power makes C two divided
+binomials and D two binomials.  The corollary right sides, the product side
+of the identity and the closed form of F_k are Terms applied to the
+constant 1, one Term per A_{k,i} in the last two.  A sum of Terms
+(``_product_state``) collects the Terms that differ only in their scalar
+into one kernel call, and is normalized once: each kernel call adds the
+Terms before it.  So a derivation (``catalog._derived``), the Terms of one
+corollary minus those of the other, is one such sum, with as many kernel
+calls as it has distinct eta quotients.
 
 Every parameter b comes with 1/b, taken once per call of a public function
 (``_inverted``) and handed on as the pair (b, 1/b).  At a root of unity 1/b
@@ -147,9 +157,12 @@ class Term:
     ``muls`` and ``divs`` hold binomials as pairs (c, e); ``pochs`` holds
     infinite Pochhammer powers as (c, e, s, k) with k != 0, in the style of
     Garvan's etaq, where s is the base: the step q^s for an int, or any
-    ParamValue.  Coefficients c are ints or CycRat.  ``_apply`` multiplies a
-    series by a Term in one kernel call, with the powers that reduce to eta
-    quotients applied as sparse series.
+    ParamValue, whose powers ``_apply`` lists factor by factor.
+    Coefficients c are ints or CycRat, and so is the scalar, which holds the
+    Q(w) values of C, D and A at parameters without a q-power.  ``_apply``
+    multiplies a series by a Term in one kernel call, with the powers that
+    reduce to eta quotients applied as sparse series; ``_product_state``
+    sums Terms, one kernel call for those that differ only in their scalar.
     """
 
     scalar: int | CycRat = 1
@@ -181,23 +194,49 @@ def _base(s) -> ParamValue:  # a Pochhammer base: the step q^s for an int s
     return s if isinstance(s, ParamValue) else ParamValue(ONE, s)
 
 
+def _power(c, e, s):
+    """The base of a Pochhammer power (c q^e; s)_inf, with c, e and s checked
+    as ``ParamValue(c, e)``, ``_base(s)`` and ``_check_base`` check them, in
+    that order, but with nothing built for a plain power: c a nonzero int or
+    CycRat, e an int and s an int >= 1, which comes back as it is.  Any
+    other base comes back as a ParamValue."""
+    if type(e) is not int or not c or not isinstance(c, (int, CycRat)):
+        ParamValue(c, e)  # TypeError or ValueError, unless it takes c and e as they are
+    if type(s) is int and s >= 1:
+        return s
+    base = _base(s)
+    _check_base(base)
+    return base
+
+
 def _term_slack(t: Term) -> int:
-    """Order a Term loses below its working order: its negative q-powers.
+    """Order a Term loses below its working order: the negative q-powers of
+    its shift and its multiplications, and of each power (c q^e; q^s)_inf^k
+    with k > 0, k times the sum of -(e + js) over its factors with e + js < 0.
     InvalidBase when a Pochhammer base has no positive q-power."""
     dips = [-e for _, e in t.muls if e < 0]
-    dips += [max(k, 0) * _negative_slack(ParamValue(c, e), _base(s)) for c, e, s, k in t.pochs]
+    for c, e, s, k in t.pochs:
+        s = _power(c, e, s)
+        dips.append(max(k, 0) * sum(range(-e, 0, -(s if type(s) is int else s.exp))))
     return max(0, -t.shift) + sum(dips)
 
 
-def _powers(t: Term):
-    """Yield t's Pochhammer powers as (p, base, k).  InvalidBase for a base without
-    a positive q-power, ZeroFactor for a product that vanishes identically."""
+def _powers(t: Term, order: int | None = 0):
+    """Yield t's Pochhammer powers as (c, e, s, k), each with the base s that
+    ``_power`` returns once it has checked them.  Then, power by power,
+    ZeroFactor for one that vanishes identically, which only one with e <= 0
+    can, so only there are a ParamValue and a base built to look, and
+    OrderExceeded when ``order`` is None: an infinite product needs one."""
     for c, e, s, k in t.pochs:
-        p, base = ParamValue(c, e), _base(s)
-        _check_base(base)
-        if _zero_factor_index(p, base) is not None:
-            raise ZeroFactor(f"({p}; {base})_inf vanishes identically")
-        yield p, base, k
+        s = _power(c, e, s)
+        if e <= 0:
+            p, base = ParamValue(c, e), _base(s)
+            if _zero_factor_index(p, base) is not None:
+                raise ZeroFactor(f"({p}; {base})_inf vanishes identically")
+        if order is None:
+            raise OrderExceeded("a Pochhammer power is an infinite product; "
+                                "a finite order is required")
+        yield c, e, s, k
 
 
 def _etas(sign: int, a: int, s: int) -> tuple:
@@ -229,7 +268,8 @@ def _apply(t: Term, f: tuple, plus: tuple | None = None) -> tuple:
     kernel state f, in one call of the binomial kernel.
 
     The scalar is the kernel's unit and the shift its shift; the Term's
-    binomials are its multiplications and divisions.  A Pochhammer power
+    binomials are its multiplications and divisions.  Each power's raw
+    (c, e, s, k) is checked (``_powers``) and read as it stands.  A power
     (c q^e; q^s)_inf^k on a base q^s, with e = 0 or s/2 mod s, and c = +-1
     or a root of unity met by its conjugate's power of the same e, s and k,
     becomes data for the kernel: its factors with e <= 0 stay binomials, a
@@ -262,15 +302,13 @@ def _apply(t: Term, f: tuple, plus: tuple | None = None) -> tuple:
     muls = [(*_split(c), e) for c, e in t.muls]
     divs = [(*_split(c), e) for c, e in t.divs]
     etas, waiting, rest = {}, {}, []
-    for p, base, k in _powers(t):
-        if order is None:
-            raise OrderExceeded("a Pochhammer power is an infinite product; "
-                                "a finite order is required")
-        c, e, s, below = _split(p.coeff), p.exp, base.exp, order - offset
+    for power in _powers(t, order):
+        c, e, s, k = power
+        c, below = _split(c), order - offset
         partner, sign = laurent._CONJUGATES.get(c, (None, c[0]))  # c[0] is c at c = +-1
-        if (base.coeff != ONE or e % s and 2 * (e % s) != s
+        if (type(s) is not int or e % s and 2 * (e % s) != s
                 or partner is None and c not in ((1, 0, 1), (-1, 0, 1))):
-            rest.append((p, base, k))
+            rest.append(power)
             continue
         if partner is None:
             cs = (c,)
@@ -278,7 +316,7 @@ def _apply(t: Term, f: tuple, plus: tuple | None = None) -> tuple:
             waiting[partner, e, s, k].pop()
             cs = (c, partner)
         else:  # listed factor by factor unless its conjugate's power comes
-            waiting.setdefault((c, e, s, k), []).append((p, base, k))
+            waiting.setdefault((c, e, s, k), []).append(power)
             continue
         while e <= 0:
             (muls if k > 0 else divs).extend([(*x, e) for x in cs] * abs(k))
@@ -287,8 +325,9 @@ def _apply(t: Term, f: tuple, plus: tuple | None = None) -> tuple:
             _eta_power(sign, 3 * e, 3 * s, k, muls, divs, etas, below)
             k = -k
         _eta_power(sign, e, s, k, muls, divs, etas, below)
-    for p, base, k in rest + [power for left in waiting.values() for power in left]:
-        (muls if k > 0 else divs).extend(_factors(p, base, below=order - offset) * abs(k))
+    for c, e, s, k in rest + [power for left in waiting.values() for power in left]:
+        factors = _factors(ParamValue(c, e), _base(s), below=order - offset)
+        (muls if k > 0 else divs).extend(factors * abs(k))
     if order is not None:
         muls, divs = _paired(muls, divs)
     return _binomials(f, muls, divs, shift=t.shift, unit=_split(t.scalar), plus=plus,
@@ -296,20 +335,42 @@ def _apply(t: Term, f: tuple, plus: tuple | None = None) -> tuple:
 
 
 def _product_sum(terms, order: int | None) -> LaurentSeries:
-    """The sum of ``terms``, trusted below ``order``: one kernel call per Term,
-    each on the constant 1 trusted far enough for the Term to reach ``order``
-    and adding the Terms before it, and one series built at the end.  With
-    order None the Terms must be Laurent polynomials, summed exactly."""
+    """The sum of ``terms``, trusted below ``order``, built into one series
+    (``_product_state``)."""
+    return _built(_product_state(terms, order))
+
+
+def _product_state(terms, order: int | None) -> tuple:
+    """The kernel state of the sum of ``terms``, trusted below ``order``.
+
+    Terms that differ only in their scalar are collected into one, at the
+    place of the first, with the sum of their scalars.  Each collected Term
+    is one kernel call, on the constant 1 trusted far enough for it to reach
+    ``order``, adding the Terms before it.  A collected Term without
+    binomials whose scalars cancel is dropped once its powers are checked,
+    so it raises what it would raise applied.  With order None the Terms
+    must be Laurent polynomials, summed exactly.
+    """
     slacks = [_term_slack(t) for t in terms]  # every base is checked before any product
-    total = _zero(order)
+    groups = {}
     for t, slack in zip(terms, slacks):
-        total = _apply(t, _one(None if order is None else order + slack - t.shift), total)
-    return _built(total)
+        key = t.shift, t.muls, t.divs, t.pochs
+        scalar, _ = groups.get(key, (0, slack))
+        groups[key] = scalar + t.scalar, slack
+    total = _zero(order)
+    for (shift, muls, divs, pochs), (scalar, slack) in groups.items():
+        t = Term(scalar, shift, muls, divs, pochs)
+        if not (scalar or muls or divs):
+            list(_powers(t, order))
+            continue
+        total = _apply(t, _one(None if order is None else order + slack - shift), total)
+    return total
 
 
 def _merged(*terms: Term) -> Term:
-    """The product of ``terms`` as one Term."""
-    return Term(math.prod((t.scalar for t in terms), start=1),
+    """The product of ``terms`` as one Term; scalars 1 are not multiplied."""
+    scalars = [t.scalar for t in terms if t.scalar != 1]
+    return Term(math.prod(scalars[1:], start=scalars[0]) if scalars else 1,
                 sum(t.shift for t in terms),
                 sum((t.muls for t in terms), ()),
                 sum((t.divs for t in terms), ()),
@@ -466,39 +527,66 @@ def _vwp_level(nums, dens, base: ParamValue, weight: ParamValue | None = None) -
 # -- the closed forms' factors, as Terms ------------------------------------------------
 
 
-def _c_term(z: tuple, y: tuple) -> Term:
-    """C(z,y) = z^-1 / ((1 - y/z)(1 - 1/(yz))), as (z - y)(1 - 1/(yz)) = z + 1/z - y - 1/y,
-    for z and y given as the pairs (z, 1/z) and (y, 1/y) of ``_inverted``.
-    DegenerateC when z is y or 1/y, where the denominator vanishes identically.
+def _degenerate(z: tuple, y: tuple):
+    """DegenerateC when z is y or 1/y, for the pairs (z, 1/z) and (y, 1/y) of
+    ``_inverted``: then z + 1/z - y - 1/y vanishes identically."""
+    if z[0] == y[0] or z[0] == y[1]:
+        raise DegenerateC(f"C({z[0]}, {y[0]}) undefined: z coincides with y or 1/y")
 
-    The two binomials carry y/z and 1/(yz), at one q-power exactly when y
-    has none.  So when z has no q-power and y has one, the Term is built as
-    -C(y,z), which is C(z,y).  Then, with y a root of unity and z = +-q^a,
-    the two coefficients are conjugates at one exponent, which ``_apply``
-    pairs into rational factors."""
+
+def _c_term(z: tuple, y: tuple) -> Term:
+    """C(z,y) = 1/(z + 1/z - y - 1/y) for z and y given as the pairs (z, 1/z)
+    and (y, 1/y) of ``_inverted``; DegenerateC when z is y or 1/y.
+
+    When neither carries a q-power, C is a Q(w) scalar.  Otherwise it is
+    z^-1 / ((1 - y/z)(1 - 1/(yz))), as (z - y)(1 - 1/(yz)) is the
+    denominator.  The two binomials carry y/z and 1/(yz), at one q-power
+    exactly when y has none.  So when z has no q-power and y has one, the
+    Term is built as -C(y,z), which is C(z,y).  Then, with y a root of unity
+    and z = +-q^a, the two coefficients are conjugates at one exponent,
+    which ``_apply`` pairs into rational factors."""
+    _degenerate(z, y)
     (z, zi), (y, yi) = z, y
-    if z == y or z == yi:
-        raise DegenerateC(f"C({z}, {y}) undefined: z coincides with y or 1/y")
-    flip = not z.exp and y.exp
+    if not z.exp and not y.exp:
+        return Term((z.coeff + zi.coeff - y.coeff - yi.coeff).inverse())
+    flip = not z.exp
     if flip:
         (z, zi), (y, yi) = (y, yi), (z, zi)
     return Term(-zi.coeff if flip else zi.coeff, zi.exp,
-                divs=tuple((p.coeff, p.exp) for p in (_param_mul(y, zi), _param_mul(yi, zi))))
+                divs=tuple((b.coeff * zi.coeff, b.exp + zi.exp) for b in (y, yi)))
 
 
 def _d_term(*pairs: tuple) -> Term:
-    """prod over the pairs (p, 1/p) of (1-p)(1-1/p); D(z,y) is _d_term(y, z)."""
-    return Term(muls=tuple((b.coeff, b.exp) for pair in pairs for b in pair))
+    """prod over the pairs (p, 1/p) of (1-p)(1-1/p) = 2 - p - 1/p: a Q(w)
+    scalar over the pairs without a q-power, binomials for the others.
+    D(z,y) is _d_term(y, z)."""
+    scalar, muls = 1, ()
+    for p, pi in pairs:
+        if p.exp:
+            muls += (p.coeff, p.exp), (pi.coeff, pi.exp)
+        else:
+            scalar *= 2 - p.coeff - pi.coeff
+    return Term(scalar, muls=muls)
+
+
+def _step(base: ParamValue):
+    """A base as a Term writes it: the int s of q^s, or a ParamValue when its
+    coefficient is not 1, which ``_apply`` lists factor by factor."""
+    return base.exp if base.coeff == ONE else base
 
 
 def _pochs(base: ParamValue, k: int, *params: ParamValue) -> Term:
     """prod over params of (p; base)_inf^k."""
-    return Term(pochs=tuple((p.coeff, p.exp, base, k) for p in params))
+    s = _step(base)
+    return Term(pochs=tuple((p.coeff, p.exp, s, k) for p in params))
 
 
 def _lifted(pair: tuple, base: ParamValue, k: int) -> Term:
     """(base*p, base/p; base)_inf^k for the pair (p, 1/p)."""
-    return _pochs(base, k, *(_param_mul(base, b) for b in pair))
+    s = _step(base)
+    if type(s) is int:
+        return Term(pochs=tuple((b.coeff, b.exp + s, s, k) for b in pair))
+    return Term(pochs=tuple((base.coeff * b.coeff, b.exp + base.exp, s, k) for b in pair))
 
 
 def c_helper(z: ParamValue, y: ParamValue, order: int | None = None) -> LaurentSeries:
@@ -584,7 +672,7 @@ def a_coeff(k: int, i: int, params, order: int | None = None) -> LaurentSeries:
     later = pairs[i:]
     for n, z in enumerate(later):
         for y in later[:n]:
-            _c_term(z, y)  # raises DegenerateC where the recursion divides by zero
+            _degenerate(z, y)  # where the recursion divides by zero
     return _product_sum((_a_term(pairs, i),), order)
 
 
@@ -673,13 +761,25 @@ def corollary_k2(y: ParamValue, z: ParamValue, base: ParamValue,
         sum_{n>=0} base^n (z,1/z;base)_n / (base*y, base/y; base)_n
         = C(z,y) ((1-y)(1-1/y) - (z,1/z;base)_inf / (base*y, base/y;base)_inf),
 
-    trusted through ``order``, as two Terms; the sum side is
+    trusted through ``order``, as two Terms (``_k2_terms``); the sum side is
     ``vwp_single_sum(z, y)``.
     """
-    y, z = _inverted(y, z)
+    return _product_sum(_k2_terms(*_inverted(y, z), base), order)
+
+
+def _k2_terms(y: tuple, z: tuple, base: ParamValue) -> tuple:
+    """corollary_k2's right side as two Terms, for the pairs (y, 1/y) and
+    (z, 1/z) of ``_inverted``.  For z != 1 the numerator (z, 1/z; base)_inf
+    is written D(z) (base*z, base/z; base)_inf, so the second Term carries
+    the powers of the second of ``_k3_terms`` and a derivation collects the
+    two.  At z = 1 it is left as it stands, a product that vanishes
+    identically (ZeroFactor)."""
     c = _c_term(z, y)
-    quotient = _merged(Term(-1), _pochs(base, 1, *z), _lifted(y, base, -1))
-    return _product_sum((_merged(c, _d_term(y)), _merged(c, quotient)), order)
+    if z[0].exp or z[0].coeff != ONE:
+        top = _merged(_d_term(z), _lifted(z, base, 1))
+    else:
+        top = _pochs(base, 1, *z)
+    return _merged(c, _d_term(y)), _merged(Term(-1), c, top, _lifted(y, base, -1))
 
 
 def corollary_k3(x: ParamValue, y: ParamValue, z: ParamValue, base: ParamValue,
@@ -693,18 +793,22 @@ def corollary_k3(x: ParamValue, y: ParamValue, z: ParamValue, base: ParamValue,
           + D(y,z) C(z,y) (C(y,x) - C(z,x))
                            (base*z,base/z;base)_inf/(base*x,base/x;base)_inf,
 
-    trusted through ``order``, as four Terms (the last summand split in two);
-    the sum side is ``vwp_double_sum(y, z, x, y)``.
+    trusted through ``order``, as four Terms (``_k3_terms``; the last
+    summand split in two, which collect again when C(y,x) and C(z,x) are
+    scalars); the sum side is ``vwp_double_sum(y, z, x, y)``.
     """
-    x, y, z = _inverted(x, y, z)
+    return _product_sum(_k3_terms(*_inverted(x, y, z), base), order)
+
+
+def _k3_terms(x: tuple, y: tuple, z: tuple, base: ParamValue) -> tuple:
+    """corollary_k3's right side as four Terms, for the pairs of ``_inverted``."""
     czy, czx, cyx = _c_term(z, y), _c_term(z, x), _c_term(y, x)
     by_y = _merged(_lifted(z, base, 1), _lifted(y, base, -1))
     by_x = _merged(_lifted(z, base, 1), _lifted(x, base, -1))
-    terms = (_merged(_d_term(x, y), czy, czx),
-             _merged(Term(-1), _d_term(x, z), czy, cyx, by_y),
-             _merged(_d_term(y, z), czy, cyx, by_x),
-             _merged(Term(-1), _d_term(y, z), czy, czx, by_x))
-    return _product_sum(terms, order)
+    return (_merged(_d_term(x, y), czy, czx),
+            _merged(Term(-1), _d_term(x, z), czy, cyx, by_y),
+            _merged(_d_term(y, z), czy, cyx, by_x),
+            _merged(Term(-1), _d_term(y, z), czy, czx, by_x))
 
 
 # -- bilateral series and finite-N form ----------------------------------------------

@@ -335,29 +335,44 @@ def test_every_one_edit_mutant_of_a_specialization_is_seen():
 
 
 def test_derived_builds_one_series_per_call(monkeypatch):
-    # corollary - first row and the prefactor stay kernel states, cut to the
-    # order as a state: one series is built from them
-    stores, inside = [0], [0]
+    # the corollary's Terms minus the first row's are one product sum, kept as
+    # a kernel state; the prefactor applies to that state, which is cut to
+    # the order as a state: one series is built, and no corollary is
+    stores = [0]
     store = LaurentSeries._store
 
     def counted(s, *args):
-        stores[0] += not inside[0]
+        stores[0] += 1
         store(s, *args)
 
-    def closed_form(f, *args):
-        inside[0] += 1
-        try:
-            return f(*args)
-        finally:
-            inside[0] -= 1
-
     monkeypatch.setattr(LaurentSeries, "_store", counted)
-    for name in ("corollary_k2", "corollary_k3"):
-        monkeypatch.setattr(vwp, name, partial(closed_form, getattr(vwp, name)))
     specs = [e.specialization for e in registry().values() if e.specialization]
     for sp in specs:
         catalog._derived(sp, 14)
     assert stores[0] == len(specs)
+
+
+def test_work_of_the_derivations(monkeypatch):
+    # the 28 derivations at order 14: 176 kernel calls and 72 stores when each
+    # built its corollaries as series; one collected sum each now.  Terms that
+    # differ only in a Q(w) scalar (C, D and A at roots of unity) share a call
+    calls, stores = [0], [0]
+    kernel, store = vwp._binomials, LaurentSeries._store
+
+    def counted_kernel(*args, **kwargs):
+        calls[0] += 1
+        return kernel(*args, **kwargs)
+
+    def counted_store(s, *args):
+        stores[0] += 1
+        store(s, *args)
+
+    monkeypatch.setattr(vwp, "_binomials", counted_kernel)
+    monkeypatch.setattr(LaurentSeries, "_store", counted_store)
+    for e in registry().values():
+        if e.specialization:
+            catalog._derived(e.specialization, 14)
+    assert (calls[0], stores[0]) == (112, 28)
 
 
 _PAIR = (ParamValue(OMEGA), ParamValue(-ONE))

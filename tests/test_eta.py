@@ -4,7 +4,11 @@
 conjugate pair of roots of unity, at e = 0 or s/2 mod s, into binomials and
 powers of (q^u; q^u)_inf, which the kernel applies as Euler's pentagonal
 series.  The reference here lists every factor of every power instead, and
-the two must store the same data or raise the same exception.
+the two must store the same data or raise the same exception.  The reference
+builds and checks each power's parameter and base itself, as ``ParamValue``
+and ``_check_base`` do, so it shares none of the code it checks; so do the
+references for a Term's slack and for a sum of Terms, which applies each Term
+on its own where ``vwp._product_sum`` collects them.
 """
 
 import itertools
@@ -19,14 +23,19 @@ from qseries.laurent import (
     LaurentSeries,
     OrderExceeded,
     ParamValue,
+    ZeroFactor,
     _binomials,
     _built,
+    _check_base,
     _factors,
+    _negative_slack,
     _one,
     _paired,
     _pentagonal,
     _split,
     _state,
+    _zero,
+    _zero_factor_index,
     poch_infinite,
 )
 from qseries.vwp import Term
@@ -34,14 +43,27 @@ from qseries.vwp import Term
 from test_laurent import _examples, coeffs_st
 
 
+def _power_by_factors(c, e, s) -> tuple:
+    """The parameter c q^e and the base of a power, built and checked:
+    TypeError or ValueError from ``ParamValue``, then InvalidBase."""
+    p, base = ParamValue(c, e), s if isinstance(s, ParamValue) else ParamValue(ONE, s)
+    _check_base(base)
+    return p, base
+
+
 def _apply_by_factors(t: Term, f: tuple, plus: tuple | None = None) -> tuple:
     """t * f (+ plus) in one kernel call with every Pochhammer factor listed:
     the factors of each (c q^e; base)_inf^k below the order, repeated |k|
-    times, as multiplications (k > 0) or divisions (k < 0), then paired."""
+    times, as multiplications (k > 0) or divisions (k < 0), then paired.
+    Each power is checked in turn: its parameter and base, then ZeroFactor
+    when it vanishes identically, then OrderExceeded without an order."""
     offset, _, _, order = f
     muls = [(*_split(c), e) for c, e in t.muls]
     divs = [(*_split(c), e) for c, e in t.divs]
-    for p, base, k in vwp._powers(t):
+    for c, e, s, k in t.pochs:
+        p, base = _power_by_factors(c, e, s)
+        if _zero_factor_index(p, base) is not None:
+            raise ZeroFactor(f"({p}; {base})_inf vanishes identically")
         if order is None:
             raise OrderExceeded("a Pochhammer power needs an order")
         (muls if k > 0 else divs).extend(_factors(p, base, below=order - offset) * abs(k))
@@ -50,12 +72,32 @@ def _apply_by_factors(t: Term, f: tuple, plus: tuple | None = None) -> tuple:
     return _binomials(f, muls, divs, shift=t.shift, unit=_split(t.scalar), plus=plus)
 
 
+def _slack_by_factors(t: Term) -> int:
+    """The negative q-powers of t: its shift's, its multiplications' and those
+    of the factors of its powers with k > 0, listed."""
+    dips = [-e for _, e in t.muls if e < 0]
+    for c, e, s, k in t.pochs:
+        dips.append(max(k, 0) * _negative_slack(*_power_by_factors(c, e, s)))
+    return max(0, -t.shift) + sum(dips)
+
+
+def _sum_by_factors(terms, order) -> tuple:
+    """The state of the sum of ``terms`` below ``order``: every slack first,
+    then one kernel call per Term, each adding the ones before it."""
+    slacks = [_slack_by_factors(t) for t in terms]
+    total = _zero(order)
+    for t, slack in zip(terms, slacks):
+        total = _apply_by_factors(t, _one(None if order is None else order + slack - t.shift),
+                                  total)
+    return total
+
+
 def _stored(build):
     """The stored data of the series ``build()`` returns the state of, or the
     type of the exception it raises."""
     try:
         s = _built(build())
-    except (ArithmeticError, OrderExceeded, ValueError) as exc:
+    except (ArithmeticError, OrderExceeded, TypeError, ValueError) as exc:
         return type(exc)
     return s.offset, s.order, s._den, s._parts
 
@@ -179,3 +221,90 @@ def test_pentagonal_terms_are_the_euler_product(u):
         assert euler.coeff(0) == ONE
         signs = {ONE: 1, -ONE: -1}
         assert _pentagonal(u, length) == [(e, signs.get(c, c)) for e, c in euler.terms() if e]
+
+
+# -- malformed and vanishing powers raise as the reference does ----------------------------
+
+_WQ = ParamValue(OMEGA, 1)
+
+# each raises, or takes the path it names, at its first power
+_ODD_POWERS = {
+    "zero coefficient": (0, 1, 1, 1),
+    "zero CycRat coefficient": (CycRat(0), 2, 1, -1),
+    "float exponent": (1, 1.5, 1, 1),
+    "float exponent, zero coefficient": (0, 0.5, 1, 1),
+    "float step": (-1, 1, 1.5, 1),
+    "base q^0": (1, 1, 0, 1),
+    "base q^-1 as a ParamValue": (-1, 2, ParamValue(ONE, -1), 2),
+    "base w as a ParamValue": (OMEGA, 1, ParamValue(OMEGA), -1),
+    "vanishing at q^0": (1, 0, 1, 1),
+    "vanishing at j = 2": (1, -4, 2, -1),
+    "vanishing on base wq": (OMEGA_BAR, -1, _WQ, 1),
+    "vanishing on base q as a ParamValue": (1, -3, ParamValue(ONE, 1), 2),
+    "bool exponent": (-1, True, 1, 1),
+    "Fraction coefficient": (rat(1, 2), -1, 2, 1),
+    "base q^2 as a ParamValue": (-1, 0, ParamValue(ONE, 2), -2),
+    "base wq": (-1, -1, _WQ, 1),
+}
+
+# conjugate pairs at e <= 0, whose factors there stay binomials, with k of both signs
+_LOW_PAIRS = [((c, e, s, k), (c.conjugate(), e, s, k))
+              for c in (OMEGA, -OMEGA) for e in (-3, -1, 0) for s in (1, 2, 3) for k in (-2, 1)]
+
+
+def _outcome(compute):
+    """compute() or the type of the exception it raises."""
+    try:
+        return compute()
+    except (ArithmeticError, OrderExceeded, TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", _ODD_POWERS)
+def test_odd_powers_raise_as_the_reference(name):
+    # alone, after a power that is fine and before one that vanishes, so the
+    # first power that fails decides; through _term_slack, _apply and _product_sum
+    power = _ODD_POWERS[name]
+    for pochs in ((power,), ((1, 2, 1, 1), power), (power, (1, 0, 1, -1))):
+        t = Term(CycRat(rat(2, 3)), shift=-1, pochs=pochs)
+        assert _outcome(lambda: vwp._term_slack(t)) == _outcome(lambda: _slack_by_factors(t))
+        _check(t, (1, 9, 30))
+        for order in (None, 1, 9):
+            want = _stored(lambda: _apply_by_factors(t, _one(order)))
+            assert _stored(lambda: vwp._apply(t, _one(order))) == want, (pochs, order)
+            want = _stored(lambda: _sum_by_factors((Term(-1), t), order))
+            assert _stored(lambda: vwp._product_state((Term(-1), t), order)) == want
+
+
+def test_low_conjugate_pairs_match_the_reference():
+    for pair in _LOW_PAIRS:
+        t = Term(pochs=pair)
+        assert vwp._term_slack(t) == _slack_by_factors(t)
+        _check(t, (1, 7, 20))
+
+
+# sums whose Terms collect: equal keys with scalars that add or cancel, with and
+# without binomials, with a power that vanishes or is malformed, and with no order
+_SUMS = [
+    (Term(2, pochs=((1, 1, 1, 2),)), Term(pochs=((-1, 1, 1, 1),)),
+     Term(-1, pochs=((1, 1, 1, 2),))),
+    (Term(pochs=((OMEGA, 1, 1, -1), (OMEGA_BAR, 1, 1, -1))),
+     Term(-1, pochs=((OMEGA, 1, 1, -1), (OMEGA_BAR, 1, 1, -1)))),
+    (Term(3, muls=((1, -1),), pochs=((1, 1, 2, 1),)),
+     Term(-3, muls=((1, -1),), pochs=((1, 1, 2, 1),))),
+    (Term(OMEGA), Term(-OMEGA), Term(1, shift=-2)),
+    (Term(pochs=((1, 0, 1, 1),)), Term(-1, pochs=((1, 0, 1, 1),)), Term(5)),
+    (Term(pochs=((1, 1, 1, 1), (1, -2, 2, 1))), Term(-1, pochs=((1, 1, 1, 1), (1, -2, 2, 1)))),
+    (Term(pochs=((2, 1, 1.5, 1),)), Term(-1, pochs=((2, 1, 1.5, 1),))),
+    (Term(divs=((1, 0),)), Term(-1, divs=((1, 0),))),
+    (Term(divs=((-1, 2),)), Term(-1, divs=((-1, 2),)), Term(4)),
+    (Term(OMEGA, pochs=((-1, 2, _WQ, 1),)), Term(2, shift=1),
+     Term(-OMEGA, pochs=((-1, 2, _WQ, 1),))),
+]
+
+
+@pytest.mark.parametrize("n", range(len(_SUMS)))
+def test_collected_sums_match_the_reference(n):
+    for order in [None] + list(range(1, 13)) + [40]:
+        want = _stored(lambda: _sum_by_factors(_SUMS[n], order))
+        assert _stored(lambda: vwp._product_state(_SUMS[n], order)) == want, order

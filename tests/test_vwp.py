@@ -24,6 +24,8 @@ from qseries.laurent import (
 )
 from qseries import catalog, vwp
 
+from test_catalog import _specialization_mutants
+
 W = ParamValue(OMEGA, 0)
 WB = ParamValue(OMEGA_BAR, 0)
 MW = ParamValue(-OMEGA, 0)
@@ -642,6 +644,71 @@ def test_corollary_k3_matches_reference(base):
         order = 1 + n % 30
         assert _data(lambda: vwp.corollary_k3(x, y, z, base, order)) == \
             _data(lambda: _ref_k3(x, y, z, base, order)), (x, y, z, order)
+
+
+def _ref_term(t, order):
+    """A Term with int bases as a series trusted below ``order``: a monomial
+    times Laurent-polynomial binomials and their inverses, and its powers
+    from _ref_pochs."""
+    out = LaurentSeries.monomial(t.scalar, t.shift)
+    for c, e in t.muls:
+        out = out * (LaurentSeries.one() - LaurentSeries.monomial(c, e))
+    for c, e in t.divs:
+        out = out * (LaurentSeries.one() - LaurentSeries.monomial(c, e)).inverse(order)
+    for c, e, s, k in t.pochs:
+        out = out * _ref_pochs((ParamValue(c, e),), ParamValue(ONE, s), order, k)
+    return out
+
+
+def _ref_derived(sp, order):
+    """catalog._derived as its parent computed it: corollary_k3 - corollary_k2,
+    or corollary_k2 - 1, at the recorded parameters, times the prefactor;
+    the closed forms first, each trusted further, then cut at the order."""
+    t = sp.prefactor
+    work = order + 4 + abs(t.shift) + sum(abs(e) for _, e in t.muls + t.divs) \
+        + sum(abs(e * k) for _, e, _, k in t.pochs)
+    if len(sp.params) == 2:
+        closed = _ref_k2(*sp.params, sp.base, work) - LaurentSeries.one()
+    else:
+        x, y, z = sp.params
+        closed = _ref_k3(x, y, z, sp.base, work) - _ref_k2(y, z, sp.base, work)
+    return (closed * _ref_term(t, work)).require_order(order)
+
+
+_SPECS = {i: e.specialization for i, e in catalog.registry().items() if e.specialization}
+
+
+@pytest.mark.parametrize("identity", _SPECS)
+def test_derived_matches_reference(identity):
+    # one reference trusted to 300, cut at each order
+    sp = _SPECS[identity]
+    want = _ref_derived(sp, 300)
+    for order in list(range(1, 31)) + [60, 100, 300]:
+        assert catalog._derived(sp, order) == want.require_order(order), order
+
+
+def test_derived_mutants_match_reference():
+    probed = 0
+    for sp in _SPECS.values():
+        for mutant in _specialization_mutants(sp):
+            assert _data(lambda: catalog._derived(mutant, 24)) == \
+                _data(lambda: _ref_derived(mutant, 24)), mutant
+            probed += 1
+    assert probed == 206
+
+
+@pytest.mark.parametrize("base", _REF_BASES.values(), ids=_REF_BASES.keys())
+def test_derived_over_the_pool_matches_reference(base):
+    # every pair and every seventh triple of the pool, each with a prefactor of
+    # the catalog's in turn
+    prefactors = [sp.prefactor for sp in _SPECS.values()]
+    params = list(itertools.product(_REF_POOL, repeat=2))
+    params += list(itertools.product(_REF_POOL, repeat=3))[::7]
+    for n, ps in enumerate(params):
+        sp = catalog.Specialization(base, ps, prefactors[n % len(prefactors)])
+        order = 1 + n % 20
+        assert _data(lambda: catalog._derived(sp, order)) == \
+            _data(lambda: _ref_derived(sp, order)), (ps, order)
 
 
 @pytest.mark.parametrize("base", _REF_BASES.values(), ids=_REF_BASES.keys())
